@@ -36,6 +36,7 @@ import numpy as np
 from .corpus import Document
 from .errors import ConfigError
 from .hashing import hash64
+from .jsonl import atomic_write
 
 MAGIC = b"CPQC"
 FORMAT_VERSION = 1
@@ -128,7 +129,8 @@ class QualityClassifier:
         parts.append(struct.pack("<Q", len(self.weights)))
         parts.append(self.weights.astype("<f8").tobytes())
         parts.append(struct.pack("<d", self.bias))
-        Path(path).write_bytes(b"".join(parts))
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "QualityClassifier":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import classifier as clf_mod
@@ -29,7 +30,6 @@ from .packing import pack_documents, write_packed
 from .pipeline import Pipeline, PipelineConfig, build_report
 from .rope import rope_config
 from .schedule import dump_csv, load_schedule, lr_at
-from .tokenizer import WhitespaceTokenizer
 
 
 def _read_corpus_shards(paths: list[str]) -> Corpus:
@@ -51,26 +51,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _dedup_config_from_file(path: str | None) -> dedup_mod.DedupConfig:
-    if not path:
-        return dedup_mod.DedupConfig()
-    raw = read_json(path)
-    rec = raw.get("dedup", raw)
-    cfg = dedup_mod.DedupConfig(
-        shingle_width=int(rec.get("shingle_width", 5)),
-        num_perms=int(rec.get("num_perms", 128)),
-        bands=int(rec.get("bands", 16)),
-        rows=int(rec.get("rows", 8)),
-        jaccard_threshold=float(rec.get("jaccard_threshold", 0.8)),
-        top_k=int(rec.get("top_k", 3)),
-        perm_seed=int(rec.get("perm_seed", dedup_mod.DEFAULT_PERM_SEED)),
-    )
-    cfg.validate()
-    return cfg
-
-
 def cmd_dedup(args) -> int:
-    cfg = _dedup_config_from_file(args.config)
+    raw = read_json(args.config) if args.config else {}
+    cfg = dedup_mod.DedupConfig.from_dict(raw.get("dedup", raw))
+    cfg.validate()
     corpus = _read_corpus_shards(args.inputs)
     clusters, annotated = dedup_mod.run_dedup(corpus, cfg, workers=args.workers)
     dedup_mod.write_clusters(clusters, args.out)
@@ -156,14 +140,7 @@ def cmd_sample(args) -> int:
     annotated = _read_corpus_shards(args.inputs)
     maps = [sampling_mod.build_weight_map(annotated, s.policy) for s in specs]
     merged = sampling_mod.merge_distributions(maps, [s.mixture_weight for s in specs])
-    rows = [
-        {
-            "doc_id": doc.doc_id,
-            "weights": {m.signal_name: m.weights[doc.doc_id] for m in maps},
-            "probability": merged.probabilities.get(doc.doc_id, 0.0),
-        }
-        for doc in annotated
-    ]
+    rows = sampling_mod.weight_rows(annotated, maps, merged)
     write_jsonl(args.out, rows)
     print(f"wrote weights for {len(rows)} docs -> {args.out}")
     if args.draw:
@@ -200,24 +177,14 @@ def cmd_curriculum_emit(args) -> int:
             f"curriculum emit needs earlier phases; missing: {missing}", missing
         )
     pipe = Pipeline(config)
-    annotated = read_corpus(work / "annotated.jsonl")
-    clusters = dedup_mod.read_clusters(work / "clusters.jsonl")
-    merged = pipe._merged_from_disk()
     plan = cur_mod.ensure_valid_plan(config.plan)
     stage = plan.stage(args.stage)
-    eligible = cur_mod.stage_eligible(annotated, stage)
-    dist = sampling_mod.restrict_distribution(merged, eligible)
-    stage_clusters = sampling_mod.restrict_clusters(clusters, eligible)
-    manifest = cur_mod.emit_stage(
+    _, manifest = pipe.emit_stage(
         stage,
         plan,
-        dist,
-        annotated,
-        stage_clusters,
-        WhitespaceTokenizer(config.vocab_size),
-        config.master_seed,
-        work / "stages" / stage.stage_id,
-        shard_tokens=config.shard_tokens,
+        read_corpus(work / "annotated.jsonl"),
+        dedup_mod.read_clusters(work / "clusters.jsonl"),
+        pipe._merged_from_disk(),
     )
     print(
         f"stage {stage.stage_id}: {manifest.total_tokens} tokens in "
@@ -253,15 +220,7 @@ def cmd_prep_schedule(args) -> int:
 
 def cmd_prep_rope(args) -> int:
     cfg = rope_config(args.stage, head_dim=args.head_dim)
-    print(json.dumps(
-        {
-            "stage": cfg.stage,
-            "sequence_length": cfg.sequence_length,
-            "theta": cfg.theta,
-            "head_dim": cfg.head_dim,
-        },
-        sort_keys=True,
-    ))
+    print(json.dumps(asdict(cfg), sort_keys=True))
     return 0
 
 

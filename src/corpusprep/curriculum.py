@@ -377,6 +377,12 @@ def emit_stage(
         max_doc_tokens=max_doc_tokens,
     )
     write_json(out_dir / "manifest.json", manifest.to_dict())
+    # A smaller budget writes fewer shards; drop those of an earlier emit
+    # so the directory holds exactly what the manifest lists.
+    listed = {s["file"] for s in manifest.shards}
+    for stale in out_dir.glob("shard_*.jsonl"):
+        if stale.name not in listed:
+            stale.unlink()
     return manifest
 
 

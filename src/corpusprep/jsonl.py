@@ -1,32 +1,50 @@
 """Line-delimited JSON helpers with deterministic byte output.
 
 Writers sort keys and keep UTF-8 unescaped so the same records always
-produce the same file bytes.
+produce the same file bytes. Every artifact write goes through
+``atomic_write``, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Write records atomically (tmp file + rename). Returns record count."""
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temp file beside `path` and rename it over `path` on success.
+
+    Text mode writes UTF-8 with no newline translation. If the body
+    raises, the temp file is removed and `path` keeps its old bytes.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".partial")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
+    """Write records atomically. Returns record count."""
     n = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(dumps(rec))
             fh.write("\n")
             n += 1
-    os.replace(tmp, path)
     return n
 
 
@@ -39,12 +57,9 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".partial")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_json(path: str | Path) -> Any:

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .jsonl import atomic_write
 
 PACK_MAGIC = b"CPPK"
 PACK_VERSION = 1
@@ -183,7 +184,8 @@ def write_packed(
             parts.append(struct.pack("<IIH", start, end, len(raw)))
             parts.append(raw)
         parts.append(np.asarray(seq.token_ids, dtype="<u4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def read_packed(path: str | Path) -> tuple[int, int, list[PackedSequence]]:

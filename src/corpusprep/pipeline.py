@@ -1,20 +1,27 @@
 """End-to-end orchestration: ingest -> dedup -> quality -> sampling ->
 curriculum -> train-prep, with resumable phases and a reconciling report.
 
-Every phase reads its inputs from the previous phase's on-disk
-artifacts and writes its own artifacts plus a small sidecar report.
-A phase is skipped on re-run when its done-marker matches the current
-config hash and all recorded output checksums still verify. Outputs are
-fully determined by (inputs, config, master_seed); the worker count
-only shards work.
+Every phase is declared once, in PHASE_TABLE: its function, the config
+slice it reads, the files outside the work directory it reads, and the
+work-directory files it reads from earlier phases. A phase writes its
+own artifacts plus a sidecar report, and its done-marker records the
+sha256 of each output. The phase's key hashes its name, its config
+slice, the contents of its outside files and the upstream outputs'
+recorded digests. On re-run a phase is skipped when its marker holds the
+current key and every recorded output still verifies, so an edit reruns
+only the phases that read what changed, and a rerun phase whose outputs
+come out byte-identical stops the reruns below it. Outputs are fully
+determined by (inputs, config, master_seed); the worker count only
+shards work.
 """
 
 from __future__ import annotations
 
 import glob
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any, Callable
 
@@ -24,15 +31,13 @@ from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
 from .corpus import Corpus, ingest_files, read_corpus, write_corpus
-from .errors import ConfigError, CorpusPrepError, IntegrityError, PhaseError
+from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
-from .jsonl import dumps, read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
 from .packing import pack_documents, write_packed
 from .rope import rope_config
 from .schedule import LrScheduleSpec, dump_csv
 from .tokenizer import WhitespaceTokenizer
-
-PHASES = ("ingest", "dedup", "quality", "sampling", "curriculum", "train_prep")
 
 TIMING_KEYS = ("timing", "generated_at", "wall_clock_s")
 
@@ -115,16 +120,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         try:
-            dedup_rec = raw.get("dedup", {})
-            dedup_cfg = dedup_mod.DedupConfig(
-                shingle_width=int(dedup_rec.get("shingle_width", 5)),
-                num_perms=int(dedup_rec.get("num_perms", 128)),
-                bands=int(dedup_rec.get("bands", 16)),
-                rows=int(dedup_rec.get("rows", 8)),
-                jaccard_threshold=float(dedup_rec.get("jaccard_threshold", 0.8)),
-                top_k=int(dedup_rec.get("top_k", 3)),
-                perm_seed=int(dedup_rec.get("perm_seed", dedup_mod.DEFAULT_PERM_SEED)),
-            )
+            dedup_cfg = dedup_mod.DedupConfig.from_dict(raw.get("dedup", {}))
             q = raw.get("quality", {})
             h = q.get("heuristics", {})
             heuristics = quality_mod.HeuristicThresholds(
@@ -227,85 +223,72 @@ class Pipeline:
         config.validate()
         self.config = config
         self.work_dir = config.work_dir
-        self.chash = config.config_hash()
 
     # -- phase plumbing ------------------------------------------------
 
-    def _marker_path(self, phase: str) -> Path:
-        return self.work_dir / f"{phase}.done.json"
+    def _phase_key(self, phase: "Phase", upstream: dict[str, str]) -> str:
+        """Hash of everything `phase` reads; `upstream` maps each earlier
+        output's work-relative path to its recorded sha256."""
+        raw = self.config.raw
+        return hash128_hex(dumps({
+            "phase": phase.name,
+            "config": {key: _config_value(raw, key) for key in phase.config_keys},
+            "files": {path: sha256_file(path) for path in phase.outside_files(self.config)},
+            "upstream": {
+                rel: digest for rel, digest in upstream.items()
+                if any(fnmatch(rel, pattern) for pattern in phase.reads)
+            },
+        }).encode("utf-8"))
 
-    def _phase_fresh(self, phase: str) -> bool:
-        marker = self._marker_path(phase)
-        if not marker.is_file():
-            return False
-        rec = read_json(marker)
-        if rec.get("config_hash") != self.chash:
-            return False
-        for rel, digest in rec.get("outputs", {}).items():
-            path = self.work_dir / rel
-            if not path.is_file() or sha256_file(path) != digest:
-                return False
-        return True
-
-    def _finish_phase(self, phase: str, outputs: list[Path], elapsed: float) -> None:
-        digests = {
-            str(p.relative_to(self.work_dir)): sha256_file(p) for p in sorted(outputs)
-        }
-        write_json(
-            self._marker_path(phase),
-            {"config_hash": self.chash, "outputs": digests, "wall_clock_s": elapsed},
-        )
-
-    def _run_phase(self, phase: str, fn: Callable[[], list[Path]], force: bool) -> bool:
-        """Returns True if the phase executed, False if skipped."""
-        if not force and self._phase_fresh(phase):
-            return False
-        started = time.monotonic()
+    def _run_phase(
+        self, phase: "Phase", upstream: dict[str, str], force: bool
+    ) -> tuple[bool, dict]:
+        """Run or skip one phase; returns (executed, recorded output digests)."""
+        marker = self.work_dir / f"{phase.name}.done.json"
         try:
-            outputs = fn()
-        except CorpusPrepError as exc:
-            raise PhaseError(phase, exc) from exc
+            key = self._phase_key(phase, upstream)
+            if not force and marker.is_file():
+                recorded = read_json(marker)
+                digests = recorded.get("outputs", {})
+                if recorded.get("config_hash") == key and not _bad_outputs(self.work_dir, digests):
+                    return False, digests
+            started = time.monotonic()
+            outputs, sidecar = phase.fn(self)
+            out_report = self.work_dir / phase.sidecar
+            write_json(out_report, {"config_hash": key, **sidecar})
+            elapsed = time.monotonic() - started
         except Exception as exc:  # noqa: BLE001 - phase boundary
-            raise PhaseError(phase, exc) from exc
-        self._finish_phase(phase, outputs, time.monotonic() - started)
-        return True
+            raise PhaseError(phase.name, exc) from exc
+        digests = {
+            str(p.relative_to(self.work_dir)): sha256_file(p)
+            for p in sorted(outputs + [out_report])
+        }
+        write_json(marker, {"config_hash": key, "outputs": digests, "wall_clock_s": elapsed})
+        return True, digests
 
     def run(self, force: bool = False) -> dict:
         self.config.resolve_inputs()  # unreadable inputs abort before phase 1
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        steps = [
-            ("ingest", self._phase_ingest),
-            ("dedup", self._phase_dedup),
-            ("quality", self._phase_quality),
-            ("sampling", self._phase_sampling),
-            ("curriculum", self._phase_curriculum),
-            ("train_prep", self._phase_train_prep),
-        ]
-        executed = {}
-        for phase, fn in steps:
-            executed[phase] = self._run_phase(phase, fn, force)
+        executed: dict[str, bool] = {}
+        upstream: dict[str, str] = {}
+        for phase in PHASE_TABLE:
+            executed[phase.name], digests = self._run_phase(phase, upstream, force)
+            upstream.update(digests)
         report = build_report(self.work_dir)
         report["phases_executed"] = executed
         write_json(self.work_dir / "report.json", report)
         return report
 
-    # -- phases ---------------------------------------------------------
+    # -- phases: each returns (artifacts written, sidecar report fields) --
 
-    def _phase_ingest(self) -> list[Path]:
+    def _phase_ingest(self) -> tuple[list[Path], dict]:
         paths = self.config.resolve_inputs()
         corpus, report = ingest_files(paths, workers=self.config.workers)
         out_corpus = self.work_dir / "corpus.jsonl"
         write_corpus(corpus, out_corpus)
-        sidecar = {
-            "config_hash": self.chash,
-            "inputs": paths,
-            **report.to_dict(),
-        }
-        out_report = self.work_dir / "ingest_report.json"
-        write_json(out_report, sidecar)
-        return [out_corpus, out_report]
+        return [out_corpus], {"inputs": paths, **report.to_dict()}
 
-    def _phase_dedup(self) -> list[Path]:
+    def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus.jsonl")
         clusters, annotated = dedup_mod.run_dedup(
             corpus, self.config.dedup, workers=self.config.workers
@@ -320,17 +303,13 @@ class Pipeline:
             sizes[len(c.member_ids)] = sizes.get(len(c.member_ids), 0) + 1
         retained_total = sum(len(c.retained_ids) for c in clusters)
         n_docs = len(corpus)
-        sidecar = {
-            "config_hash": self.chash,
+        return [out_clusters, out_corpus], {
             "documents": n_docs,
             "clusters": len(clusters),
             "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
             "retained_total": retained_total,
             "cluster_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
         }
-        out_report = self.work_dir / "dedup_report.json"
-        write_json(out_report, sidecar)
-        return [out_clusters, out_corpus, out_report]
 
     def _load_training_texts(self, path: str) -> list[str]:
         texts = []
@@ -342,22 +321,21 @@ class Pipeline:
         return texts
 
     def _obtain_classifier(self, spec: ClassifierSpec, out_dir: Path) -> tuple[clf_mod.QualityClassifier, Path]:
-        out_path = out_dir / f"{spec.model_id}.clf"
         if spec.path:
             model = clf_mod.QualityClassifier.load(spec.path)
-            model.save(out_path)
-            return model, out_path
-        model = clf_mod.train_classifier(
-            self._load_training_texts(spec.positives),
-            self._load_training_texts(spec.negatives),
-            hyper=spec.hyper,
-            model_id=spec.model_id,
-            source_name=spec.positives,
-        )
+        else:
+            model = clf_mod.train_classifier(
+                self._load_training_texts(spec.positives),
+                self._load_training_texts(spec.negatives),
+                hyper=spec.hyper,
+                model_id=spec.model_id,
+                source_name=spec.positives,
+            )
+        out_path = out_dir / f"{spec.model_id}.clf"
         model.save(out_path)
         return model, out_path
 
-    def _phase_quality(self) -> list[Path]:
+    def _phase_quality(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus_clustered.jsonl")
         clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
         clf_dir = self.work_dir / "classifiers"
@@ -392,24 +370,19 @@ class Pipeline:
         for d in drops:
             for r in d.reasons:
                 reasons[r] = reasons.get(r, 0) + 1
-        quantiles = _signal_quantiles(annotated)
-        sidecar = {
-            "config_hash": self.chash,
+        return outputs + [out_annotated, out_drops], {
             "annotated": len(annotated),
             "dropped": len(drops),
             "drop_reasons": dict(sorted(reasons.items())),
             "classifiers": sorted(m.model_id for m in ensemble),
             "domain_tags": sorted(domain),
-            "signal_quantiles": quantiles,
+            "signal_quantiles": _signal_quantiles(annotated),
             "classifier_train_accuracy": {
                 m.model_id: m.training_meta.get("train_accuracy") for m in ensemble
             },
         }
-        out_report = self.work_dir / "quality_report.json"
-        write_json(out_report, sidecar)
-        return outputs + [out_annotated, out_drops, out_report]
 
-    def _phase_sampling(self) -> list[Path]:
+    def _phase_sampling(self) -> tuple[list[Path], dict]:
         annotated = read_corpus(self.work_dir / "annotated.jsonl")
         maps = [
             sampling_mod.build_weight_map(annotated, p.policy)
@@ -417,26 +390,12 @@ class Pipeline:
         ]
         lambdas = [p.mixture_weight for p in self.config.policies]
         merged = sampling_mod.merge_distributions(maps, lambdas)
-
         out_weights = self.work_dir / "weights.jsonl"
-        rows = []
-        for doc in annotated:
-            rows.append(
-                {
-                    "doc_id": doc.doc_id,
-                    "weights": {m.signal_name: m.weights[doc.doc_id] for m in maps},
-                    "probability": merged.probabilities.get(doc.doc_id, 0.0),
-                }
-            )
-        write_jsonl(out_weights, rows)
-        sidecar = {
-            "config_hash": self.chash,
+        write_jsonl(out_weights, sampling_mod.weight_rows(annotated, maps, merged))
+        return [out_weights], {
             "documents": len(annotated),
             "mixture_weights": merged.mixture_weights,
         }
-        out_report = self.work_dir / "sampling_report.json"
-        write_json(out_report, sidecar)
-        return [out_weights, out_report]
 
     def _merged_from_disk(self) -> sampling_mod.MergedDistribution:
         probabilities = {}
@@ -449,32 +408,37 @@ class Pipeline:
             probabilities=probabilities, mixture_weights=lambdas
         )
 
-    def _phase_curriculum(self) -> list[Path]:
+    def emit_stage(
+        self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan, annotated: Corpus,
+        clusters: list[dedup_mod.DuplicateCluster], merged: sampling_mod.MergedDistribution,
+    ) -> tuple[set[str], cur_mod.ShardManifest]:
+        """Emit one stage's shards under stages/<id>; returns (eligible ids, manifest)."""
+        eligible = cur_mod.stage_eligible(annotated, stage)
+        manifest = cur_mod.emit_stage(
+            stage,
+            plan,
+            sampling_mod.restrict_distribution(merged, eligible),
+            annotated,
+            sampling_mod.restrict_clusters(clusters, eligible),
+            WhitespaceTokenizer(self.config.vocab_size),
+            self.config.master_seed,
+            self.work_dir / "stages" / stage.stage_id,
+            shard_tokens=self.config.shard_tokens,
+        )
+        return eligible, manifest
+
+    def _phase_curriculum(self) -> tuple[list[Path], dict]:
         annotated = read_corpus(self.work_dir / "annotated.jsonl")
         clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
         merged = self._merged_from_disk()
-        tokenizer = WhitespaceTokenizer(self.config.vocab_size)
         plan = cur_mod.ensure_valid_plan(self.config.plan)
         budgets = cur_mod.stage_budgets(plan)
 
         outputs: list[Path] = []
         stage_summaries = {}
         for stage in plan.stages:
-            eligible = cur_mod.stage_eligible(annotated, stage)
             stage_dir = self.work_dir / "stages" / stage.stage_id
-            dist = sampling_mod.restrict_distribution(merged, eligible)
-            stage_clusters = sampling_mod.restrict_clusters(clusters, eligible)
-            manifest = cur_mod.emit_stage(
-                stage,
-                plan,
-                dist,
-                annotated,
-                stage_clusters,
-                tokenizer,
-                self.config.master_seed,
-                stage_dir,
-                shard_tokens=self.config.shard_tokens,
-            )
+            eligible, manifest = self.emit_stage(stage, plan, annotated, clusters, merged)
             outputs.append(stage_dir / "manifest.json")
             outputs.extend(stage_dir / s["file"] for s in manifest.shards)
             stage_summaries[stage.stage_id] = {
@@ -486,16 +450,12 @@ class Pipeline:
                 "group_tokens": dict(sorted(manifest.group_tokens.items())),
                 "shards": len(manifest.shards),
             }
-        sidecar = {
-            "config_hash": self.chash,
+        return outputs, {
             "total_token_budget": plan.total_token_budget,
             "stages": stage_summaries,
         }
-        out_report = self.work_dir / "curriculum_report.json"
-        write_json(out_report, sidecar)
-        return outputs + [out_report]
 
-    def _phase_train_prep(self) -> list[Path]:
+    def _phase_train_prep(self) -> tuple[list[Path], dict]:
         outputs: list[Path] = []
         packed_dir = self.work_dir / "packed"
         packed_dir.mkdir(parents=True, exist_ok=True)
@@ -526,20 +486,12 @@ class Pipeline:
                 f"\tsequences={len(sequences)}\tsha256={sha256_file(out_bin)}"
             )
         out_manifest = packed_dir / "manifest.txt"
-        out_manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+        with atomic_write(out_manifest) as fh:
+            fh.write("\n".join(manifest_lines) + "\n")
         outputs.append(out_manifest)
 
-        rope = rope_config(self.config.rope_stage)
         out_rope = self.work_dir / "rope.json"
-        write_json(
-            out_rope,
-            {
-                "stage": rope.stage,
-                "sequence_length": rope.sequence_length,
-                "theta": rope.theta,
-                "head_dim": rope.head_dim,
-            },
-        )
+        write_json(out_rope, asdict(rope_config(self.config.rope_stage)))
         outputs.append(out_rope)
 
         if self.config.lr_schedule is not None:
@@ -548,15 +500,63 @@ class Pipeline:
             dump_csv(self.config.lr_schedule, out_csv, stride=stride)
             outputs.append(out_csv)
 
-        sidecar = {
-            "config_hash": self.chash,
+        return outputs, {
             "sequence_length": seq_len,
             "rope_stage": self.config.rope_stage,
             "stages": packed_summary,
         }
-        out_report = self.work_dir / "train_prep_report.json"
-        write_json(out_report, sidecar)
-        return outputs + [out_report]
+
+
+def _config_value(raw: dict, dotted: str) -> Any:
+    """The raw config value at a dotted key such as "train_prep.vocab_size"."""
+    for part in dotted.split("."):
+        raw = raw.get(part) if isinstance(raw, dict) else None
+    return raw
+
+
+def _classifier_sources(config: PipelineConfig) -> list[str]:
+    """The files the quality phase loads: each model file or training pair."""
+    return [
+        path
+        for spec in config.classifiers + config.domain_classifiers
+        for path in ((spec.path,) if spec.path else (spec.positives, spec.negatives))
+    ]
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One pipeline phase and everything it reads.
+
+    `config_keys` are dotted keys into the raw config; the slice they
+    select may be wider than the phase needs, never narrower. `reads`
+    are glob patterns over the work-relative outputs of earlier phases.
+    """
+
+    name: str
+    fn: Callable[[Pipeline], tuple[list[Path], dict]]
+    config_keys: tuple[str, ...]
+    reads: tuple[str, ...] = ()
+    outside_files: Callable[[PipelineConfig], list[str]] = lambda config: []
+
+    @property
+    def sidecar(self) -> str:
+        return f"{self.name}_report.json"
+
+
+PHASE_TABLE = (
+    Phase("ingest", Pipeline._phase_ingest, ("input",),
+          outside_files=PipelineConfig.resolve_inputs),
+    Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",)),
+    Phase("quality", Pipeline._phase_quality, ("quality",),
+          reads=("corpus_clustered.jsonl", "clusters.jsonl"),
+          outside_files=_classifier_sources),
+    Phase("sampling", Pipeline._phase_sampling, ("sampling",), reads=("annotated.jsonl",)),
+    Phase("curriculum", Pipeline._phase_curriculum,
+          ("curriculum", "master_seed", "sampling", "train_prep.vocab_size"),
+          reads=("annotated.jsonl", "clusters.jsonl", "weights.jsonl")),
+    Phase("train_prep", Pipeline._phase_train_prep, ("train_prep", "curriculum"),
+          reads=("stages/*",)),
+)
 
 
 def _signal_quantiles(annotated: Corpus) -> dict[str, list[float]]:
@@ -586,13 +586,10 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> dict:
 # -- report -------------------------------------------------------------
 
 
-def _verify_marker_outputs(work_dir: Path, phase: str) -> list[str]:
-    """Check recorded checksums for one phase; returns bad artifact names."""
-    marker = work_dir / f"{phase}.done.json"
-    if not marker.is_file():
-        return []
+def _bad_outputs(work_dir: Path, outputs: dict[str, str]) -> list[str]:
+    """Names of recorded outputs that are missing or fail their sha256."""
     bad = []
-    for rel, digest in read_json(marker).get("outputs", {}).items():
+    for rel, digest in outputs.items():
         path = work_dir / rel
         if not path.is_file():
             bad.append(f"{rel} (missing)")
@@ -607,38 +604,28 @@ def build_report(work_dir: str | Path) -> dict:
     sections: dict[str, Any] = {}
     timing: dict[str, float] = {}
     present = []
-
     corrupted = []
-    for phase in PHASES:
-        corrupted.extend(_verify_marker_outputs(work_dir, phase))
-        marker = work_dir / f"{phase}.done.json"
+    for phase in PHASE_TABLE:
+        marker = work_dir / f"{phase.name}.done.json"
         if marker.is_file():
-            timing[phase] = read_json(marker).get("wall_clock_s", 0.0)
+            rec = read_json(marker)
+            corrupted.extend(_bad_outputs(work_dir, rec.get("outputs", {})))
+            timing[phase.name] = rec.get("wall_clock_s", 0.0)
+        path = work_dir / phase.sidecar
+        if path.is_file():
+            sections[phase.name] = read_json(path)
+            present.append(phase.name)
+        else:
+            sections[phase.name] = {"absent": True}
     if corrupted:
         raise IntegrityError(
             f"artifacts failed verification: {', '.join(corrupted)}", corrupted
         )
-
-    sidecars = {
-        "ingest": "ingest_report.json",
-        "dedup": "dedup_report.json",
-        "quality": "quality_report.json",
-        "sampling": "sampling_report.json",
-        "curriculum": "curriculum_report.json",
-        "train_prep": "train_prep_report.json",
-    }
-    for phase, name in sidecars.items():
-        path = work_dir / name
-        if path.is_file():
-            sections[phase] = read_json(path)
-            present.append(phase)
-        else:
-            sections[phase] = {"absent": True}
     if not present:
+        sidecars = [phase.sidecar for phase in PHASE_TABLE]
         raise IntegrityError(
-            "no completed phases found; missing artifacts: "
-            + ", ".join(sidecars.values()),
-            list(sidecars.values()),
+            "no completed phases found; missing artifacts: " + ", ".join(sidecars),
+            sidecars,
         )
 
     report = {

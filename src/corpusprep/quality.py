@@ -19,7 +19,7 @@ from .classifier import QualityClassifier, ngram_hashes
 from .corpus import Corpus, Document, with_extra
 from .dedup import DuplicateCluster
 from .errors import PipelineOrderError, UnknownSignalError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import write_jsonl
 
 REQUIRED_TAGS = ("code", "math")
 
@@ -227,7 +227,3 @@ def annotate(
 
 def write_drop_report(drops: Sequence[DropRecord], path) -> int:
     return write_jsonl(path, (d.to_record() for d in drops))
-
-
-def read_drop_report(path) -> list[dict]:
-    return list(read_jsonl(path))

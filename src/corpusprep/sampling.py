@@ -126,6 +126,20 @@ def merge_distributions(
     )
 
 
+def weight_rows(
+    annotated: Corpus, maps: Sequence[WeightMap], merged: MergedDistribution
+) -> list[dict]:
+    """One weights.jsonl row per document: per-signal weights and merged probability."""
+    return [
+        {
+            "doc_id": doc.doc_id,
+            "weights": {m.signal_name: m.weights[doc.doc_id] for m in maps},
+            "probability": merged.probabilities.get(doc.doc_id, 0.0),
+        }
+        for doc in annotated
+    ]
+
+
 def select_variant(cluster: DuplicateCluster, repetition_index: int) -> str:
     """Round-robin over retained variants for repeated draws of a cluster."""
     if not cluster.retained_ids:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .jsonl import read_json
+from .jsonl import atomic_write, read_json
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def dump_csv(spec: LrScheduleSpec, path: str | Path, stride: int = 1) -> int:
     steps = list(range(0, spec.end_step + 1, stride))
     if steps[-1] != spec.end_step:
         steps.append(spec.end_step)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "lr"])
         for s in steps:

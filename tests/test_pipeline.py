@@ -80,6 +80,58 @@ class TestRun:
         assert rebuilt["config_hash"] == report["config_hash"]
 
 
+def _truncate_dump(raw: dict) -> None:
+    dump = Path(raw["input"][0])
+    lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+    dump.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+
+
+def _rewrite_web_positives(raw: dict) -> None:
+    # Math-marked texts become web positives too, so more documents pass
+    # the later stages' quality gates and the drawn shards change.
+    web = Path(raw["quality"]["classifiers"][0]["positives"])
+    math = Path(raw["quality"]["domain_classifiers"][1]["positives"])
+    text = web.read_text(encoding="utf-8") + math.read_text(encoding="utf-8")
+    web.write_text(text, encoding="utf-8")
+
+
+def _swap_lambdas(raw: dict) -> None:
+    policies = raw["sampling"]["policies"]
+    policies[0]["lambda"], policies[1]["lambda"] = policies[1]["lambda"], policies[0]["lambda"]
+
+
+def _lower_budget(raw: dict) -> None:
+    raw["curriculum"]["total_token_budget"] //= 2
+
+
+LATER_PHASES = ("sampling", "curriculum", "train_prep")
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_truncate_dump, ("ingest", "dedup", "quality") + LATER_PHASES),
+        (_rewrite_web_positives, ("quality",) + LATER_PHASES),
+        (_swap_lambdas, LATER_PHASES),
+        (_lower_budget, ("curriculum", "train_prep")),
+    ],
+    ids=["truncated_dump", "rewritten_positives", "sampling_lambdas", "lower_budget"],
+)
+def test_edit_reruns_exactly_the_phases_that_read_it(tmp_path, edit, expected):
+    """After an edit, a rerun executes only the phases whose inputs changed
+    and leaves the work directory as a cold run of the edited config would."""
+    _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=40_000)
+    raw["curriculum"]["shard_tokens"] = 4_000  # several shards per stage
+    run_pipeline(PipelineConfig.from_dict(raw))
+    edit(raw)
+    rerun = run_pipeline(PipelineConfig.from_dict(raw))
+    cold = run_pipeline(PipelineConfig.from_dict(dict(raw, work_dir=str(tmp_path / "cold"))))
+
+    assert [p for p, ran in rerun["phases_executed"].items() if ran] == list(expected)
+    assert strip_timing(rerun["phases"]) == strip_timing(cold["phases"])
+    assert work_files(Path(raw["work_dir"])) == work_files(tmp_path / "cold")
+
+
 class TestDeterminismAcrossWorkers:
     def test_worker_count_invisible_in_outputs(self, tmp_path):
         config_path, _ = make_pipeline_workspace(tmp_path, n_docs=220, total_tokens=25_000)
