@@ -35,7 +35,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import ConfigError
-from .hashing import hash64
+from .hashing import word_window_hashes
 from .jsonl import atomic_write
 
 MAGIC = b"CPQC"
@@ -63,14 +63,7 @@ class ClassifierHyper:
 
 def ngram_hashes(text: str, orders: Sequence[int]) -> list[int]:
     """64-bit hashes of all word n-grams of the given orders."""
-    words = text.lower().split()
-    out: list[int] = []
-    for n in orders:
-        if len(words) < n:
-            continue
-        for i in range(len(words) - n + 1):
-            out.append(hash64(" ".join(words[i : i + n]).encode("utf-8")))
-    return out
+    return word_window_hashes(text, orders)
 
 
 def _sigmoid(z: float) -> float:

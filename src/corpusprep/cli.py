@@ -25,9 +25,9 @@ from .errors import (
     PhaseError,
     ValidationError,
 )
-from .jsonl import read_json, write_json, write_jsonl
+from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 from .packing import pack_documents, write_packed
-from .pipeline import Pipeline, PipelineConfig, build_report
+from .pipeline import Pipeline, PipelineConfig, PolicySpec, build_report
 from .rope import rope_config
 from .schedule import dump_csv, load_schedule, lr_at
 
@@ -134,8 +134,6 @@ def cmd_sample(args) -> int:
     policy_recs = raw.get("sampling", raw).get("policies", [])
     if not policy_recs:
         raise ConfigError("config has no sampling policies")
-    from .pipeline import PolicySpec
-
     specs = [PolicySpec.from_dict(r) for r in policy_recs]
     annotated = _read_corpus_shards(args.inputs)
     maps = [sampling_mod.build_weight_map(annotated, s.policy) for s in specs]
@@ -196,8 +194,6 @@ def cmd_curriculum_emit(args) -> int:
 def cmd_prep_pack(args) -> int:
     stream = []
     for path in args.inputs:
-        from .jsonl import read_jsonl
-
         for rec in read_jsonl(path):
             stream.append((rec["doc_id"], rec["token_ids"]))
     sequences = pack_documents(stream, args.length, args.pad_id)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, with_extra
 from .errors import ConfigError
-from .hashing import hash64, mix64, splitmix64_stream
+from .hashing import mix64, splitmix64_stream, word_window_hashes
 from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
@@ -138,13 +138,10 @@ def shingle(text: str, width: int) -> ShingleSet:
     """
     if width < 1:
         raise ConfigError("shingle width must be >= 1")
-    words = text.lower().split()
-    if len(words) <= width:
-        windows = [" ".join(words)]
-    else:
-        windows = [" ".join(words[i : i + width]) for i in range(len(words) - width + 1)]
-    hashes = frozenset(hash64(w.encode("utf-8")) for w in windows)
-    return ShingleSet(shingles=hashes, width=width)
+    hashes = word_window_hashes(text, (width,)) or word_window_hashes(
+        text, (len(text.lower().split()),)
+    )
+    return ShingleSet(shingles=frozenset(hashes), width=width)
 
 
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
@@ -167,10 +164,14 @@ def minhash_signature(s: ShingleSet, cfg: DedupConfig) -> MinHashSignature:
     """
     if not s.shingles:
         raise ValueError("cannot sign an empty shingle set")
-    seeds = _perm_seeds(cfg.perm_seed, cfg.num_perms)
     x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    mixed = mix64(x[None, :] ^ seeds[:, None])
-    return MinHashSignature(values=mixed.min(axis=1), perm_seed=cfg.perm_seed)
+    return MinHashSignature(values=_minima(x, cfg), perm_seed=cfg.perm_seed)
+
+
+def _minima(hashes: np.ndarray, cfg: DedupConfig) -> np.ndarray:
+    """Minimum of mix64(hashes ^ seed_i) for each permutation seed_i."""
+    seeds = _perm_seeds(cfg.perm_seed, cfg.num_perms)
+    return mix64(hashes[None, :] ^ seeds[:, None]).min(axis=1)
 
 
 def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -184,13 +185,7 @@ def _sign_chunk(
 ) -> list[tuple[str, np.ndarray]]:
     """Signatures for a chunk of (doc_id, shingle hashes). Top level for pickling."""
     items, cfg = args
-    seeds = _perm_seeds(cfg.perm_seed, cfg.num_perms)
-    out = []
-    for doc_id, hashes in items:
-        x = np.array(hashes, dtype=np.uint64)
-        mixed = mix64(x[None, :] ^ seeds[:, None])
-        out.append((doc_id, mixed.min(axis=1)))
-    return out
+    return [(doc_id, _minima(np.array(hashes, dtype=np.uint64), cfg)) for doc_id, hashes in items]
 
 
 def compute_signatures(

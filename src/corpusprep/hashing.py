@@ -8,6 +8,7 @@ is never used for anything that reaches an output file.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +23,14 @@ def hash128_hex(data: bytes) -> str:
 def hash64(data: bytes) -> int:
     """64-bit hash as an unsigned int (shingles, n-gram features)."""
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def word_window_hashes(text: str, widths: Iterable[int]) -> list[int]:
+    """hash64 of each run of n words, joined by single spaces, for each n in
+    `widths`; words are the lowercased text split on whitespace."""
+    words = text.lower().split()
+    return [hash64(" ".join(words[i : i + n]).encode("utf-8"))
+            for n in widths for i in range(len(words) - n + 1)]
 
 
 def hash64_hex(data: bytes) -> str:

@@ -192,12 +192,6 @@ class PipelineConfig:
         if self.sequence_length < 1 or self.shard_tokens < 1:
             raise ConfigError("sequence_length and shard_tokens must be >= 1")
 
-    def config_hash(self) -> str:
-        # workers and work_dir are execution knobs with no effect on
-        # outputs, so they stay out of the hash that keys artifacts.
-        hashed = {k: v for k, v in self.raw.items() if k not in ("workers", "work_dir")}
-        return hash128_hex(dumps(hashed).encode("utf-8"))
-
     def resolve_inputs(self) -> list[str]:
         paths: list[str] = []
         for pattern in self.input_paths:
@@ -274,7 +268,8 @@ class Pipeline:
         for phase in PHASE_TABLE:
             executed[phase.name], digests = self._run_phase(phase, upstream, force)
             upstream.update(digests)
-        report = build_report(self.work_dir)
+        # Each phase has just verified or hashed its outputs.
+        report = _assemble_report(self.work_dir)
         report["phases_executed"] = executed
         write_json(self.work_dir / "report.json", report)
         return report
@@ -290,20 +285,18 @@ class Pipeline:
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus.jsonl")
-        clusters, annotated = dedup_mod.run_dedup(
+        clusters, _ = dedup_mod.run_dedup(
             corpus, self.config.dedup, workers=self.config.workers
         )
         out_clusters = self.work_dir / "clusters.jsonl"
         dedup_mod.write_clusters(clusters, out_clusters)
-        out_corpus = self.work_dir / "corpus_clustered.jsonl"
-        write_corpus(annotated, out_corpus)
 
         sizes: dict[int, int] = {}
         for c in clusters:
             sizes[len(c.member_ids)] = sizes.get(len(c.member_ids), 0) + 1
         retained_total = sum(len(c.retained_ids) for c in clusters)
         n_docs = len(corpus)
-        return [out_clusters, out_corpus], {
+        return [out_clusters], {
             "documents": n_docs,
             "clusters": len(clusters),
             "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
@@ -336,7 +329,7 @@ class Pipeline:
         return model, out_path
 
     def _phase_quality(self) -> tuple[list[Path], dict]:
-        corpus = read_corpus(self.work_dir / "corpus_clustered.jsonl")
+        corpus = read_corpus(self.work_dir / "corpus.jsonl")
         clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
         clf_dir = self.work_dir / "classifiers"
         clf_dir.mkdir(parents=True, exist_ok=True)
@@ -548,7 +541,7 @@ PHASE_TABLE = (
           outside_files=PipelineConfig.resolve_inputs),
     Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",)),
     Phase("quality", Pipeline._phase_quality, ("quality",),
-          reads=("corpus_clustered.jsonl", "clusters.jsonl"),
+          reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources),
     Phase("sampling", Pipeline._phase_sampling, ("sampling",), reads=("annotated.jsonl",)),
     Phase("curriculum", Pipeline._phase_curriculum,
@@ -599,28 +592,37 @@ def _bad_outputs(work_dir: Path, outputs: dict[str, str]) -> list[str]:
 
 
 def build_report(work_dir: str | Path) -> dict:
-    """Reassemble the pipeline report from on-disk artifacts only."""
+    """Verify every output the done-markers record, then reassemble the
+    pipeline report from on-disk artifacts only."""
     work_dir = Path(work_dir)
+    corrupted = [
+        bad for marker in _markers(work_dir).values()
+        for bad in _bad_outputs(work_dir, marker.get("outputs", {}))
+    ]
+    if corrupted:
+        raise IntegrityError(
+            f"artifacts failed verification: {', '.join(corrupted)}", corrupted
+        )
+    return _assemble_report(work_dir)
+
+
+def _markers(work_dir: Path) -> dict[str, dict]:
+    """Each present done-marker, by phase name, in table order."""
+    paths = {phase.name: work_dir / f"{phase.name}.done.json" for phase in PHASE_TABLE}
+    return {name: read_json(path) for name, path in paths.items() if path.is_file()}
+
+
+def _assemble_report(work_dir: Path) -> dict:
+    """The report from the sidecars and markers, without verifying outputs."""
     sections: dict[str, Any] = {}
-    timing: dict[str, float] = {}
     present = []
-    corrupted = []
     for phase in PHASE_TABLE:
-        marker = work_dir / f"{phase.name}.done.json"
-        if marker.is_file():
-            rec = read_json(marker)
-            corrupted.extend(_bad_outputs(work_dir, rec.get("outputs", {})))
-            timing[phase.name] = rec.get("wall_clock_s", 0.0)
         path = work_dir / phase.sidecar
         if path.is_file():
             sections[phase.name] = read_json(path)
             present.append(phase.name)
         else:
             sections[phase.name] = {"absent": True}
-    if corrupted:
-        raise IntegrityError(
-            f"artifacts failed verification: {', '.join(corrupted)}", corrupted
-        )
     if not present:
         sidecars = [phase.sidecar for phase in PHASE_TABLE]
         raise IntegrityError(
@@ -628,7 +630,7 @@ def build_report(work_dir: str | Path) -> dict:
             sidecars,
         )
 
-    report = {
+    return {
         "config_hash": next(
             (sections[p]["config_hash"] for p in present if "config_hash" in sections[p]),
             None,
@@ -636,9 +638,11 @@ def build_report(work_dir: str | Path) -> dict:
         "generated_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "phases": sections,
         "reconciliation": _reconcile(sections),
-        "timing": timing,
+        "timing": {
+            name: marker.get("wall_clock_s", 0.0)
+            for name, marker in _markers(work_dir).items()
+        },
     }
-    return report
 
 
 def _reconcile(sections: dict) -> dict:

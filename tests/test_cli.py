@@ -211,6 +211,14 @@ class TestRunReport:
     def test_report_empty_dir_exit_3(self, tmp_path):
         assert main(["report", "--work-dir", str(tmp_path)]) == 3
 
+    def test_report_corrupted_output_exit_3(self, tmp_path, capsys):
+        config_path, raw = make_pipeline_workspace(tmp_path, n_docs=60, total_tokens=8_000)
+        assert main(["run", "--config", str(config_path)]) == 0
+        annotated = Path(raw["work_dir"]) / "annotated.jsonl"
+        annotated.write_text(annotated.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert main(["report", "--work-dir", raw["work_dir"]]) == 3
+        assert "annotated.jsonl (checksum mismatch)" in capsys.readouterr().err
+
     def test_cli_overrides(self, tmp_path):
         config_path, raw = make_pipeline_workspace(tmp_path, n_docs=60, total_tokens=8_000)
         override_dir = tmp_path / "override_work"

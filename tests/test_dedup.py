@@ -7,7 +7,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusprep.classifier import ngram_hashes
 from corpusprep.corpus import Corpus, ingest_record
 from corpusprep.dedup import (
     DedupConfig,
@@ -65,6 +68,20 @@ class TestShingle:
 
     def test_case_insensitive(self):
         assert shingle("A b C", 2).shingles == shingle("a B c", 2).shingles
+
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8),
+            min_size=7,
+            max_size=40,
+        ),
+        st.sampled_from([" ", "\n", " \t "]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shingles_are_the_classifier_ngrams(self, width, words, sep):
+        text = sep.join(words)
+        assert shingle(text, width).shingles == frozenset(ngram_hashes(text, (width,)))
 
 
 class TestMinHash:

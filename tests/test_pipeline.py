@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from corpusprep import pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import sha256_file
+from corpusprep.jsonl import read_json
 from corpusprep.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -65,6 +68,12 @@ class TestRun:
         assert set(stages) == {"i", "ii", "iii", "iv"}
         for s in stages.values():
             assert s["total_tokens"] >= s["budget"]
+
+    def test_dedup_writes_no_corpus_copy(self, completed_run):
+        config, _ = completed_run
+        marker = read_json(config.work_dir / "dedup.done.json")
+        assert sorted(marker["outputs"]) == ["clusters.jsonl", "dedup_report.json"]
+        assert not (config.work_dir / "corpus_clustered.jsonl").exists()
 
     def test_rerun_skips_every_phase(self, completed_run):
         config, first = completed_run
@@ -218,8 +227,6 @@ class TestIntegrity:
         config = PipelineConfig.from_file(config_path)
         run_pipeline(config)
         # Remove the train_prep phase entirely: artifacts and marker.
-        import shutil
-
         (config.work_dir / "train_prep.done.json").unlink()
         (config.work_dir / "train_prep_report.json").unlink()
         shutil.rmtree(config.work_dir / "packed")
@@ -235,16 +242,47 @@ class TestIntegrity:
 
 
 class TestConfigHash:
+    """The phase keys that decide what a rerun executes."""
+
     def test_workers_and_work_dir_excluded(self, tmp_path):
-        _, raw = make_pipeline_workspace(tmp_path, n_docs=50)
-        a = PipelineConfig.from_dict(dict(raw, workers=1))
-        b = PipelineConfig.from_dict(dict(raw, workers=8, work_dir="elsewhere"))
-        assert a.config_hash() == b.config_hash()
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        run_pipeline(PipelineConfig.from_dict(dict(raw, workers=1)))
+        moved = tmp_path / "elsewhere"
+        shutil.copytree(raw["work_dir"], moved)
+        rerun = run_pipeline(PipelineConfig.from_dict(dict(raw, workers=2, work_dir=str(moved))))
+        assert not any(rerun["phases_executed"].values())
 
     def test_data_config_changes_hash(self, tmp_path):
-        _, raw = make_pipeline_workspace(tmp_path, n_docs=50)
-        a = PipelineConfig.from_dict(raw)
-        changed = json.loads(json.dumps(raw))
-        changed["dedup"]["top_k"] = 2
-        b = PipelineConfig.from_dict(changed)
-        assert a.config_hash() != b.config_hash()
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        raw["dedup"]["top_k"] = 2
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"]["ingest"] is False
+        assert rerun["phases_executed"]["dedup"] is True
+
+
+def test_unchanged_rerun_hashes_each_file_once(tmp_path, monkeypatch):
+    """An unchanged rerun hashes every outside file and every recorded
+    output once: the report reuses the phases' own verification."""
+    config_path, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+    config = PipelineConfig.from_file(config_path)
+    run_pipeline(config)
+    outside = config.resolve_inputs() + [
+        spec[side] for spec in raw["quality"]["classifiers"] + raw["quality"]["domain_classifiers"]
+        for side in ("positives", "negatives")
+    ]
+    outputs = [
+        str(config.work_dir / rel)
+        for marker in config.work_dir.glob("*.done.json")
+        for rel in read_json(marker)["outputs"]
+    ]
+    hashed = []
+
+    def counting_sha256(path):
+        hashed.append(str(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counting_sha256)
+    rerun = run_pipeline(config)
+    assert not any(rerun["phases_executed"].values())
+    assert sorted(hashed) == sorted(outside + outputs)

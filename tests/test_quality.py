@@ -258,6 +258,16 @@ class TestAnnotate:
         assert [d.to_record() for d in a1] == [d.to_record() for d in a2]
         assert [d.to_record() for d in d1] == [d.to_record() for d in d2]
 
+    def test_plain_corpus_annotates_like_clustered_corpus(self):
+        """Cluster membership and frequency come from the clusters, so the
+        pipeline's quality phase can read corpus.jsonl directly."""
+        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
+        plain, plain_drops = annotate(corpus, clusters, ensemble, domain)
+        rich, rich_drops = annotate(clustered, clusters, ensemble, domain)
+        assert len(plain) > 0
+        assert [d.to_record() for d in plain] == [d.to_record() for d in rich]
+        assert [d.to_record() for d in plain_drops] == [d.to_record() for d in rich_drops]
+
     def test_no_composite_score_written(self):
         corpus, clustered, clusters, ensemble, domain = annotated_fixture()
         annotated, _ = annotate(clustered, clusters, ensemble, domain)
