@@ -98,6 +98,7 @@ class QualityClassifier:
         return _sigmoid(z)
 
     def score_text(self, text: str) -> float:
+        """Sigmoid of the linear score over the text's hashed n-grams."""
         return self.score_hashes(ngram_hashes(text, self.hyper.orders))
 
     def save(self, path: str | Path) -> None:
@@ -241,9 +242,3 @@ def train_classifier(
             "train_accuracy": train_accuracy,
         },
     )
-
-
-def score(clf: QualityClassifier, doc: Document | str) -> float:
-    """Sigmoid of the linear score over the document's hashed n-grams."""
-    text = doc.text if isinstance(doc, Document) else doc
-    return clf.score_text(text)

@@ -56,10 +56,8 @@ def cmd_dedup(args) -> int:
     cfg = dedup_mod.DedupConfig.from_dict(raw.get("dedup", raw))
     cfg.validate()
     corpus = _read_corpus_shards(args.inputs)
-    clusters, annotated = dedup_mod.run_dedup(corpus, cfg, workers=args.workers)
+    clusters = dedup_mod.run_dedup(corpus, cfg, workers=args.workers)
     dedup_mod.write_clusters(clusters, args.out)
-    if args.annotated:
-        write_corpus(annotated, args.annotated)
     dups = len(corpus) - len(clusters)
     print(f"{len(clusters)} clusters over {len(corpus)} docs ({dups} duplicates) -> {args.out}")
     return 0
@@ -99,7 +97,7 @@ def cmd_quality_score(args) -> int:
     model = clf_mod.QualityClassifier.load(args.model)
     corpus = _read_corpus_shards(args.inputs)
     rows = [
-        {"doc_id": d.doc_id, "score": clf_mod.score(model, d)} for d in corpus
+        {"doc_id": d.doc_id, "score": model.score_text(d.text)} for d in corpus
     ]
     if args.out:
         write_jsonl(args.out, rows)
@@ -122,7 +120,7 @@ def cmd_quality_annotate(args) -> int:
     annotated, drops = quality_mod.annotate(
         corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold
     )
-    write_corpus(annotated, args.out)
+    quality_mod.write_annotations(annotated, args.out)
     if args.drops:
         quality_mod.write_drop_report(drops, args.drops)
     print(f"annotated {len(annotated)} docs ({len(drops)} dropped) -> {args.out}")
@@ -135,7 +133,10 @@ def cmd_sample(args) -> int:
     if not policy_recs:
         raise ConfigError("config has no sampling policies")
     specs = [PolicySpec.from_dict(r) for r in policy_recs]
-    annotated = _read_corpus_shards(args.inputs)
+    annotated = sorted(
+        (row for path in args.inputs for row in quality_mod.read_annotations(path)),
+        key=lambda row: row.doc_id,
+    )
     maps = [sampling_mod.build_weight_map(annotated, s.policy) for s in specs]
     merged = sampling_mod.merge_distributions(maps, [s.mixture_weight for s in specs])
     rows = sampling_mod.weight_rows(annotated, maps, merged)
@@ -168,7 +169,7 @@ def cmd_curriculum_validate(args) -> int:
 def cmd_curriculum_emit(args) -> int:
     config = PipelineConfig.from_file(args.config)
     work = config.work_dir
-    required = ["annotated.jsonl", "clusters.jsonl", "weights.jsonl"]
+    required = ["annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl"]
     missing = [n for n in required if not (work / n).is_file()]
     if missing:
         raise IntegrityError(
@@ -180,7 +181,8 @@ def cmd_curriculum_emit(args) -> int:
     _, manifest = pipe.emit_stage(
         stage,
         plan,
-        read_corpus(work / "annotated.jsonl"),
+        quality_mod.read_annotations(work / "annotated.jsonl"),
+        read_corpus(work / "corpus.jsonl"),
         dedup_mod.read_clusters(work / "clusters.jsonl"),
         pipe._merged_from_disk(),
     )
@@ -259,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--annotated", help="also write corpus with cluster metadata")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_dedup)
 

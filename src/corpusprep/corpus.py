@@ -15,7 +15,7 @@ import json
 import re
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -42,7 +42,6 @@ class Document:
     domain: str
     content_hash: str  # 128-bit hash of normalized text, 32 hex chars
     text: str
-    extra: dict[str, str] = field(default_factory=dict)
 
     def to_record(self) -> dict:
         return {
@@ -54,7 +53,6 @@ class Document:
             "domain": self.domain,
             "content_hash": self.content_hash,
             "text": self.text,
-            "extra": self.extra,
         }
 
     @classmethod
@@ -68,7 +66,6 @@ class Document:
             domain=rec["domain"],
             content_hash=rec["content_hash"],
             text=rec["text"],
-            extra=dict(rec.get("extra", {})),
         )
 
 
@@ -77,7 +74,6 @@ class Corpus:
     """Documents in ascending doc_id order; the pipeline's determinism anchor."""
 
     documents: list[Document]
-    provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.documents.sort(key=lambda d: d.doc_id)
@@ -194,7 +190,6 @@ def ingest_record(raw_record: str) -> Document:
         domain=extract_domain(url),
         content_hash=chash,
         text=text,
-        extra={},
     )
 
 
@@ -274,18 +269,16 @@ def _iter_file_lines(path: str | Path) -> Iterator[tuple[bytes, int]]:
 
 
 def ingest_files(
-    paths: Sequence[str | Path], workers: int = 1, source: str = ""
+    paths: Sequence[str | Path], workers: int = 1
 ) -> tuple[Corpus, IngestReport]:
     lines: list[tuple[bytes, int]] = []
     for path in paths:
         lines.extend(_iter_file_lines(path))
-    corpus, report = ingest_lines(lines, workers=workers)
-    corpus.provenance["source"] = source or ",".join(str(p) for p in paths)
-    return corpus, report
+    return ingest_lines(lines, workers=workers)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> int:
-    """Serialize documents only; provenance goes to the sidecar report.
+    """Serialize documents only; the input paths go to the sidecar report.
 
     Keeping volatile fields out of the shard file is what makes repeat
     ingests byte-identical.
@@ -299,9 +292,3 @@ def read_corpus(path: str | Path) -> Corpus:
 
 def serialize_corpus(corpus: Corpus) -> bytes:
     return "".join(dumps(d.to_record()) + "\n" for d in corpus).encode("utf-8")
-
-
-def with_extra(doc: Document, updates: dict[str, str]) -> Document:
-    merged = dict(doc.extra)
-    merged.update(updates)
-    return replace(doc, extra=merged)

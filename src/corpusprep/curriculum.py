@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError, ValidationError
 from .hashing import derive_seed, sha256_file
 from .jsonl import read_json, write_json, write_jsonl
-from .quality import signals_from_extra
+from .quality import Annotation, QualitySignalVector
 from .sampling import (
     ClusterSampler,
     MergedDistribution,
@@ -200,8 +200,7 @@ def stage_budgets(plan: StagePlan) -> dict[str, int]:
     return {s.stage_id: b for s, b in zip(plan.stages, base)}
 
 
-def gate_value(extra: Mapping[str, str], gating_signal: str) -> float:
-    vec = signals_from_extra(extra)
+def gate_value(vec: QualitySignalVector, gating_signal: str) -> float:
     if gating_signal == GATE_MAX_CLF:
         scores = [v for k, v in vec.signals.items() if k.startswith("clf:")]
         if not scores:
@@ -210,19 +209,18 @@ def gate_value(extra: Mapping[str, str], gating_signal: str) -> float:
     return vec[gating_signal]
 
 
-def stage_eligible(annotated: Corpus, stage: StageSpec) -> set[str]:
+def stage_eligible(annotated: Iterable[Annotation], stage: StageSpec) -> set[str]:
     """Doc ids whose gating signal meets the stage threshold."""
-    eligible = set()
-    for doc in annotated:
-        if gate_value(doc.extra, stage.gating_signal) >= stage.quality_threshold:
-            eligible.add(doc.doc_id)
-    return eligible
+    return {
+        row.doc_id
+        for row in annotated
+        if gate_value(row.signals, stage.gating_signal) >= stage.quality_threshold
+    }
 
 
-def mixture_group(extra: Mapping[str, str], mixture: Mapping[str, Fraction]) -> str | None:
+def mixture_group(vec: QualitySignalVector, mixture: Mapping[str, Fraction]) -> str | None:
     """First mixture tag (in config order) whose tag:<name> fires, else
     "other" when the mixture has a catch-all, else None (doc excluded)."""
-    vec = signals_from_extra(extra)
     for group in mixture:
         if group == OTHER_GROUP:
             continue
@@ -298,6 +296,7 @@ def emit_stage(
     stage: StageSpec,
     plan: StagePlan,
     dist: MergedDistribution,
+    annotated: Iterable[Annotation],
     corpus: Corpus,
     clusters: Sequence[DuplicateCluster],
     tokenizer: Tokenizer,
@@ -307,11 +306,13 @@ def emit_stage(
 ) -> ShardManifest:
     """Draw, tokenize and shard one stage's token budget.
 
-    `dist` and `clusters` must already be restricted to the stage's
-    eligible set (see stage_eligible / restrict_distribution /
-    restrict_clusters). Each draw picks the mixture group with the
-    largest remaining token deficit, so the stage overshoots its budget
-    by at most one document while holding group fractions on target.
+    Mixture groups come from the annotation rows' signals, token ids
+    from the corpus text. `dist` and `clusters` must already be
+    restricted to the stage's eligible set (see stage_eligible /
+    restrict_distribution / restrict_clusters). Each draw picks the
+    mixture group with the largest remaining token deficit, so the stage
+    overshoots its budget by at most one document while holding group
+    fractions on target.
     """
     if not dist.probabilities:
         raise ConfigError(f"stage {stage.stage_id}: eligible set is empty")
@@ -321,11 +322,11 @@ def emit_stage(
 
     groups = list(stage.mixture.keys())
     docs_by_group: dict[str, set[str]] = {g: set() for g in groups}
+    signals = {row.doc_id: row.signals for row in annotated}
     for doc_id in dist.probabilities:
-        doc = corpus.get(doc_id)
-        if doc is None:
-            raise ConfigError(f"distribution covers doc missing from corpus: {doc_id}")
-        g = mixture_group(doc.extra, stage.mixture)
+        if doc_id not in signals or doc_id not in corpus:
+            raise ConfigError(f"distribution covers unannotated or missing doc {doc_id}")
+        g = mixture_group(signals[doc_id], stage.mixture)
         if g is not None:
             docs_by_group[g].add(doc_id)
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, with_extra
+from .corpus import Corpus, Document
 from .errors import ConfigError
 from .hashing import mix64, splitmix64_stream, word_window_hashes
 from .jsonl import read_jsonl, write_jsonl
@@ -340,40 +340,19 @@ def retain_top_k(
     return replace(cluster, retained_ids=retained)
 
 
-def annotate_cluster_metadata(corpus: Corpus, clusters: Sequence[DuplicateCluster]) -> Corpus:
-    """Write cluster_id and frequency signals into each member's extra map."""
-    updates: dict[str, dict[str, str]] = {}
-    for cluster in clusters:
-        for doc_id in cluster.member_ids:
-            updates[doc_id] = {
-                "cluster_id": cluster.cluster_id,
-                "freq:occurrence": str(cluster.signals.occurrence_count),
-                "freq:snapshot": str(cluster.signals.snapshot_count),
-                "freq:domain": str(cluster.signals.domain_count),
-            }
-    docs = []
-    for doc in corpus:
-        upd = updates.get(doc.doc_id)
-        docs.append(with_extra(doc, upd) if upd else doc)
-    return Corpus(docs, provenance=dict(corpus.provenance))
-
-
 def run_dedup(
     corpus: Corpus, cfg: DedupConfig, workers: int = 1
-) -> tuple[list[DuplicateCluster], Corpus]:
+) -> list[DuplicateCluster]:
     """Full dedup pass: signatures -> LSH -> verified clusters -> top-k.
 
-    Returns clusters (sorted by cluster_id, retention filled) and the
-    corpus with cluster metadata written into Document.extra.
+    Returns clusters sorted by cluster_id with retention filled.
     """
     cfg.validate()
     shingle_sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
     signatures = compute_signatures(corpus, cfg, workers=workers, shingle_sets=shingle_sets)
     pairs = lsh_candidate_pairs(signatures, cfg)
     clusters = build_clusters(corpus, pairs, cfg, shingle_sets=shingle_sets)
-    clusters = [retain_top_k(c, corpus, cfg) for c in clusters]
-    annotated = annotate_cluster_metadata(corpus, clusters)
-    return clusters, annotated
+    return [retain_top_k(c, corpus, cfg) for c in clusters]
 
 
 def write_clusters(clusters: Sequence[DuplicateCluster], path) -> int:

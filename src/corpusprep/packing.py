@@ -160,10 +160,6 @@ class CrossDocMask:
         return mask
 
 
-def cross_doc_mask(seq: PackedSequence) -> CrossDocMask:
-    return CrossDocMask(seq)
-
-
 def write_packed(
     path: str | Path,
     sequences: Sequence[PackedSequence],

@@ -1,5 +1,8 @@
 """End-to-end orchestration: ingest -> dedup -> quality -> sampling ->
 curriculum -> train-prep, with resumable phases and a reconciling report.
+The text is written once, to corpus.jsonl; quality's annotated.jsonl
+holds one text-free signal row per surviving document, keyed by doc_id,
+and curriculum joins the two.
 
 Every phase is declared once, in PHASE_TABLE: its function, the config
 slice it reads, the files outside the work directory it reads, and the
@@ -285,9 +288,7 @@ class Pipeline:
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus.jsonl")
-        clusters, _ = dedup_mod.run_dedup(
-            corpus, self.config.dedup, workers=self.config.workers
-        )
+        clusters = dedup_mod.run_dedup(corpus, self.config.dedup, workers=self.config.workers)
         out_clusters = self.work_dir / "clusters.jsonl"
         dedup_mod.write_clusters(clusters, out_clusters)
 
@@ -355,7 +356,7 @@ class Pipeline:
             tag_threshold=self.config.tag_threshold,
         )
         out_annotated = self.work_dir / "annotated.jsonl"
-        write_corpus(annotated, out_annotated)
+        quality_mod.write_annotations(annotated, out_annotated)
         out_drops = self.work_dir / "drop_report.jsonl"
         quality_mod.write_drop_report(drops, out_drops)
 
@@ -365,6 +366,7 @@ class Pipeline:
                 reasons[r] = reasons.get(r, 0) + 1
         return outputs + [out_annotated, out_drops], {
             "annotated": len(annotated),
+            "annotated_format": quality_mod.ANNOTATED_FORMAT,
             "dropped": len(drops),
             "drop_reasons": dict(sorted(reasons.items())),
             "classifiers": sorted(m.model_id for m in ensemble),
@@ -376,7 +378,7 @@ class Pipeline:
         }
 
     def _phase_sampling(self) -> tuple[list[Path], dict]:
-        annotated = read_corpus(self.work_dir / "annotated.jsonl")
+        annotated = quality_mod.read_annotations(self.work_dir / "annotated.jsonl")
         maps = [
             sampling_mod.build_weight_map(annotated, p.policy)
             for p in self.config.policies
@@ -402,7 +404,8 @@ class Pipeline:
         )
 
     def emit_stage(
-        self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan, annotated: Corpus,
+        self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan,
+        annotated: list[quality_mod.Annotation], corpus: Corpus,
         clusters: list[dedup_mod.DuplicateCluster], merged: sampling_mod.MergedDistribution,
     ) -> tuple[set[str], cur_mod.ShardManifest]:
         """Emit one stage's shards under stages/<id>; returns (eligible ids, manifest)."""
@@ -412,6 +415,7 @@ class Pipeline:
             plan,
             sampling_mod.restrict_distribution(merged, eligible),
             annotated,
+            corpus,
             sampling_mod.restrict_clusters(clusters, eligible),
             WhitespaceTokenizer(self.config.vocab_size),
             self.config.master_seed,
@@ -421,7 +425,8 @@ class Pipeline:
         return eligible, manifest
 
     def _phase_curriculum(self) -> tuple[list[Path], dict]:
-        annotated = read_corpus(self.work_dir / "annotated.jsonl")
+        annotated = quality_mod.read_annotations(self.work_dir / "annotated.jsonl")
+        corpus = read_corpus(self.work_dir / "corpus.jsonl")
         clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
         merged = self._merged_from_disk()
         plan = cur_mod.ensure_valid_plan(self.config.plan)
@@ -431,7 +436,7 @@ class Pipeline:
         stage_summaries = {}
         for stage in plan.stages:
             stage_dir = self.work_dir / "stages" / stage.stage_id
-            eligible, manifest = self.emit_stage(stage, plan, annotated, clusters, merged)
+            eligible, manifest = self.emit_stage(stage, plan, annotated, corpus, clusters, merged)
             outputs.append(stage_dir / "manifest.json")
             outputs.extend(stage_dir / s["file"] for s in manifest.shards)
             stage_summaries[stage.stage_id] = {
@@ -546,18 +551,16 @@ PHASE_TABLE = (
     Phase("sampling", Pipeline._phase_sampling, ("sampling",), reads=("annotated.jsonl",)),
     Phase("curriculum", Pipeline._phase_curriculum,
           ("curriculum", "master_seed", "sampling", "train_prep.vocab_size"),
-          reads=("annotated.jsonl", "clusters.jsonl", "weights.jsonl")),
+          reads=("annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl")),
     Phase("train_prep", Pipeline._phase_train_prep, ("train_prep", "curriculum"),
           reads=("stages/*",)),
 )
 
 
-def _signal_quantiles(annotated: Corpus) -> dict[str, list[float]]:
-    from .quality import signals_from_extra
-
+def _signal_quantiles(annotated: list[quality_mod.Annotation]) -> dict[str, list[float]]:
     values: dict[str, list[float]] = {}
-    for doc in annotated:
-        for name, val in signals_from_extra(doc.extra).signals.items():
+    for row in annotated:
+        for name, val in row.signals.signals.items():
             values.setdefault(name, []).append(val)
     out = {}
     for name in sorted(values):

@@ -7,6 +7,9 @@ survives gets a QualitySignalVector: one entry per ensemble classifier,
 the cluster's natural-frequency counts, and binary domain tags. The
 signals are never combined here; mixing them is a sampling-time
 decision.
+
+Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
+with JSON-float values; readers join them to corpus.jsonl on doc_id.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
-from .corpus import Corpus, Document, with_extra
+from .corpus import Corpus, Document
 from .dedup import DuplicateCluster
-from .errors import PipelineOrderError, UnknownSignalError
-from .jsonl import write_jsonl
+from .errors import ConfigError, PipelineOrderError, UnknownSignalError
+from .jsonl import read_jsonl, write_jsonl
 
 REQUIRED_TAGS = ("code", "math")
+ANNOTATED_FORMAT = 2
+ANNOTATION_KEYS = frozenset({"doc_id", "url", "cluster_id", "extra"})
 
 
 @dataclass(frozen=True)
@@ -124,16 +129,49 @@ class QualitySignalVector:
             raise UnknownSignalError(f"missing signals: {sorted(missing)}")
 
 
-def signals_to_extra(vec: QualitySignalVector) -> dict[str, str]:
-    # repr() round-trips float64 exactly, so extra stays lossless.
-    return {name: repr(value) for name, value in vec.signals.items()}
+@dataclass(frozen=True)
+class Annotation:
+    """One annotated.jsonl row: a surviving document's signals, no text."""
+
+    doc_id: str
+    url: str
+    cluster_id: str
+    signals: QualitySignalVector
+
+    def to_record(self) -> dict:
+        # JSON floats round-trip float64 exactly.
+        return {
+            "doc_id": self.doc_id,
+            "url": self.url,
+            "cluster_id": self.cluster_id,
+            "extra": self.signals.signals,
+        }
 
 
-def signals_from_extra(extra: Mapping[str, str]) -> QualitySignalVector:
-    prefixes = ("clf:", "freq:", "tag:")
-    return QualitySignalVector(
-        {k: float(v) for k, v in extra.items() if k.startswith(prefixes)}
-    )
+def write_annotations(rows: Sequence[Annotation], path) -> int:
+    return write_jsonl(path, (row.to_record() for row in rows))
+
+
+def read_annotations(path) -> list[Annotation]:
+    """The rows of an annotated.jsonl file; any row that is not format 2
+    (say a format-1 row carrying `text`) raises ConfigError."""
+    rows = []
+    for n, rec in enumerate(read_jsonl(path), start=1):
+        extra = rec.get("extra") if isinstance(rec, dict) else None
+        if not (
+            isinstance(extra, dict)
+            and rec.keys() == ANNOTATION_KEYS
+            and all(type(v) is float for v in extra.values())
+        ):
+            raise ConfigError(
+                f"{path}: row {n} is not an annotated.jsonl format {ANNOTATED_FORMAT} "
+                "row {doc_id, url, cluster_id, extra: {signal: float}}; "
+                "rerun the quality phase"
+            )
+        rows.append(
+            Annotation(rec["doc_id"], rec["url"], rec["cluster_id"], QualitySignalVector(extra))
+        )
+    return rows
 
 
 @dataclass
@@ -153,8 +191,9 @@ def annotate(
     domain_classifiers: Mapping[str, QualityClassifier] | None = None,
     thresholds: HeuristicThresholds = HeuristicThresholds(),
     tag_threshold: float = 0.5,
-) -> tuple[Corpus, list[DropRecord]]:
-    """Attach a QualitySignalVector to every retained, heuristics-surviving doc.
+) -> tuple[list[Annotation], list[DropRecord]]:
+    """One Annotation row per retained, heuristics-surviving doc, in
+    doc_id order.
 
     Requires dedup to have run: every scored document must belong to a
     cluster with retention filled in. Deterministic and idempotent; the
@@ -174,7 +213,7 @@ def annotate(
     n_orders = {clf.hyper.orders for clf in classifiers}
     n_orders |= {clf.hyper.orders for clf in domain_classifiers.values()}
 
-    annotated: list[Document] = []
+    annotated: list[Annotation] = []
     drops: list[DropRecord] = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
         for doc_id in cluster.retained_ids:
@@ -212,9 +251,7 @@ def annotate(
                 signals[f"tag:{tag}"] = 1.0 if s >= tag_threshold else 0.0
             vec = QualitySignalVector(signals)
             vec.validate([clf.model_id for clf in classifiers])
-            updates = {"cluster_id": cluster.cluster_id}
-            updates.update(signals_to_extra(vec))
-            annotated.append(with_extra(doc, updates))
+            annotated.append(Annotation(doc_id, doc.url, cluster.cluster_id, vec))
 
     missing = [d.doc_id for d in corpus if d.doc_id not in cluster_by_doc]
     if missing:
@@ -222,7 +259,8 @@ def annotate(
             f"{len(missing)} documents have no cluster annotation "
             f"(first: {missing[0]})"
         )
-    return Corpus(annotated, provenance=dict(corpus.provenance)), drops
+    annotated.sort(key=lambda row: row.doc_id)
+    return annotated, drops
 
 
 def write_drop_report(drops: Sequence[DropRecord], path) -> int:

@@ -19,10 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
 from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError
-from .quality import signals_from_extra
+from .quality import Annotation
 
 TRANSFORMS = ("identity", "threshold", "log2_sublinear")
 
@@ -75,17 +74,16 @@ class MergedDistribution:
     mixture_weights: dict[str, float]
 
 
-def build_weight_map(annotated: Corpus | Iterable, policy: UpsamplePolicy) -> WeightMap:
+def build_weight_map(annotated: Iterable[Annotation], policy: UpsamplePolicy) -> WeightMap:
     """Weight per document from its named signal; covers every annotated doc."""
     policy.validate()
     weights: dict[str, float] = {}
-    for doc in annotated:
-        vec = signals_from_extra(doc.extra)
-        if policy.signal_name not in vec:
+    for row in annotated:
+        if policy.signal_name not in row.signals:
             raise UnknownSignalError(
-                f"document {doc.doc_id} lacks signal '{policy.signal_name}'"
+                f"document {row.doc_id} lacks signal '{policy.signal_name}'"
             )
-        weights[doc.doc_id] = policy.weight(vec[policy.signal_name])
+        weights[row.doc_id] = policy.weight(row.signals[policy.signal_name])
     wm = WeightMap(signal_name=policy.signal_name, weights=weights)
     wm.validate()
     return wm
@@ -127,16 +125,16 @@ def merge_distributions(
 
 
 def weight_rows(
-    annotated: Corpus, maps: Sequence[WeightMap], merged: MergedDistribution
+    annotated: Iterable[Annotation], maps: Sequence[WeightMap], merged: MergedDistribution
 ) -> list[dict]:
     """One weights.jsonl row per document: per-signal weights and merged probability."""
     return [
         {
-            "doc_id": doc.doc_id,
-            "weights": {m.signal_name: m.weights[doc.doc_id] for m in maps},
-            "probability": merged.probabilities.get(doc.doc_id, 0.0),
+            "doc_id": row.doc_id,
+            "weights": {m.signal_name: m.weights[row.doc_id] for m in maps},
+            "probability": merged.probabilities.get(row.doc_id, 0.0),
         }
-        for doc in annotated
+        for row in annotated
     ]
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from corpusprep.corpus import Corpus, Document, ingest_record
+from corpusprep.quality import Annotation, QualitySignalVector
 
 # -- synthetic text ------------------------------------------------------
 
@@ -121,20 +122,22 @@ def write_records(path, records: list[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def annotated_doc(doc_id: str, signals: dict[str, float], text: str = "x y z") -> Document:
-    """Minimal annotated document for sampling/curriculum unit tests."""
-    extra = {name: repr(float(v)) for name, v in signals.items()}
-    extra["cluster_id"] = doc_id
-    return Document(
+def annotated_doc(
+    doc_id: str, signals: dict[str, float], text: str = "x y z"
+) -> tuple[Annotation, Document]:
+    """Minimal annotation row and its text document for sampling/curriculum
+    unit tests; the document is its own singleton cluster."""
+    url = f"https://unit.example/{doc_id}"
+    vec = QualitySignalVector({name: float(v) for name, v in signals.items()})
+    return Annotation(doc_id, url, doc_id, vec), Document(
         doc_id=doc_id,
-        url=f"https://unit.example/{doc_id}",
+        url=url,
         crawl_time="2024-01-01T00:00:00Z",
         language="en",
         snapshot_id="S0",
         domain="unit.example",
         content_hash=f"{abs(hash(doc_id)) % (1 << 32):032x}",
         text=text,
-        extra=extra,
     )
 
 

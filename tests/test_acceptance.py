@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from corpusprep.classifier import ClassifierHyper, score, train_classifier
+from corpusprep.classifier import ClassifierHyper, train_classifier
 from corpusprep.corpus import Corpus
 from corpusprep.curriculum import (
     emit_stage,
@@ -33,7 +33,7 @@ from corpusprep.dedup import (
     run_dedup,
 )
 from corpusprep.hashing import sha256_file
-from corpusprep.packing import cross_doc_mask, pack_documents
+from corpusprep.packing import CrossDocMask, pack_documents
 from corpusprep.pipeline import PipelineConfig, run_pipeline, strip_timing
 from corpusprep.rope import rope_config, rope_rotate
 from corpusprep.sampling import (
@@ -85,7 +85,7 @@ def dedup_corpus():
     corpus = ingest_records(records)
     cfg = DedupConfig()  # w=5, P=128, b=16, r=8, tau=0.8, k=3
     started = time.monotonic()
-    clusters, annotated = run_dedup(corpus, cfg)
+    clusters = run_dedup(corpus, cfg)
     elapsed = time.monotonic() - started
     return corpus, cfg, clusters, elapsed
 
@@ -218,10 +218,10 @@ def test_criterion_06_dominance_bound():
 def eight_million_token_fixture():
     rng = np.random.default_rng(70007)
     vocab = make_vocab(rng, 2000)
-    docs = []
+    pairs = []
     for i in range(2500):
         text = make_text(rng, vocab, int(rng.integers(60, 200)))
-        docs.append(
+        pairs.append(
             annotated_doc(
                 f"d{i:05d}",
                 {
@@ -235,14 +235,15 @@ def eight_million_token_fixture():
                 text=text,
             )
         )
-    corpus = Corpus(docs)
+    rows = [row for row, _ in pairs]
+    corpus = Corpus([doc for _, doc in pairs])
     clusters = [
         DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
         for d in corpus
     ]
-    n = len(docs)
+    n = len(pairs)
     dist = MergedDistribution({d.doc_id: 1.0 / n for d in corpus}, {"clf:u": 1.0})
-    return corpus, clusters, dist
+    return rows, corpus, clusters, dist
 
 
 @criterion(7, "paper-shaped plan at 8,000,000 tokens: exact budgets, strict final stage, bounded emission")
@@ -259,14 +260,15 @@ def test_criterion_07_curriculum_budgets(tmp_path):
         assert budgets[final.stage_id] < budgets[s.stage_id]
         assert final.quality_threshold > s.quality_threshold
 
-    corpus, clusters, dist = eight_million_token_fixture()
+    rows, corpus, clusters, dist = eight_million_token_fixture()
     tokenizer = WhitespaceTokenizer(5000)
     for stage in plan.stages:
-        eligible = stage_eligible(corpus, stage)
+        eligible = stage_eligible(rows, stage)
         manifest = emit_stage(
             stage,
             plan,
             restrict_distribution(dist, eligible),
+            rows,
             corpus,
             restrict_clusters(clusters, eligible),
             tokenizer,
@@ -354,7 +356,7 @@ def test_criterion_10_cross_doc_mask():
         ]
         sequences = pack_documents(docs_of(lengths), seq_len=seq_len, pad_id=0)
         seq = sequences[int(rng.integers(0, len(sequences)))]
-        assert np.array_equal(cross_doc_mask(seq).materialize(), oracle_mask(seq))
+        assert np.array_equal(CrossDocMask(seq).materialize(), oracle_mask(seq))
 
 
 @criterion(11, "RoPE constants exact; norm preserved to 1e-9; relative identity to 1e-6")
@@ -418,7 +420,7 @@ def test_criterion_13_classifier_sanity():
     neg = toy("betamarker", 200)
     clf = train_classifier(pos[:150], neg[:150], ClassifierHyper(seed=13), "toy")
     held = [(t, 1) for t in pos[150:]] + [(t, 0) for t in neg[150:]]
-    acc = sum((score(clf, t) >= 0.5) == bool(y) for t, y in held) / len(held)
+    acc = sum((clf.score_text(t) >= 0.5) == bool(y) for t, y in held) / len(held)
     assert acc >= 0.95, f"held-out accuracy {acc}"
 
     same = toy("nomarker", 150)

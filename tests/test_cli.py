@@ -38,12 +38,13 @@ class TestIngestDedupCommands:
         corpus = tmp_path / "corpus.jsonl"
         main(["ingest", "--in", str(dump), "--out", str(corpus)])
         clusters = tmp_path / "clusters.jsonl"
-        annotated = tmp_path / "clustered.jsonl"
-        rc = main(["dedup", "--in", str(corpus), "--out", str(clusters), "--annotated", str(annotated)])
+        rc = main(["dedup", "--in", str(corpus), "--out", str(clusters)])
         assert rc == 0
         recs = list(read_jsonl(clusters))
         assert sum(r["occurrence_count"] for r in recs) == 40
         assert any(r["occurrence_count"] == 3 for r in recs)
+        with pytest.raises(SystemExit):  # the corpus copy option is gone
+            main(["dedup", "--in", str(corpus), "--out", str(clusters), "--annotated", "x"])
 
 
 class TestQualityCommands:
@@ -62,9 +63,8 @@ class TestQualityCommands:
         dump = raw["input"][0]
         corpus = tmp_path / "corpus.jsonl"
         clusters = tmp_path / "clusters.jsonl"
-        clustered = tmp_path / "clustered.jsonl"
         main(["ingest", "--in", dump, "--out", str(corpus)])
-        main(["dedup", "--in", str(corpus), "--out", str(clusters), "--annotated", str(clustered)])
+        main(["dedup", "--in", str(corpus), "--out", str(clusters)])
 
         scores = tmp_path / "scores.jsonl"
         assert main(["quality", "score", "--model", str(model), "--in", str(corpus), "--out", str(scores)]) == 0
@@ -82,7 +82,7 @@ class TestQualityCommands:
         drops = tmp_path / "drops.jsonl"
         rc = main([
             "quality", "annotate",
-            "--in", str(clustered), "--clusters", str(clusters),
+            "--in", str(corpus), "--clusters", str(clusters),
             "--models", str(model),
             "--domain", f"code={dcode}", f"math={dmath}",
             "--out", str(annotated), "--drops", str(drops),
@@ -91,6 +91,7 @@ class TestQualityCommands:
         recs = list(read_jsonl(annotated))
         assert recs
         for rec in recs[:5]:
+            assert "text" not in rec
             assert "clf:web" in rec["extra"]
             assert "tag:code" in rec["extra"]
 
@@ -101,14 +102,13 @@ class TestSampleCommand:
         dump = raw["input"][0]
         corpus = tmp_path / "corpus.jsonl"
         clusters = tmp_path / "clusters.jsonl"
-        clustered = tmp_path / "clustered.jsonl"
         main(["ingest", "--in", dump, "--out", str(corpus)])
-        main(["dedup", "--in", str(corpus), "--out", str(clusters), "--annotated", str(clustered)])
+        main(["dedup", "--in", str(corpus), "--out", str(clusters)])
         model = tmp_path / "web.clf"
         q = raw["quality"]["classifiers"][0]
         main(["quality", "train", "--positives", q["positives"], "--negatives", q["negatives"], "--model-id", "web", "--out", str(model)])
         annotated = tmp_path / "annotated.jsonl"
-        main(["quality", "annotate", "--in", str(clustered), "--clusters", str(clusters), "--models", str(model), "--out", str(annotated)])
+        main(["quality", "annotate", "--in", str(corpus), "--clusters", str(clusters), "--models", str(model), "--out", str(annotated)])
 
         weights = tmp_path / "weights.jsonl"
         manifest = tmp_path / "draws.json"
@@ -121,6 +121,25 @@ class TestSampleCommand:
         rows = list(read_jsonl(weights))
         assert rows and abs(sum(r["probability"] for r in rows) - 1.0) < 1e-9
         assert len(read_json(manifest)["doc_ids"]) == 50
+
+    @pytest.mark.parametrize("row", [
+        {  # format 1: a corpus record with repr-string signals and the text
+            "doc_id": "d1", "url": "https://a.example/1", "crawl_time": "2024-01-01T00:00:00Z",
+            "language": "en", "snapshot_id": "S0", "domain": "a.example",
+            "content_hash": "0" * 32, "text": "some text",
+            "extra": {"cluster_id": "d1", "clf:web": "0.9", "freq:occurrence": "1.0"},
+        },
+        {"doc_id": "d1", "url": "https://a.example/1", "cluster_id": "d1",
+         "extra": {"cluster_id": "d1", "clf:web": 0.9, "freq:occurrence": 1.0}},
+    ], ids=["format-1-row", "string-in-extra"])
+    def test_old_annotation_rows_exit_1(self, workspace, tmp_path, capsys, row):
+        _, config_path, _ = workspace
+        old = tmp_path / "old_annotated.jsonl"
+        old.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        rc = main(["sample", "--config", str(config_path), "--in", str(old),
+                   "--out", str(tmp_path / "weights.jsonl")])
+        assert rc == 1
+        assert "row 1 is not an annotated.jsonl format 2 row" in capsys.readouterr().err
 
 
 class TestCurriculumCommands:

@@ -22,6 +22,7 @@ from corpusprep.curriculum import (
 )
 from corpusprep.dedup import DuplicateCluster, FrequencySignals
 from corpusprep.errors import ConfigError, UnknownSignalError, ValidationError
+from corpusprep.quality import Annotation
 from corpusprep.sampling import (
     MergedDistribution,
     restrict_clusters,
@@ -129,11 +130,12 @@ class TestStageBudgets:
         assert sum(stage_budgets(plan).values()) == total
 
 
-def uniform_scores_corpus(n=10_000, seed=3) -> Corpus:
+def uniform_scores_corpus(n=10_000, seed=3) -> tuple[list[Annotation], Corpus]:
+    """Annotation rows (in doc_id order) and the corpus they annotate."""
     rng = np.random.default_rng(seed)
-    docs = []
+    pairs = []
     for i in range(n):
-        docs.append(
+        pairs.append(
             annotated_doc(
                 f"d{i:05d}",
                 {
@@ -146,7 +148,7 @@ def uniform_scores_corpus(n=10_000, seed=3) -> Corpus:
                 },
             )
         )
-    return Corpus(docs)
+    return [row for row, _ in pairs], Corpus([doc for _, doc in pairs])
 
 
 class TestStageEligible:
@@ -160,49 +162,49 @@ class TestStageEligible:
         )
 
     def test_threshold_zero_passes_everything(self):
-        corpus = uniform_scores_corpus(500)
-        assert stage_eligible(corpus, self.stage(0.0)) == {d.doc_id for d in corpus}
+        rows, _ = uniform_scores_corpus(500)
+        assert stage_eligible(rows, self.stage(0.0)) == {row.doc_id for row in rows}
 
     def test_uniform_scores_binomial_bound(self):
-        corpus = uniform_scores_corpus(10_000)
-        eligible = stage_eligible(corpus, self.stage(0.9))
+        rows, _ = uniform_scores_corpus(10_000)
+        eligible = stage_eligible(rows, self.stage(0.9))
         sigma = math.sqrt(0.1 * 0.9 / 10_000)
         assert abs(len(eligible) / 10_000 - 0.1) <= 3 * sigma
 
     def test_threshold_above_max_empty(self):
-        corpus = uniform_scores_corpus(200)
-        assert stage_eligible(corpus, self.stage(1.1)) == set()
+        rows, _ = uniform_scores_corpus(200)
+        assert stage_eligible(rows, self.stage(1.1)) == set()
 
     def test_named_gating_signal(self):
-        corpus = uniform_scores_corpus(200)
-        named = stage_eligible(corpus, self.stage(0.5, gating="clf:u"))
-        default = stage_eligible(corpus, self.stage(0.5))
+        rows, _ = uniform_scores_corpus(200)
+        named = stage_eligible(rows, self.stage(0.5, gating="clf:u"))
+        default = stage_eligible(rows, self.stage(0.5))
         assert named == default  # single-member ensemble: max == the member
 
     def test_missing_signal_rejected(self):
-        corpus = uniform_scores_corpus(10)
+        rows, _ = uniform_scores_corpus(10)
         with pytest.raises(UnknownSignalError):
-            stage_eligible(corpus, self.stage(0.5, gating="clf:absent"))
+            stage_eligible(rows, self.stage(0.5, gating="clf:absent"))
 
     def test_eligible_sets_nest_as_thresholds_rise(self):
-        corpus = uniform_scores_corpus(2000)
+        rows, _ = uniform_scores_corpus(2000)
         prev = None
         for thr in (0.0, 0.3, 0.6, 0.9):
-            cur = stage_eligible(corpus, self.stage(thr))
+            cur = stage_eligible(rows, self.stage(thr))
             if prev is not None:
                 assert cur <= prev
             prev = cur
 
 
 def emission_fixture(n=400, seed=5):
-    corpus = uniform_scores_corpus(n, seed=seed)
+    rows, corpus = uniform_scores_corpus(n, seed=seed)
     clusters = [
         DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
         for d in corpus
     ]
     probs = {d.doc_id: 1.0 / n for d in corpus}
     dist = MergedDistribution(probs, {"clf:u": 1.0})
-    return corpus, clusters, dist
+    return rows, corpus, clusters, dist
 
 
 def mixed_plan(total, mixture=None):
@@ -216,12 +218,13 @@ def mixed_plan(total, mixture=None):
 
 
 class TestEmitStage:
-    def run_stage(self, stage, plan, corpus, clusters, dist, out_dir, seed=11):
-        eligible = stage_eligible(corpus, stage)
+    def run_stage(self, stage, plan, rows, corpus, clusters, dist, out_dir, seed=11):
+        eligible = stage_eligible(rows, stage)
         return emit_stage(
             stage,
             plan,
             restrict_distribution(dist, eligible),
+            rows,
             corpus,
             restrict_clusters(clusters, eligible),
             WhitespaceTokenizer(1000),
@@ -231,27 +234,27 @@ class TestEmitStage:
         )
 
     def test_budget_stopping_rule(self, tmp_path):
-        corpus, clusters, dist = emission_fixture()
+        rows, corpus, clusters, dist = emission_fixture()
         plan = mixed_plan(40_000)
         stage = plan.stages[0]
-        manifest = self.run_stage(stage, plan, corpus, clusters, dist, tmp_path / "s")
+        manifest = self.run_stage(stage, plan, rows, corpus, clusters, dist, tmp_path / "s")
         budget = stage_budgets(plan)[stage.stage_id]
         assert budget <= manifest.total_tokens < budget + manifest.max_doc_tokens
         assert sum(s["tokens"] for s in manifest.shards) == manifest.total_tokens
 
     def test_deterministic_given_seed(self, tmp_path):
-        corpus, clusters, dist = emission_fixture()
+        rows, corpus, clusters, dist = emission_fixture()
         plan = mixed_plan(20_000)
-        m1 = self.run_stage(plan.stages[0], plan, corpus, clusters, dist, tmp_path / "a")
-        m2 = self.run_stage(plan.stages[0], plan, corpus, clusters, dist, tmp_path / "b")
+        m1 = self.run_stage(plan.stages[0], plan, rows, corpus, clusters, dist, tmp_path / "a")
+        m2 = self.run_stage(plan.stages[0], plan, rows, corpus, clusters, dist, tmp_path / "b")
         assert [s["sha256"] for s in m1.shards] == [s["sha256"] for s in m2.shards]
         assert m1.total_tokens == m2.total_tokens
 
     def test_mixture_fraction_within_one_percent(self, tmp_path):
-        corpus, clusters, dist = emission_fixture(n=1000, seed=8)
+        rows, corpus, clusters, dist = emission_fixture(n=1000, seed=8)
         plan = mixed_plan(200_000)
         stage = plan.stages[0]
-        manifest = self.run_stage(stage, plan, corpus, clusters, dist, tmp_path / "m")
+        manifest = self.run_stage(stage, plan, rows, corpus, clusters, dist, tmp_path / "m")
         code_fraction = manifest.group_tokens["code"] / manifest.total_tokens
         assert 0.59 <= code_fraction <= 0.61
 
@@ -259,53 +262,53 @@ class TestEmitStage:
         """Count tokens per tag group directly from emitted shard files."""
         from corpusprep.jsonl import read_jsonl
 
-        corpus, clusters, dist = emission_fixture(n=1000, seed=9)
+        rows, corpus, clusters, dist = emission_fixture(n=1000, seed=9)
         plan = mixed_plan(100_000)
         stage = plan.stages[0]
         out = tmp_path / "v"
-        manifest = self.run_stage(stage, plan, corpus, clusters, dist, out)
+        manifest = self.run_stage(stage, plan, rows, corpus, clusters, dist, out)
+        signals = {row.doc_id: row.signals for row in rows}
         counted = {"code": 0, "other": 0}
         for shard in manifest.shards:
             for rec in read_jsonl(out / shard["file"]):
-                doc = corpus.get(rec["doc_id"])
-                tag = "code" if doc.extra.get("tag:code") == repr(1.0) else "other"
+                tag = "code" if signals[rec["doc_id"]]["tag:code"] == 1.0 else "other"
                 counted[tag] += len(rec["token_ids"])
         assert counted == dict(manifest.group_tokens)
         frac = counted["code"] / sum(counted.values())
         assert 0.59 <= frac <= 0.61
 
     def test_empty_eligible_set_rejected(self, tmp_path):
-        corpus, clusters, dist = emission_fixture(n=50)
+        rows, corpus, clusters, dist = emission_fixture(n=50)
         plan = mixed_plan(10_000)
         stage = StageSpec("i", Fraction("0.6"), 1.5, {"other": Fraction(1)})
         with pytest.raises(ConfigError):
-            eligible = stage_eligible(corpus, stage)
+            eligible = stage_eligible(rows, stage)
             emit_stage(
-                stage, plan, restrict_distribution(dist, eligible), corpus,
+                stage, plan, restrict_distribution(dist, eligible), rows, corpus,
                 clusters, WhitespaceTokenizer(1000), 1, tmp_path / "e",
             )
 
     def test_unachievable_mixture_rejected(self, tmp_path):
-        corpus, clusters, dist = emission_fixture(n=50)
+        rows, corpus, clusters, dist = emission_fixture(n=50)
         plan = mixed_plan(10_000, mixture={"math": Fraction("0.5"), "other": Fraction("0.5")})
         stage = plan.stages[0]
         with pytest.raises(ConfigError, match="math"):
-            self.run_stage(stage, plan, corpus, clusters, dist, tmp_path / "u")
+            self.run_stage(stage, plan, rows, corpus, clusters, dist, tmp_path / "u")
 
     def test_stage_seeds_isolated(self, tmp_path):
         """Re-running one stage leaves other stages' outputs untouched."""
-        corpus, clusters, dist = emission_fixture(n=300, seed=12)
+        rows, corpus, clusters, dist = emission_fixture(n=300, seed=12)
         plan = mixed_plan(30_000)
-        m_i_first = self.run_stage(plan.stages[0], plan, corpus, clusters, dist, tmp_path / "i1")
-        m_ii = self.run_stage(plan.stages[1], plan, corpus, clusters, dist, tmp_path / "ii")
-        m_i_again = self.run_stage(plan.stages[0], plan, corpus, clusters, dist, tmp_path / "i2")
+        m_i_first = self.run_stage(plan.stages[0], plan, rows, corpus, clusters, dist, tmp_path / "i1")
+        m_ii = self.run_stage(plan.stages[1], plan, rows, corpus, clusters, dist, tmp_path / "ii")
+        m_i_again = self.run_stage(plan.stages[0], plan, rows, corpus, clusters, dist, tmp_path / "i2")
         assert [s["sha256"] for s in m_i_first.shards] == [s["sha256"] for s in m_i_again.shards]
         assert m_ii.seed != m_i_first.seed
 
     def test_manifest_round_trip(self, tmp_path):
-        corpus, clusters, dist = emission_fixture(n=100, seed=13)
+        rows, corpus, clusters, dist = emission_fixture(n=100, seed=13)
         plan = mixed_plan(5_000)
         out = tmp_path / "rt"
-        manifest = self.run_stage(plan.stages[0], plan, corpus, clusters, dist, out)
+        manifest = self.run_stage(plan.stages[0], plan, rows, corpus, clusters, dist, out)
         loaded = read_manifest(out / "manifest.json")
         assert loaded == manifest

@@ -215,7 +215,7 @@ class TestBuildClusters:
 
     def test_partition_property(self, small_planted):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         total = sum(c.signals.occurrence_count for c in clusters)
         assert total == len(corpus)
         all_members = [m for c in clusters for m in c.member_ids]
@@ -223,7 +223,7 @@ class TestBuildClusters:
 
     def test_frequency_signals_equal_distinct_count_oracle(self, small_planted):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         for c in clusters:
             docs = [corpus.get(i) for i in c.member_ids]
             assert c.signals.occurrence_count == len(docs)
@@ -232,7 +232,7 @@ class TestBuildClusters:
 
     def test_cluster_ids_sorted_and_min_member(self, small_planted):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         ids = [c.cluster_id for c in clusters]
         assert ids == sorted(ids)
         for c in clusters:
@@ -273,7 +273,7 @@ class TestRetainTopK:
 
     def test_rank_matches_sort_oracle(self, small_planted):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         for c in clusters:
             docs = [corpus.get(i) for i in c.member_ids]
             expected = [
@@ -327,7 +327,7 @@ class TestUnionFind:
 class TestEndToEndDedup:
     def test_planted_recall_and_precision(self, small_planted):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         predicted = cluster_pairs(clusters)
         truth = oracle_duplicate_pairs(corpus, CFG.shingle_width, CFG.jaccard_threshold)
         assert truth, "generator must plant duplicates"
@@ -340,7 +340,7 @@ class TestEndToEndDedup:
         corpus, _, triples, records = small_planted
         # Regardless of LSH parameters: use a deliberately bad banding.
         bad_cfg = DedupConfig(num_perms=8, bands=1, rows=8)
-        clusters, _ = run_dedup(corpus, bad_cfg)
+        clusters = run_dedup(corpus, bad_cfg)
         by_doc = {m: c.cluster_id for c in clusters for m in c.member_ids}
         by_hash: dict[str, set[str]] = {}
         for d in corpus:
@@ -352,7 +352,7 @@ class TestEndToEndDedup:
         corpus, _, _, _ = small_planted
         out = []
         for i, workers in enumerate((1, 4)):
-            clusters, annotated = run_dedup(corpus, CFG, workers=workers)
+            clusters = run_dedup(corpus, CFG, workers=workers)
             path = tmp_path / f"clusters_{i}.jsonl"
             write_clusters(clusters, path)
             out.append(path.read_bytes())
@@ -360,26 +360,17 @@ class TestEndToEndDedup:
 
     def test_cluster_file_round_trip(self, small_planted, tmp_path):
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         path = tmp_path / "clusters.jsonl"
         write_clusters(clusters, path)
         loaded = read_clusters(path)
         assert [c.to_record() for c in loaded] == [c.to_record() for c in clusters]
 
-    def test_extra_annotation(self, small_planted):
-        corpus, _, _, _ = small_planted
-        clusters, annotated = run_dedup(corpus, CFG)
-        by_doc = {m: c for c in clusters for m in c.member_ids}
-        for doc in annotated:
-            c = by_doc[doc.doc_id]
-            assert doc.extra["cluster_id"] == c.cluster_id
-            assert doc.extra["freq:occurrence"] == str(c.signals.occurrence_count)
-
     def test_retained_estimated_jaccard_or_chain(self, small_planted):
         """Canonical-to-variant similarity >= tau or connected via a tau-chain;
         chain connectivity is exactly what the oracle components encode."""
         corpus, _, _, _ = small_planted
-        clusters, _ = run_dedup(corpus, CFG)
+        clusters = run_dedup(corpus, CFG)
         truth = oracle_duplicate_pairs(corpus, CFG.shingle_width, CFG.jaccard_threshold)
         for c in clusters:
             canonical = c.retained_ids[0]

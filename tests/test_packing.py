@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from corpusprep.errors import ConfigError
 from corpusprep.packing import (
     MASK_MATERIALIZE_LIMIT,
+    CrossDocMask,
     PackedSequence,
-    cross_doc_mask,
     pack_documents,
     read_packed,
     write_packed,
@@ -120,19 +120,19 @@ class TestPackDocuments:
 class TestCrossDocMask:
     def test_rule_examples(self):
         seqs = pack_documents(docs_of([3, 5]), seq_len=8, pad_id=PAD)
-        mask = cross_doc_mask(seqs[0])
+        mask = CrossDocMask(seqs[0])
         assert mask.allowed(4, 2) is False  # cross-document
         assert mask.allowed(4, 3) is True  # same span, causal
         assert mask.allowed(2, 3) is False  # anti-causal
 
     def test_single_span_is_plain_causal(self):
         seqs = pack_documents(docs_of([8]), seq_len=8, pad_id=PAD)
-        got = cross_doc_mask(seqs[0]).materialize()
+        got = CrossDocMask(seqs[0]).materialize()
         assert np.array_equal(got, np.tril(np.ones((8, 8), dtype=bool)))
 
     def test_padding_never_attendable(self):
         seqs = pack_documents(docs_of([3]), seq_len=6, pad_id=PAD)
-        mask = cross_doc_mask(seqs[0])
+        mask = CrossDocMask(seqs[0])
         for i in range(3, 6):
             assert all(not mask.allowed(i, j) for j in range(6))
             assert all(not mask.allowed(j, i) for j in range(6))
@@ -143,20 +143,20 @@ class TestCrossDocMask:
             seq_len = int(rng.integers(2, 65))
             lengths = [int(rng.integers(1, seq_len * 2)) for _ in range(int(rng.integers(1, 8)))]
             for seq in pack_documents(docs_of(lengths), seq_len=seq_len, pad_id=PAD):
-                assert np.array_equal(cross_doc_mask(seq).materialize(), oracle_mask(seq))
+                assert np.array_equal(CrossDocMask(seq).materialize(), oracle_mask(seq))
 
     def test_oracle_equivalence_larger_length(self):
         rng = np.random.default_rng(8)
         lengths = [int(rng.integers(1, 700)) for _ in range(9)]
         for seq in pack_documents(docs_of(lengths), seq_len=512, pad_id=PAD):
-            assert np.array_equal(cross_doc_mask(seq).materialize(), oracle_mask(seq))
+            assert np.array_equal(CrossDocMask(seq).materialize(), oracle_mask(seq))
 
     def test_materialize_limit(self):
         seqs = pack_documents(docs_of([10]), seq_len=MASK_MATERIALIZE_LIMIT + 1, pad_id=PAD)
         with pytest.raises(ConfigError):
-            cross_doc_mask(seqs[0]).materialize()
+            CrossDocMask(seqs[0]).materialize()
         # Predicate access still works without materializing.
-        assert cross_doc_mask(seqs[0]).allowed(1, 0) is True
+        assert CrossDocMask(seqs[0]).allowed(1, 0) is True
 
 
 class TestPackedShardIO:

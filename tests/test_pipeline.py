@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import replace
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from corpusprep import pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import sha256_file
-from corpusprep.jsonl import read_json
+from corpusprep.jsonl import read_json, read_jsonl
 from corpusprep.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -74,6 +76,40 @@ class TestRun:
         marker = read_json(config.work_dir / "dedup.done.json")
         assert sorted(marker["outputs"]) == ["clusters.jsonl", "dedup_report.json"]
         assert not (config.work_dir / "corpus_clustered.jsonl").exists()
+
+    def test_annotation_rows_carry_signals_only(self, completed_run):
+        config, report = completed_run
+        rows = list(read_jsonl(config.work_dir / "annotated.jsonl"))
+        quality = report["phases"]["quality"]
+        assert quality["annotated_format"] == 2
+        assert rows and len(rows) == quality["annotated"]
+        for rec in rows:
+            assert set(rec) == {"doc_id", "url", "cluster_id", "extra"}
+            assert "text" not in rec
+            assert rec["extra"] and all(type(v) is float for v in rec["extra"].values())
+
+    @pytest.mark.parametrize("index", range(len(pipeline.PHASE_TABLE)),
+                             ids=[phase.name for phase in pipeline.PHASE_TABLE])
+    def test_phase_needs_only_its_declared_reads(self, completed_run, tmp_path, index):
+        """Run the phase in a work directory holding only the earlier outputs
+        its `reads` patterns match: an undeclared read fails or changes the
+        outputs, and would let an edit to that file skip the phase."""
+        config, _ = completed_run
+        phase = pipeline.PHASE_TABLE[index]
+        upstream = {}
+        for earlier in pipeline.PHASE_TABLE[:index]:
+            upstream.update(read_json(config.work_dir / f"{earlier.name}.done.json")["outputs"])
+        work = tmp_path / "work"
+        work.mkdir()
+        for rel in upstream:
+            if any(fnmatch(rel, pattern) for pattern in phase.reads):
+                (work / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(config.work_dir / rel, work / rel)
+        outputs, _ = phase.fn(Pipeline(replace(config, work_dir=work)))
+        cold = read_json(config.work_dir / f"{phase.name}.done.json")["outputs"]
+        assert {str(p.relative_to(work)): sha256_file(p) for p in outputs} == {
+            rel: digest for rel, digest in cold.items() if rel != phase.sidecar
+        }
 
     def test_rerun_skips_every_phase(self, completed_run):
         config, first = completed_run

@@ -11,19 +11,19 @@ import pytest
 from corpusprep.classifier import (
     ClassifierHyper,
     QualityClassifier,
-    score,
     train_classifier,
 )
 from corpusprep.corpus import ingest_record
 from corpusprep.dedup import DedupConfig, run_dedup
 from corpusprep.errors import ConfigError, PipelineOrderError, UnknownSignalError
 from corpusprep.quality import (
+    Annotation,
     QualitySignalVector,
     annotate,
     heuristic_filter,
-    signals_from_extra,
-    signals_to_extra,
+    read_annotations,
     text_stats,
+    write_annotations,
 )
 
 from conftest import ingest_records, make_record, make_text, make_vocab
@@ -112,7 +112,7 @@ class TestClassifier:
         neg = toy_texts("betamarker", 200, rng)
         clf = train_classifier(pos[:150], neg[:150], ClassifierHyper(seed=1), "toy")
         held = [(t, 1) for t in pos[150:]] + [(t, 0) for t in neg[150:]]
-        acc = sum((score(clf, t) >= 0.5) == bool(y) for t, y in held) / len(held)
+        acc = sum((clf.score_text(t) >= 0.5) == bool(y) for t, y in held) / len(held)
         assert acc >= 0.95
 
     def test_positive_distribution_scores_high(self):
@@ -121,9 +121,9 @@ class TestClassifier:
         neg = toy_texts("betamarker", 120, rng)
         clf = train_classifier(pos[:100], neg[:100], ClassifierHyper(seed=2), "toy")
         for t in pos[100:]:
-            assert score(clf, t) > 0.9
+            assert clf.score_text(t) > 0.9
         for t in neg[100:]:
-            assert score(clf, t) < 0.1
+            assert clf.score_text(t) < 0.1
 
     def test_identical_classes_no_signal(self):
         rng = np.random.default_rng(7)
@@ -149,7 +149,7 @@ class TestClassifier:
             weights=np.zeros(0),
             bias=0.0,
         )
-        assert score(clf, doc_of(make_text(RNG, VOCAB, 30))) == 0.5
+        assert clf.score_text(doc_of(make_text(RNG, VOCAB, 30)).text) == 0.5
 
     def test_empty_class_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,7 +180,7 @@ class TestClassifier:
         neg = toy_texts("betamarker", 30, rng)
         clf = train_classifier(pos, neg, ClassifierHyper(seed=5), "pure")
         doc = doc_of(pos[0])
-        assert score(clf, doc) == score(clf, doc)
+        assert clf.score_text(doc.text) == clf.score_text(doc.text)
 
 
 def annotated_fixture(tag_scores=False):
@@ -191,7 +191,7 @@ def annotated_fixture(tag_scores=False):
     # A short doc that heuristics must drop.
     records.append(make_record("too short", 30))
     corpus = ingest_records(records)
-    clusters, clustered = run_dedup(corpus, DedupConfig())
+    clusters = run_dedup(corpus, DedupConfig())
     pos = toy_texts("alphamarker", 40, rng)
     neg = toy_texts("betamarker", 40, rng)
     ensemble = [
@@ -202,100 +202,111 @@ def annotated_fixture(tag_scores=False):
         "code": train_classifier(pos, neg, ClassifierHyper(seed=23), "code"),
         "math": train_classifier(neg, pos, ClassifierHyper(seed=24), "math"),
     }
-    return corpus, clustered, clusters, ensemble, domain
+    return corpus, clusters, ensemble, domain
 
 
 class TestAnnotate:
     def test_signal_names_exactly_required_set(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, drops = annotate(clustered, clusters, ensemble, domain)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, drops = annotate(corpus, clusters, ensemble, domain)
         assert len(annotated) > 0
         expected = {"clf:web", "clf:books", "freq:occurrence", "freq:snapshot",
                     "freq:domain", "tag:code", "tag:math"}
-        for doc in annotated:
-            vec = signals_from_extra(doc.extra)
+        for row in annotated:
+            vec = row.signals
             assert set(vec.signals) == expected
             vec.validate(["web", "books"])
 
     def test_freq_signals_copied_from_cluster(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, _ = annotate(clustered, clusters, ensemble, domain)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, _ = annotate(corpus, clusters, ensemble, domain)
         by_doc = {m: c for c in clusters for m in c.member_ids}
-        for doc in annotated:
-            c = by_doc[doc.doc_id]
-            vec = signals_from_extra(doc.extra)
+        for row in annotated:
+            c = by_doc[row.doc_id]
+            assert row.cluster_id == c.cluster_id
+            vec = row.signals
             assert vec["freq:occurrence"] == float(c.signals.occurrence_count)
             assert vec["freq:snapshot"] == float(c.signals.snapshot_count)
             assert vec["freq:domain"] == float(c.signals.domain_count)
 
     def test_tag_thresholding(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, _ = annotate(clustered, clusters, ensemble, domain, tag_threshold=0.5)
-        for doc in annotated:
-            vec = signals_from_extra(doc.extra)
-            code_score = domain["code"].score_text(doc.text)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, _ = annotate(corpus, clusters, ensemble, domain, tag_threshold=0.5)
+        for row in annotated:
+            vec = row.signals
+            code_score = domain["code"].score_text(corpus.get(row.doc_id).text)
             assert vec["tag:code"] == (1.0 if code_score >= 0.5 else 0.0)
             assert vec["tag:math"] in (0.0, 1.0)
 
     def test_heuristic_drops_reported_not_annotated(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, drops = annotate(clustered, clusters, ensemble, domain)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, drops = annotate(corpus, clusters, ensemble, domain)
         assert len(drops) == 1
         assert drops[0].reasons == ["min_words"]
         annotated_ids = {d.doc_id for d in annotated}
         assert drops[0].doc_id not in annotated_ids
 
     def test_counts_reconcile(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, drops = annotate(clustered, clusters, ensemble, domain)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, drops = annotate(corpus, clusters, ensemble, domain)
         retained_total = sum(len(c.retained_ids) for c in clusters)
         assert len(annotated) + len(drops) == retained_total
 
     def test_idempotent_and_deterministic(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        a1, d1 = annotate(clustered, clusters, ensemble, domain)
-        a2, d2 = annotate(clustered, clusters, ensemble, domain)
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        a1, d1 = annotate(corpus, clusters, ensemble, domain)
+        a2, d2 = annotate(corpus, clusters, ensemble, domain)
         assert [d.to_record() for d in a1] == [d.to_record() for d in a2]
         assert [d.to_record() for d in d1] == [d.to_record() for d in d2]
 
-    def test_plain_corpus_annotates_like_clustered_corpus(self):
-        """Cluster membership and frequency come from the clusters, so the
-        pipeline's quality phase can read corpus.jsonl directly."""
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        plain, plain_drops = annotate(corpus, clusters, ensemble, domain)
-        rich, rich_drops = annotate(clustered, clusters, ensemble, domain)
-        assert len(plain) > 0
-        assert [d.to_record() for d in plain] == [d.to_record() for d in rich]
-        assert [d.to_record() for d in plain_drops] == [d.to_record() for d in rich_drops]
-
     def test_no_composite_score_written(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
-        annotated, _ = annotate(clustered, clusters, ensemble, domain)
-        for doc in annotated:
-            for key in doc.extra:
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        annotated, _ = annotate(corpus, clusters, ensemble, domain)
+        for row in annotated:
+            for key in row.to_record()["extra"]:
                 assert not key.startswith(("composite", "combined", "quality_score"))
 
     def test_unretained_clusters_rejected(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
+        corpus, clusters, ensemble, domain = annotated_fixture()
         from dataclasses import replace
 
         naked = [replace(c, retained_ids=[]) for c in clusters]
         with pytest.raises(PipelineOrderError):
-            annotate(clustered, naked, ensemble, domain)
+            annotate(corpus, naked, ensemble, domain)
 
     def test_missing_cluster_coverage_rejected(self):
-        corpus, clustered, clusters, ensemble, domain = annotated_fixture()
+        corpus, clusters, ensemble, domain = annotated_fixture()
         with pytest.raises(PipelineOrderError):
-            annotate(clustered, clusters[: len(clusters) // 2], ensemble, domain)
+            annotate(corpus, clusters[: len(clusters) // 2], ensemble, domain)
 
 
 class TestSignalVector:
-    def test_round_trip_through_extra(self):
+    def test_round_trip_through_extra(self, tmp_path):
+        """A row's `extra` floats come back bit-exact through annotated.jsonl."""
         vec = QualitySignalVector(
-            {"clf:a": 0.123456789012345, "freq:occurrence": 3.0, "tag:code": 1.0}
+            {"clf:a": 0.123456789012345, "clf:b": 0.1 + 0.2, "clf:c": 5e-324,
+             "freq:occurrence": 3.0, "tag:code": 1.0}
         )
-        back = signals_from_extra(signals_to_extra(vec))
-        assert back.signals == vec.signals
+        row = Annotation("d1", "https://unit.example/d1", "c1", vec)
+        path = tmp_path / "annotated.jsonl"
+        write_annotations([row], path)
+        (back,) = read_annotations(path)
+        assert back == row
+        assert {k: v.hex() for k, v in back.signals.signals.items()} == {
+            k: v.hex() for k, v in vec.signals.items()
+        }
+
+    @pytest.mark.parametrize("rec", [
+        {"doc_id": "d1", "url": "u", "cluster_id": "c1", "extra": {"clf:a": 0.5}, "text": "t"},
+        {"doc_id": "d1", "url": "u", "cluster_id": "c1", "extra": {"clf:a": "0.5"}},
+        {"doc_id": "d1", "url": "u", "extra": {"cluster_id": "c1", "clf:a": 0.5}},
+        ["d1", 0.5],
+    ])
+    def test_rows_not_in_format_2_rejected(self, tmp_path, rec):
+        path = tmp_path / "annotated.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="format 2"):
+            read_annotations(path)
 
     def test_unknown_signal_raises(self):
         vec = QualitySignalVector({"clf:a": 0.5})

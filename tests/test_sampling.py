@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusprep.corpus import Corpus
 from corpusprep.dedup import DuplicateCluster, FrequencySignals
 from corpusprep.errors import ConfigError, UnknownSignalError
 from corpusprep.sampling import (
@@ -71,12 +70,10 @@ class TestTransforms:
 
 class TestBuildWeightMap:
     def docs(self):
-        return Corpus(
-            [
-                annotated_doc("d1", {"freq:occurrence": 1, "clf:a": 0.95}),
-                annotated_doc("d2", {"freq:occurrence": 8, "clf:a": 0.2}),
-            ]
-        )
+        return [
+            annotated_doc("d1", {"freq:occurrence": 1, "clf:a": 0.95})[0],
+            annotated_doc("d2", {"freq:occurrence": 8, "clf:a": 0.2})[0],
+        ]
 
     def test_weights_follow_transform(self):
         wm = build_weight_map(
