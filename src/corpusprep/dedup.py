@@ -1,12 +1,19 @@
 """Exact and fuzzy deduplication into duplicate clusters.
 
-Documents are shingled into hashed word w-grams, MinHash signatures
-estimate Jaccard similarity, and LSH banding proposes candidate pairs.
-Candidates are verified with exact Jaccard on the shingle sets, exact
-duplicates (equal content_hash) are linked unconditionally, and
-connected components become clusters. Within a cluster we keep the
-top-k variants for sample-time rotation and record natural-frequency
-counts (occurrences, snapshot spread, domain spread) as metadata.
+Documents are shingled into hashed word w-grams (each distinct text
+once). Documents with equal shingle sets form one group, whose smallest
+doc_id is its representative; only representatives are MinHash-signed
+and LSH-banded, since every member of a group has the representative's
+signature and its Jaccard to any other document. Banding yields buckets
+of representatives that agree on all rows of some band. The groups and
+the buckets are verified with exact Jaccard on the shingle sets, after
+exact duplicates (equal content_hash) are linked unconditionally; a pair
+already in one component is never verified, so the cost follows the
+number of distinct texts and joins, not the square of a duplicate
+block's size. Connected components become clusters. Within a cluster we
+keep the top-k variants for sample-time rotation and record
+natural-frequency counts (occurrences, snapshot spread, domain spread)
+as metadata.
 
 Nothing here reweights the corpus: frequency is stored, not applied.
 Sampling decides what to do with it later.
@@ -181,11 +188,23 @@ def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
 
 
 def _sign_chunk(
-    args: tuple[list[tuple[str, list[int]]], DedupConfig]
+    args: tuple[list[tuple[str, np.ndarray]], DedupConfig]
 ) -> list[tuple[str, np.ndarray]]:
-    """Signatures for a chunk of (doc_id, shingle hashes). Top level for pickling."""
+    """Signatures for a chunk of (doc_id, shingle hash array). Top level for pickling."""
     items, cfg = args
-    return [(doc_id, _minima(np.array(hashes, dtype=np.uint64), cfg)) for doc_id, hashes in items]
+    return [(doc_id, _minima(hashes, cfg)) for doc_id, hashes in items]
+
+
+def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
+    """Shingle set per doc_id, shingling each distinct text once."""
+    by_text: dict[str, ShingleSet] = {}
+    out = {}
+    for d in corpus:
+        s = by_text.get(d.text)
+        if s is None:
+            s = by_text[d.text] = shingle(d.text, cfg.shingle_width)
+        out[d.doc_id] = s
+    return out
 
 
 def compute_signatures(
@@ -196,8 +215,11 @@ def compute_signatures(
 ) -> dict[str, MinHashSignature]:
     """Signature per document; embarrassingly parallel, output order-independent."""
     if shingle_sets is None:
-        shingle_sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
-    items = [(d.doc_id, sorted(shingle_sets[d.doc_id].shingles)) for d in corpus]
+        shingle_sets = _shingle_sets(corpus, cfg)
+    items = [
+        (d.doc_id, np.fromiter(shingle_sets[d.doc_id].shingles, dtype=np.uint64))
+        for d in corpus
+    ]
     if workers > 1 and len(items) > 1:
         size = (len(items) + workers - 1) // workers
         chunks = [(items[i : i + size], cfg) for i in range(0, len(items), size)]
@@ -211,31 +233,34 @@ def compute_signatures(
 
 def lsh_candidate_pairs(
     signatures: Mapping[str, MinHashSignature], cfg: DedupConfig
-) -> list[tuple[str, str]]:
-    """Pairs whose signatures agree on all rows of at least one band.
+) -> list[tuple[str, ...]]:
+    """Buckets of documents whose signatures agree on all rows of some band.
 
-    Output is sorted by (min_id, max_id) so downstream clustering is
-    order-independent.
+    Each bucket is a tuple of two or more ids in ascending order, listed
+    once however many bands produce it, and the list is sorted so
+    downstream clustering is order-independent. Two documents are a
+    candidate pair exactly when some bucket holds both; a two-member
+    bucket is that pair.
     """
     for sig in signatures.values():
         if sig.num_perms != cfg.num_perms or sig.perm_seed != cfg.perm_seed:
             raise ConfigError("signature does not match dedup config")
-    pairs: set[tuple[str, str]] = set()
     doc_ids = sorted(signatures)
-    for band in range(cfg.bands):
-        start = band * cfg.rows
-        end = start + cfg.rows
-        buckets: dict[bytes, list[str]] = {}
-        for doc_id in doc_ids:
-            key = signatures[doc_id].values[start:end].tobytes()
-            buckets.setdefault(key, []).append(doc_id)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.add((members[i], members[j]))
-    return sorted(pairs)
+    if len(doc_ids) < 2:
+        return []
+    matrix = np.stack([signatures[i].values for i in doc_ids])
+    # One opaque key per document and band, so a band sorts like a 1-D array.
+    band_key = np.dtype((np.void, cfg.rows * matrix.itemsize))
+    buckets: set[tuple[str, ...]] = set()
+    for start in range(0, cfg.num_perms, cfg.rows):
+        keys = np.ascontiguousarray(matrix[:, start : start + cfg.rows]).view(band_key).ravel()
+        order = np.argsort(keys, kind="stable")  # stable: ids ascend within a run
+        ranked = keys[order]
+        bounds = np.concatenate(([0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, [len(keys)]))
+        members = order.tolist()
+        for r in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            buckets.add(tuple(doc_ids[i] for i in members[bounds[r] : bounds[r + 1]]))
+    return sorted(buckets)
 
 
 class UnionFind:
@@ -263,38 +288,59 @@ class UnionFind:
 
 def build_clusters(
     corpus: Corpus,
-    candidate_pairs: Iterable[tuple[str, str]],
+    candidate_groups: Iterable[Sequence[str]],
     cfg: DedupConfig,
     shingle_sets: Mapping[str, ShingleSet] | None = None,
 ) -> list[DuplicateCluster]:
-    """Verify candidates with exact Jaccard, link exact duplicates, take components.
+    """Link exact duplicates, verify candidates with exact Jaccard, take components.
+
+    A candidate group is any collection of doc ids; a pair is a group of
+    two. Two members are linked when their exact Jaccard reaches the
+    threshold. A pair already in one component is not verified, since
+    linking it could change no component, and a rejected pair is not
+    verified again, so the components equal those of verifying every
+    pair of every group, in any order.
 
     Every document lands in exactly one cluster; unpaired documents
     become singletons. retained_ids is left empty (see retain_top_k).
     """
     cfg.validate()
-    if shingle_sets is None:
-        shingle_sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
+    groups = sorted({tuple(sorted(set(g))) for g in candidate_groups})
+    for g in groups:
+        if any(i not in corpus for i in g):
+            raise ConfigError(f"candidate group references unknown doc: {g}")
 
     uf = UnionFind()
     for d in corpus:
         uf.find(d.doc_id)
-
-    for a, b in sorted(set(candidate_pairs)):
-        if corpus.get(a) is None or corpus.get(b) is None:
-            raise ConfigError(f"candidate pair references unknown doc: ({a}, {b})")
-        if exact_jaccard(shingle_sets[a], shingle_sets[b]) >= cfg.jaccard_threshold:
-            uf.union(a, b)
 
     # Exact duplicates bypass LSH entirely.
     by_hash: dict[str, list[str]] = {}
     for d in corpus:
         by_hash.setdefault(d.content_hash, []).append(d.doc_id)
     for ids in by_hash.values():
-        if len(ids) > 1:
-            ids.sort()
-            for other in ids[1:]:
-                uf.union(ids[0], other)
+        for other in ids[1:]:
+            uf.union(ids[0], other)
+
+    if shingle_sets is None and groups:
+        shingle_sets = _shingle_sets(corpus, cfg)
+    rejected: set[tuple[str, str]] = set()
+    for g in groups:
+        # Each union joins two components that both hold members of g.
+        roots = len({uf.find(i) for i in g})
+        for i, a in enumerate(g):
+            if roots == 1:
+                break
+            for b in g[i + 1 :]:
+                if (a, b) in rejected or uf.find(a) == uf.find(b):
+                    continue
+                if exact_jaccard(shingle_sets[a], shingle_sets[b]) >= cfg.jaccard_threshold:
+                    uf.union(a, b)
+                    roots -= 1
+                    if roots == 1:
+                        break
+                else:
+                    rejected.add((a, b))
 
     components: dict[str, list[str]] = {}
     for d in corpus:
@@ -343,15 +389,25 @@ def retain_top_k(
 def run_dedup(
     corpus: Corpus, cfg: DedupConfig, workers: int = 1
 ) -> list[DuplicateCluster]:
-    """Full dedup pass: signatures -> LSH -> verified clusters -> top-k.
+    """Full dedup pass: representatives -> signatures -> LSH buckets ->
+    verified clusters -> top-k.
 
     Returns clusters sorted by cluster_id with retention filled.
     """
     cfg.validate()
-    shingle_sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
-    signatures = compute_signatures(corpus, cfg, workers=workers, shingle_sets=shingle_sets)
-    pairs = lsh_candidate_pairs(signatures, cfg)
-    clusters = build_clusters(corpus, pairs, cfg, shingle_sets=shingle_sets)
+    shingle_sets = _shingle_sets(corpus, cfg)
+    # Equal shingle sets mean equal signatures and Jaccard 1.0 to each other
+    # and equal Jaccard to everyone else, so one member per group stands in.
+    groups: dict[frozenset[int], list[str]] = {}
+    for d in corpus:
+        groups.setdefault(shingle_sets[d.doc_id].shingles, []).append(d.doc_id)
+    representatives = Corpus([corpus.get(min(ids)) for ids in groups.values()])
+    signatures = compute_signatures(
+        representatives, cfg, workers=workers, shingle_sets=shingle_sets
+    )
+    candidates = [ids for ids in groups.values() if len(ids) > 1]
+    candidates += lsh_candidate_pairs(signatures, cfg)
+    clusters = build_clusters(corpus, candidates, cfg, shingle_sets=shingle_sets)
     return [retain_top_k(c, corpus, cfg) for c in clusters]
 
 

@@ -3,6 +3,7 @@ all checked against brute-force set-arithmetic oracles."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from corpusprep.classifier import ngram_hashes
 from corpusprep.corpus import Corpus, ingest_record
+from corpusprep import dedup
 from corpusprep.dedup import (
     DedupConfig,
+    DuplicateCluster,
     FrequencySignals,
     MinHashSignature,
     UnionFind,
@@ -34,6 +37,8 @@ from corpusprep.errors import ConfigError
 from conftest import (
     cluster_pairs,
     make_record,
+    make_text,
+    make_vocab,
     oracle_duplicate_pairs,
     oracle_jaccard,
     oracle_shingles,
@@ -166,9 +171,18 @@ class TestLsh:
 
     def test_output_sorted(self, small_planted):
         corpus, _, _, _ = small_planted
-        pairs = lsh_candidate_pairs(compute_signatures(corpus, CFG), CFG)
-        assert pairs == sorted(pairs)
-        assert all(a < b for a, b in pairs)
+        buckets = lsh_candidate_pairs(compute_signatures(corpus, CFG), CFG)
+        assert buckets, "planted duplicates must share a band"
+        assert buckets == sorted(buckets)
+        assert len(set(buckets)) == len(buckets)
+        for bucket in buckets:
+            assert len(bucket) >= 2
+            assert all(a < b for a, b in zip(bucket, bucket[1:]))
+
+    def test_identical_signatures_one_bucket(self):
+        s = shingle("same text everywhere in all three documents exactly alike", 3)
+        sigs = {i: minhash_signature(s, CFG) for i in ("c", "a", "b")}
+        assert lsh_candidate_pairs(sigs, CFG) == [("a", "b", "c")]
 
 
 class TestBuildClusters:
@@ -200,6 +214,21 @@ class TestBuildClusters:
         clusters = build_clusters(c, pairs, DedupConfig(shingle_width=2), shingle_sets=sh)
         assert len(clusters) == 1
         assert set(clusters[0].member_ids) == {a, b, cc}
+
+    def test_group_verifies_pairs_after_a_rejected_first_member(self):
+        near = "w1 w2 w3 w4 w5 w6 w7 w8 w9 w10 w11 w12 w13 w14 w15 w16"
+        docs = [
+            doc_from("completely different words that share nothing at all here", 904),
+            doc_from(near, 905),
+            doc_from(near.replace("w16", "zz"), 906),
+        ]
+        corpus = Corpus(docs)
+        group = sorted(d.doc_id for d in docs)
+        assert group[0] == docs[0].doc_id  # the unrelated text is verified first
+        clusters = build_clusters(corpus, [group], DedupConfig(shingle_width=2))
+        assert sorted(len(c.member_ids) for c in clusters) == [1, 2]
+        joined = next(c for c in clusters if len(c.member_ids) == 2)
+        assert set(joined.member_ids) == {docs[1].doc_id, docs[2].doc_id}
 
     def test_frequency_signals_hand_case(self):
         text = "identical text in every copy of this record set"
@@ -377,3 +406,115 @@ class TestEndToEndDedup:
             for other in c.retained_ids[1:]:
                 pair = (min(canonical, other), max(canonical, other))
                 assert pair in truth
+
+
+def reference_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
+    """Dedup as first written: every document signed and banded through a
+    dict, every candidate pair verified, then the content_hash union."""
+    sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
+    sigs = {i: minhash_signature(s, cfg).values for i, s in sets.items()}
+    pairs: set[tuple[str, str]] = set()
+    for start in range(0, cfg.num_perms, cfg.rows):
+        buckets: dict[bytes, list[str]] = {}
+        for i in sorted(sigs):
+            buckets.setdefault(sigs[i][start : start + cfg.rows].tobytes(), []).append(i)
+        for members in buckets.values():
+            pairs.update(itertools.combinations(members, 2))
+    uf = UnionFind()
+    for d in corpus:
+        uf.find(d.doc_id)
+    for a, b in sorted(pairs):
+        if exact_jaccard(sets[a], sets[b]) >= cfg.jaccard_threshold:
+            uf.union(a, b)
+    by_hash: dict[str, list[str]] = {}
+    for d in corpus:
+        by_hash.setdefault(d.content_hash, []).append(d.doc_id)
+    for ids in by_hash.values():
+        for other in ids[1:]:
+            uf.union(ids[0], other)
+    components: dict[str, list[str]] = {}
+    for d in corpus:
+        components.setdefault(uf.find(d.doc_id), []).append(d.doc_id)
+    clusters = []
+    for root in sorted(components):
+        ids = sorted(components[root])
+        docs = [corpus.get(i) for i in ids]
+        cluster = DuplicateCluster(ids[0], ids, [], FrequencySignals.from_documents(docs))
+        clusters.append(retain_top_k(cluster, corpus, cfg))
+    return clusters
+
+
+_VOCAB = make_vocab(np.random.default_rng(41), 300)
+# Base texts long and short enough that a one-word edit lands on both
+# sides of the 0.8 threshold at shingle width 5.
+_BASES = [make_text(np.random.default_rng(42 + i), _VOCAB, n) for i, n in enumerate((60, 40, 16))]
+
+
+def _variant(base: str, kind: str, k: int) -> str:
+    words = base.split()
+    if kind == "case":
+        return " ".join(w.upper() if j % (k + 2) == 0 else w for j, w in enumerate(words))
+    if kind == "space":
+        return ("  " if k % 2 else "\n").join(words)
+    if kind == "edit":
+        words[k % len(words)] = f"edit{k % 3}"
+        return " ".join(words)
+    if kind == "unrelated":
+        return make_text(np.random.default_rng(1000 + k), _VOCAB, 10 + k)
+    return base
+
+
+_DOC_SPECS = st.lists(
+    st.tuples(
+        st.integers(0, len(_BASES) - 1),
+        st.sampled_from(["copy", "case", "space", "edit", "unrelated"]),
+        st.integers(0, 7),
+    ),
+    min_size=2,
+    max_size=24,
+)
+
+
+class TestRepresentativesEquivalence:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "cfg", [CFG, DedupConfig(num_perms=8, bands=1, rows=8)], ids=["default", "bands1"]
+    )
+    @given(specs=_DOC_SPECS)
+    @settings(max_examples=60, deadline=None)
+    def test_clusters_file_equals_reference(self, tmp_path_factory, cfg, workers, specs):
+        texts = [_variant(_BASES[b], kind, k) for b, kind, k in specs]
+        corpus = Corpus([doc_from(t, 700 + n) for n, t in enumerate(texts)])
+        out = tmp_path_factory.mktemp("equiv")
+        write_clusters(run_dedup(corpus, cfg, workers=workers), out / "new.jsonl")
+        write_clusters(reference_dedup(corpus, cfg), out / "ref.jsonl")
+        assert (out / "new.jsonl").read_bytes() == (out / "ref.jsonl").read_bytes()
+
+
+class TestLargeBlocks:
+    """A duplicate block costs verifications in proportion to its size."""
+
+    @pytest.mark.parametrize("templated", [False, True], ids=["identical", "templated"])
+    def test_block_of_2000_verifies_fewer_pairs_than_documents(self, monkeypatch, templated):
+        rng = np.random.default_rng(7)
+        vocab = make_vocab(rng, 4000)
+        words = make_text(rng, vocab, 100).split()
+        block = [
+            " ".join(words[:50] + [f"tmpl{i}"] + words[51:]) if templated else " ".join(words)
+            for i in range(2000)
+        ]
+        unique = [make_text(rng, vocab, 100) for _ in range(2000)]
+        corpus = Corpus([doc_from(t, i) for i, t in enumerate(block + unique)])
+
+        calls = 0
+        real = dedup.exact_jaccard
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(dedup, "exact_jaccard", counting)
+        clusters = run_dedup(corpus, CFG)
+        assert sorted(len(c.member_ids) for c in clusters) == [1] * 2000 + [2000]
+        assert calls < len(corpus)
