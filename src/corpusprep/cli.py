@@ -118,7 +118,8 @@ def cmd_quality_annotate(args) -> int:
             raise ConfigError(f"--domain expects tag=path, got '{item}'")
         domain[tag] = clf_mod.QualityClassifier.load(path)
     annotated, drops = quality_mod.annotate(
-        corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold
+        corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold,
+        workers=args.workers,
     )
     quality_mod.write_annotations(annotated, args.out)
     if args.drops:
@@ -292,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag-threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--drops")
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_quality_annotate)
 
     p = sub.add_parser("sample", help="build per-signal weights and merged distribution")

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import RejectedRecord
@@ -202,16 +202,15 @@ def _decode_line(raw: bytes, line_start: int) -> str:
         ) from None
 
 
-def _ingest_chunk(lines: Sequence[tuple[bytes, int]]) -> tuple[list[Document], dict[str, int]]:
-    """Ingest one shard of (raw line bytes, byte offset). Top level for pickling."""
-    docs: list[Document] = []
-    rejects: dict[str, int] = {}
+def _ingest_chunk(lines: Sequence[tuple[bytes, int]]) -> list[Document | str]:
+    """A Document or the reject reason for each (raw line bytes, byte offset)."""
+    rows: list[Document | str] = []
     for raw, offset in lines:
         try:
-            docs.append(ingest_record(_decode_line(raw, offset)))
+            rows.append(ingest_record(_decode_line(raw, offset)))
         except RejectedRecord as err:
-            rejects[err.reason] = rejects.get(err.reason, 0) + 1
-    return docs, rejects
+            rows.append(err.reason)
+    return rows
 
 
 def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -226,6 +225,22 @@ def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def map_chunks(fn: Callable[..., list], items: Sequence, workers: int, *shared) -> list:
+    """``fn(items[a:b], *shared)`` over `workers` contiguous ranges of
+    `items`, one pool process each, concatenated in range order.
+
+    With one worker or fewer than two items, `fn` runs once, inline.
+    `fn` must be a top-level function with picklable arguments and rows.
+    Any per-item `fn` gives the same list for every worker count.
+    """
+    ranges = _split_ranges(len(items), workers)
+    if len(ranges) < 2:
+        return fn(items, *shared)
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(fn, items[a:b], *shared) for a, b in ranges]
+        return [row for future in futures for row in future.result()]
+
+
 def ingest_lines(
     lines: Iterable[tuple[bytes, int]], workers: int = 1
 ) -> tuple[Corpus, IngestReport]:
@@ -237,25 +252,16 @@ def ingest_lines(
     """
     items = list(lines)
     report = IngestReport(input_lines=len(items))
-    if workers > 1 and len(items) > 1:
-        ranges = _split_ranges(len(items), workers)
-        chunks = [items[a:b] for a, b in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ingest_chunk, chunks))
-    else:
-        results = [_ingest_chunk(items)]
-
     seen: set[str] = set()
     docs: list[Document] = []
-    for chunk_docs, chunk_rejects in results:
-        for reason, count in chunk_rejects.items():
-            report.rejected[reason] = report.rejected.get(reason, 0) + count
-        for doc in chunk_docs:
-            if doc.doc_id in seen:
-                report.reject("duplicate_doc_id")
-                continue
-            seen.add(doc.doc_id)
-            docs.append(doc)
+    for row in map_chunks(_ingest_chunk, items, workers):
+        if isinstance(row, str):
+            report.reject(row)
+        elif row.doc_id in seen:
+            report.reject("duplicate_doc_id")
+        else:
+            seen.add(row.doc_id)
+            docs.append(row)
     report.accepted = len(docs)
     return Corpus(docs), report
 

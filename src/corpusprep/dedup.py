@@ -1,19 +1,19 @@
 """Exact and fuzzy deduplication into duplicate clusters.
 
-Documents are shingled into hashed word w-grams (each distinct text
-once). Documents with equal shingle sets form one group, whose smallest
-doc_id is its representative; only representatives are MinHash-signed
-and LSH-banded, since every member of a group has the representative's
-signature and its Jaccard to any other document. Banding yields buckets
-of representatives that agree on all rows of some band. The groups and
-the buckets are verified with exact Jaccard on the shingle sets, after
-exact duplicates (equal content_hash) are linked unconditionally; a pair
-already in one component is never verified, so the cost follows the
-number of distinct texts and joins, not the square of a duplicate
-block's size. Connected components become clusters. Within a cluster we
-keep the top-k variants for sample-time rotation and record
-natural-frequency counts (occurrences, snapshot spread, domain spread)
-as metadata.
+Each distinct text is shingled into hashed word w-grams and MinHash-signed
+once, in one pass split over `workers` processes (corpus.map_chunks).
+Documents with equal shingle sets form one group, whose smallest doc_id
+is its representative; only representatives are LSH-banded, since every
+member of a group has the representative's signature and its Jaccard to
+any other document. Banding yields buckets of representatives that agree
+on all rows of some band. The groups and the buckets are verified with
+exact Jaccard on the shingle sets, after exact duplicates (equal
+content_hash) are linked unconditionally; a pair already in one
+component is never verified, so the cost follows the number of distinct
+texts and joins, not the square of a duplicate block's size. Connected
+components become clusters. Within a cluster we keep the top-k variants
+for sample-time rotation and record natural-frequency counts
+(occurrences, snapshot spread, domain spread) as metadata.
 
 Nothing here reweights the corpus: frequency is stored, not applied.
 Sampling decides what to do with it later.
@@ -21,14 +21,13 @@ Sampling decides what to do with it later.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, map_chunks
 from .errors import ConfigError
 from .hashing import mix64, splitmix64_stream, word_window_hashes
 from .jsonl import read_jsonl, write_jsonl
@@ -187,12 +186,16 @@ def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     return float(np.mean(a.values == b.values))
 
 
-def _sign_chunk(
-    args: tuple[list[tuple[str, np.ndarray]], DedupConfig]
-) -> list[tuple[str, np.ndarray]]:
-    """Signatures for a chunk of (doc_id, shingle hash array). Top level for pickling."""
-    items, cfg = args
-    return [(doc_id, _minima(hashes, cfg)) for doc_id, hashes in items]
+def _shingle_sign_chunk(
+    texts: Sequence[str], cfg: DedupConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(sorted shingle hashes, signature minima) per text, as uint64 arrays."""
+    rows = []
+    for text in texts:
+        s = shingle(text, cfg.shingle_width)
+        hashes = np.sort(np.fromiter(s.shingles, dtype=np.uint64, count=len(s)))
+        rows.append((hashes, _minima(hashes, cfg)))
+    return rows
 
 
 def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
@@ -207,28 +210,12 @@ def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
     return out
 
 
-def compute_signatures(
-    corpus: Corpus,
-    cfg: DedupConfig,
-    workers: int = 1,
-    shingle_sets: Mapping[str, ShingleSet] | None = None,
-) -> dict[str, MinHashSignature]:
-    """Signature per document; embarrassingly parallel, output order-independent."""
-    if shingle_sets is None:
-        shingle_sets = _shingle_sets(corpus, cfg)
-    items = [
-        (d.doc_id, np.fromiter(shingle_sets[d.doc_id].shingles, dtype=np.uint64))
-        for d in corpus
-    ]
-    if workers > 1 and len(items) > 1:
-        size = (len(items) + workers - 1) // workers
-        chunks = [(items[i : i + size], cfg) for i in range(0, len(items), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_sign_chunk, chunks)
-        pairs = [p for chunk in results for p in chunk]
-    else:
-        pairs = _sign_chunk((items, cfg))
-    return {doc_id: MinHashSignature(vals, cfg.perm_seed) for doc_id, vals in pairs}
+def compute_signatures(corpus: Corpus, cfg: DedupConfig) -> dict[str, MinHashSignature]:
+    """Signature per document."""
+    rows = _shingle_sign_chunk([d.text for d in corpus], cfg)
+    return {
+        d.doc_id: MinHashSignature(minima, cfg.perm_seed) for d, (_, minima) in zip(corpus, rows)
+    }
 
 
 def lsh_candidate_pairs(
@@ -389,24 +376,38 @@ def retain_top_k(
 def run_dedup(
     corpus: Corpus, cfg: DedupConfig, workers: int = 1
 ) -> list[DuplicateCluster]:
-    """Full dedup pass: representatives -> signatures -> LSH buckets ->
+    """Full dedup pass: shingles and signatures per distinct text (split
+    over `workers` processes) -> representatives -> LSH buckets ->
     verified clusters -> top-k.
 
     Returns clusters sorted by cluster_id with retention filled.
     """
     cfg.validate()
-    shingle_sets = _shingle_sets(corpus, cfg)
-    # Equal shingle sets mean equal signatures and Jaccard 1.0 to each other
-    # and equal Jaccard to everyone else, so one member per group stands in.
-    groups: dict[frozenset[int], list[str]] = {}
+    # One pool pass shingles and signs each distinct text; signing a text
+    # rather than a group's representative is exact, since equal shingle
+    # sets have equal minima.
+    texts = list(dict.fromkeys(d.text for d in corpus))
+    row_of = dict(zip(texts, map_chunks(_shingle_sign_chunk, texts, workers, cfg)))
+    # Equal shingle sets (equal sorted hash arrays) mean equal signatures and
+    # Jaccard 1.0 to each other and equal Jaccard to everyone else, so one
+    # member per group stands in.
+    groups: dict[bytes, list[str]] = {}
     for d in corpus:
-        groups.setdefault(shingle_sets[d.doc_id].shingles, []).append(d.doc_id)
-    representatives = Corpus([corpus.get(min(ids)) for ids in groups.values()])
-    signatures = compute_signatures(
-        representatives, cfg, workers=workers, shingle_sets=shingle_sets
-    )
+        groups.setdefault(row_of[d.text][0].tobytes(), []).append(d.doc_id)
+    representatives = [corpus.get(min(ids)) for ids in groups.values()]
+    signatures = {
+        d.doc_id: MinHashSignature(row_of[d.text][1], cfg.perm_seed) for d in representatives
+    }
     candidates = [ids for ids in groups.values() if len(ids) > 1]
     candidates += lsh_candidate_pairs(signatures, cfg)
+    # Only candidates are verified, so only they need shingle sets.
+    by_text: dict[str, ShingleSet] = {}
+    shingle_sets = {}
+    for doc_id in {i for ids in candidates for i in ids}:
+        text = corpus.get(doc_id).text
+        if text not in by_text:
+            by_text[text] = ShingleSet(frozenset(row_of[text][0].tolist()), cfg.shingle_width)
+        shingle_sets[doc_id] = by_text[text]
     clusters = build_clusters(corpus, candidates, cfg, shingle_sets=shingle_sets)
     return [retain_top_k(c, corpus, cfg) for c in clusters]
 

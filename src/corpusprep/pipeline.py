@@ -354,6 +354,7 @@ class Pipeline:
             domain,
             thresholds=self.config.heuristics,
             tag_threshold=self.config.tag_threshold,
+            workers=self.config.workers,
         )
         out_annotated = self.work_dir / "annotated.jsonl"
         quality_mod.write_annotations(annotated, out_annotated)

@@ -6,7 +6,9 @@ non-alphabetic, dominated by one repeated line). Everything that
 survives gets a QualitySignalVector: one entry per ensemble classifier,
 the cluster's natural-frequency counts, and binary domain tags. The
 signals are never combined here; mixing them is a sampling-time
-decision.
+decision. The heuristics and scoring of each retained document are split
+over `workers` processes (corpus.map_chunks); the rows are assembled in
+the calling process, so they do not depend on the worker count.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
 with JSON-float values; readers join them to corpus.jsonl on doc_id.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, map_chunks
 from .dedup import DuplicateCluster
 from .errors import ConfigError, PipelineOrderError, UnknownSignalError
 from .jsonl import read_jsonl, write_jsonl
@@ -61,11 +63,19 @@ class HeuristicReport:
     stats: TextStats
 
 
+# The ASCII bytes that str.isalpha rejects: everything but A-Z and a-z.
+_ASCII_NON_ALPHA = bytes(b for b in range(128) if not chr(b).isalpha())
+
+
 def text_stats(text: str) -> TextStats:
     words = text.split()
     word_count = len(words)
-    mean_word_length = sum(len(w) for w in words) / word_count if word_count else 0.0
-    alpha_ratio = sum(c.isalpha() for c in text) / len(text) if text else 0.0
+    mean_word_length = len("".join(words)) / word_count if word_count else 0.0
+    if text.isascii():
+        alpha = len(text.encode("ascii").translate(None, _ASCII_NON_ALPHA))
+    else:
+        alpha = sum(c.isalpha() for c in text)
+    alpha_ratio = alpha / len(text) if text else 0.0
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if len(lines) <= 1:
         # A single-line document repeats nothing; the ratio only means
@@ -86,6 +96,13 @@ def heuristic_filter(
 ) -> HeuristicReport:
     """Apply the drop rules; verdict is "drop" iff any rule fails."""
     stats = text_stats(doc.text)
+    reasons = _drop_reasons(stats, thresholds)
+    return HeuristicReport(
+        verdict="drop" if reasons else "keep", reasons=reasons, stats=stats
+    )
+
+
+def _drop_reasons(stats: TextStats, thresholds: HeuristicThresholds) -> list[str]:
     reasons = []
     if stats.word_count < thresholds.min_words:
         reasons.append("min_words")
@@ -99,9 +116,7 @@ def heuristic_filter(
         reasons.append("alpha_ratio")
     if stats.max_line_repeat_ratio > thresholds.max_line_repeat_ratio:
         reasons.append("line_repeat")
-    return HeuristicReport(
-        verdict="drop" if reasons else "keep", reasons=reasons, stats=stats
-    )
+    return reasons
 
 
 @dataclass
@@ -184,6 +199,36 @@ class DropRecord:
         return {"doc_id": self.doc_id, "reasons": self.reasons, "stats": self.stats.to_dict()}
 
 
+def _score_chunk(
+    texts: Sequence[str],
+    classifiers: Sequence[QualityClassifier],
+    tag_classifiers: Sequence[QualityClassifier | None],
+    thresholds: HeuristicThresholds,
+    tag_threshold: float,
+) -> list[tuple[list[str], TextStats | tuple[float, ...]]]:
+    """Per text, (drop reasons, TextStats) if the heuristics drop it, else
+    ([], signal floats): one score per classifier, then one tag flag per
+    entry of tag_classifiers (0.0 where it is None)."""
+    n_orders = {clf.hyper.orders for clf in classifiers}
+    n_orders |= {clf.hyper.orders for clf in tag_classifiers if clf is not None}
+    rows = []
+    for text in texts:
+        stats = text_stats(text)
+        reasons = _drop_reasons(stats, thresholds)
+        if reasons:
+            rows.append((reasons, stats))
+            continue
+        hashes_by_orders = {orders: ngram_hashes(text, orders) for orders in n_orders}
+        values = [clf.score_hashes(hashes_by_orders[clf.hyper.orders]) for clf in classifiers]
+        for clf in tag_classifiers:
+            tagged = clf is not None and (
+                clf.score_hashes(hashes_by_orders[clf.hyper.orders]) >= tag_threshold
+            )
+            values.append(1.0 if tagged else 0.0)
+        rows.append(([], tuple(values)))
+    return rows
+
+
 def annotate(
     corpus: Corpus,
     clusters: Sequence[DuplicateCluster],
@@ -191,13 +236,16 @@ def annotate(
     domain_classifiers: Mapping[str, QualityClassifier] | None = None,
     thresholds: HeuristicThresholds = HeuristicThresholds(),
     tag_threshold: float = 0.5,
+    workers: int = 1,
 ) -> tuple[list[Annotation], list[DropRecord]]:
     """One Annotation row per retained, heuristics-surviving doc, in
     doc_id order.
 
     Requires dedup to have run: every scored document must belong to a
     cluster with retention filled in. Deterministic and idempotent; the
-    result never contains a combined score.
+    result never contains a combined score. The heuristics and scoring
+    are split over `workers` processes (see corpus.map_chunks); rows and
+    drop order are the same for any worker count.
     """
     domain_classifiers = domain_classifiers or {}
     cluster_by_doc: dict[str, DuplicateCluster] = {}
@@ -210,11 +258,7 @@ def annotate(
         for doc_id in cluster.member_ids:
             cluster_by_doc[doc_id] = cluster
 
-    n_orders = {clf.hyper.orders for clf in classifiers}
-    n_orders |= {clf.hyper.orders for clf in domain_classifiers.values()}
-
-    annotated: list[Annotation] = []
-    drops: list[DropRecord] = []
+    work: list[tuple[Document, DuplicateCluster]] = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
         for doc_id in cluster.retained_ids:
             doc = corpus.get(doc_id)
@@ -222,43 +266,40 @@ def annotate(
                 raise PipelineOrderError(
                     f"retained doc {doc_id} missing from corpus"
                 )
-            report = heuristic_filter(doc, thresholds)
-            if report.verdict == "drop":
-                drops.append(DropRecord(doc_id, report.reasons, report.stats))
-                continue
-            hashes_by_orders = {
-                orders: ngram_hashes(doc.text, orders) for orders in n_orders
-            }
-            signals: dict[str, float] = {}
-            for clf in classifiers:
-                signals[f"clf:{clf.model_id}"] = clf.score_hashes(
-                    hashes_by_orders[clf.hyper.orders]
-                )
-            signals["freq:occurrence"] = float(cluster.signals.occurrence_count)
-            signals["freq:snapshot"] = float(cluster.signals.snapshot_count)
-            signals["freq:domain"] = float(cluster.signals.domain_count)
-            for tag in REQUIRED_TAGS:
-                clf = domain_classifiers.get(tag)
-                if clf is None:
-                    signals[f"tag:{tag}"] = 0.0
-                else:
-                    s = clf.score_hashes(hashes_by_orders[clf.hyper.orders])
-                    signals[f"tag:{tag}"] = 1.0 if s >= tag_threshold else 0.0
-            for tag, clf in domain_classifiers.items():
-                if tag in REQUIRED_TAGS:
-                    continue
-                s = clf.score_hashes(hashes_by_orders[clf.hyper.orders])
-                signals[f"tag:{tag}"] = 1.0 if s >= tag_threshold else 0.0
-            vec = QualitySignalVector(signals)
-            vec.validate([clf.model_id for clf in classifiers])
-            annotated.append(Annotation(doc_id, doc.url, cluster.cluster_id, vec))
-
+            work.append((doc, cluster))
     missing = [d.doc_id for d in corpus if d.doc_id not in cluster_by_doc]
     if missing:
         raise PipelineOrderError(
             f"{len(missing)} documents have no cluster annotation "
             f"(first: {missing[0]})"
         )
+
+    clf_names = [f"clf:{clf.model_id}" for clf in classifiers]
+    tags = [*REQUIRED_TAGS, *(t for t in domain_classifiers if t not in REQUIRED_TAGS)]
+    rows = map_chunks(
+        _score_chunk,
+        [doc.text for doc, _ in work],
+        workers,
+        classifiers,
+        [domain_classifiers.get(tag) for tag in tags],
+        thresholds,
+        tag_threshold,
+    )
+
+    annotated: list[Annotation] = []
+    drops: list[DropRecord] = []
+    for (doc, cluster), (reasons, payload) in zip(work, rows):
+        if reasons:
+            drops.append(DropRecord(doc.doc_id, reasons, payload))
+            continue
+        signals = dict(zip(clf_names, payload))
+        signals["freq:occurrence"] = float(cluster.signals.occurrence_count)
+        signals["freq:snapshot"] = float(cluster.signals.snapshot_count)
+        signals["freq:domain"] = float(cluster.signals.domain_count)
+        signals.update(zip((f"tag:{tag}" for tag in tags), payload[len(clf_names) :]))
+        vec = QualitySignalVector(signals)
+        vec.validate([clf.model_id for clf in classifiers])
+        annotated.append(Annotation(doc.doc_id, doc.url, cluster.cluster_id, vec))
     annotated.sort(key=lambda row: row.doc_id)
     return annotated, drops
 

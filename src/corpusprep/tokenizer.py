@@ -8,11 +8,19 @@ a production BPE tokenizer plugs in behind the same protocol.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
 from .hashing import hash64
 
 DEFAULT_VOCAB_SIZE = 102_400
+
+
+@lru_cache(maxsize=1 << 16)
+def _word_hash(word: str) -> int:
+    """hash64 of the word's UTF-8 bytes; bounded, as natural text repeats
+    a small vocabulary while the tail of rare words is unbounded."""
+    return hash64(word.encode("utf-8"))
 
 
 @runtime_checkable
@@ -32,4 +40,4 @@ class WhitespaceTokenizer:
         self.name = f"whitespace-{vocab_size}"
 
     def encode(self, text: str) -> list[int]:
-        return [1 + hash64(w.encode("utf-8")) % self.vocab_size for w in text.split()]
+        return [1 + _word_hash(w) % self.vocab_size for w in text.split()]

@@ -95,6 +95,20 @@ class TestQualityCommands:
             assert "clf:web" in rec["extra"]
             assert "tag:code" in rec["extra"]
 
+        written = []
+        for workers in ("1", "2"):
+            out, dropped = tmp_path / f"annotated-w{workers}.jsonl", tmp_path / f"drops-w{workers}.jsonl"
+            rc = main([
+                "quality", "annotate",
+                "--in", str(corpus), "--clusters", str(clusters),
+                "--models", str(model),
+                "--domain", f"code={dcode}", f"math={dmath}",
+                "--out", str(out), "--drops", str(dropped), "--workers", workers,
+            ])
+            assert rc == 0
+            written.append((out.read_bytes(), dropped.read_bytes()))
+        assert written[0] == written[1] == (annotated.read_bytes(), drops.read_bytes())
+
 
 class TestSampleCommand:
     def test_sample_with_draws(self, workspace, tmp_path):

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusprep.corpus import (
+    _ingest_chunk,
     canonical_crawl_time,
     extract_domain,
     ingest_files,
     ingest_lines,
     ingest_record,
+    map_chunks,
     normalize_text,
     read_corpus,
     serialize_corpus,
@@ -171,6 +173,15 @@ class TestIngestLines:
         c4, r4 = ingest_lines(self.lines(raw), workers=4)
         assert serialize_corpus(c1) == serialize_corpus(c4)
         assert r1.to_dict() == r4.to_dict()
+
+    def test_map_chunks_with_more_workers_than_items(self):
+        raw = [rec_line(url="https://h/1"), "garbage", rec_line(url="https://h/2")]
+        lines = self.lines(raw)
+        inline = _ingest_chunk(lines)
+        assert inline[1] == "parse_error"
+        for workers in (1, 3, 8):
+            assert map_chunks(_ingest_chunk, lines, workers) == inline
+        assert map_chunks(_ingest_chunk, [], 8) == []
 
     def test_sorted_by_doc_id(self):
         records, _, _ = planted_corpus_records(seed=6, n_docs=30, n_near_pairs=2, n_exact_triples=1)

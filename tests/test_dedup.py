@@ -518,3 +518,34 @@ class TestLargeBlocks:
         clusters = run_dedup(corpus, CFG)
         assert sorted(len(c.member_ids) for c in clusters) == [1] * 2000 + [2000]
         assert calls < len(corpus)
+
+
+class TestWorkerCounts:
+    """The pool pass shingles and signs each distinct text; the clusters
+    must not depend on how the distinct texts split over workers."""
+
+    @staticmethod
+    def records(corpus: Corpus, workers: int) -> list[dict]:
+        return [c.to_record() for c in run_dedup(corpus, CFG, workers=workers)]
+
+    def test_500_identical_copies(self):
+        text = make_text(np.random.default_rng(11), make_vocab(np.random.default_rng(12), 300), 80)
+        corpus = Corpus([doc_from(text, i) for i in range(500)])
+        one = self.records(corpus, 1)
+        assert len(one) == 1 and len(one[0]["member_ids"]) == 500
+        assert self.records(corpus, 2) == one
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("one two three four five six seven", "one two three four five six seven"),
+            ("one two three four five six seven", "One  two three four five six seven"),
+            ("one two three four five six seven", "one two three four five six eight"),
+            ("alpha beta gamma delta epsilon", "zeta eta theta iota kappa lambda"),
+            ("short", "short text"),
+        ],
+        ids=["identical", "same-shingles", "one-word-edit", "unrelated", "shorter-than-width"],
+    )
+    def test_two_documents(self, texts):
+        corpus = Corpus([doc_from(t, i) for i, t in enumerate(texts)])
+        assert self.records(corpus, 2) == self.records(corpus, 1)

@@ -7,17 +7,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusprep.classifier import (
     ClassifierHyper,
     QualityClassifier,
     train_classifier,
 )
-from corpusprep.corpus import ingest_record
+from corpusprep.corpus import Corpus, ingest_record
 from corpusprep.dedup import DedupConfig, run_dedup
 from corpusprep.errors import ConfigError, PipelineOrderError, UnknownSignalError
 from corpusprep.quality import (
     Annotation,
+    DropRecord,
     QualitySignalVector,
     annotate,
     heuristic_filter,
@@ -103,6 +106,24 @@ class TestHeuristics:
                 0.0 if len(lines) <= 1 else Counter(lines).most_common(1)[0][1] / len(lines)
             )
             assert stats.max_line_repeat_ratio == pytest.approx(expected)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x00\x7f azAZ09_.-"),
+        st.characters(max_codepoint=127),
+        st.sampled_from("éßΩжあ٣１²ⅷ\u00a0\u2028"),
+        st.characters(),
+    )))
+    def test_word_and_alpha_counts_equal_the_per_character_sums(self, text):
+        stats = text_stats(text)
+        words = text.split()
+        assert stats.alpha_ratio == (
+            sum(c.isalpha() for c in text) / len(text) if text else 0.0
+        )
+        assert stats.mean_word_length == (
+            sum(len(w) for w in words) / len(words) if words else 0.0
+        )
 
 
 class TestClassifier:
@@ -278,6 +299,52 @@ class TestAnnotate:
         corpus, clusters, ensemble, domain = annotated_fixture()
         with pytest.raises(PipelineOrderError):
             annotate(corpus, clusters[: len(clusters) // 2], ensemble, domain)
+
+
+def drop_heavy_fixture():
+    """Like annotated_fixture, with drops spread over the cluster order."""
+    rng = np.random.default_rng(3)
+    records = [make_record(make_text(rng, VOCAB, 60), i) for i in range(24)]
+    records += [make_record(f"short text number {i}", 100 + i) for i in range(6)]
+    records.append(make_record("\n".join(["the same line again and again"] * 30), 200))
+    corpus = ingest_records(records)
+    clusters = run_dedup(corpus, DedupConfig())
+    _, _, ensemble, domain = annotated_fixture()
+    return corpus, clusters, ensemble, domain
+
+
+class TestAnnotateWorkers:
+    @staticmethod
+    def records(rows: list[Annotation], drops: list[DropRecord]):
+        return [r.to_record() for r in rows], [d.to_record() for d in drops]
+
+    def test_rows_and_drop_order_equal_for_1_2_3_workers(self):
+        corpus, clusters, ensemble, domain = drop_heavy_fixture()
+        results = [
+            self.records(*annotate(corpus, clusters, ensemble, domain, workers=w))
+            for w in (1, 2, 3)
+        ]
+        rows, drops = results[0]
+        assert len(drops) == 7 and rows
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_fewer_retained_docs_than_workers(self):
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        keep = {clusters[0].cluster_id, clusters[1].cluster_id}
+        small_clusters = [c for c in clusters if c.cluster_id in keep]
+        members = {m for c in small_clusters for m in c.member_ids}
+        small = Corpus([d for d in corpus if d.doc_id in members])
+        assert sum(len(c.retained_ids) for c in small_clusters) < 3
+        results = [
+            self.records(*annotate(small, small_clusters, ensemble, domain, workers=w))
+            for w in (1, 2, 3)
+        ]
+        assert results[0][0] and results[1] == results[0] and results[2] == results[0]
+
+    def test_empty_corpus(self):
+        _, _, ensemble, domain = annotated_fixture()
+        for w in (1, 2, 3):
+            assert annotate(Corpus([]), [], ensemble, domain, workers=w) == ([], [])
 
 
 class TestSignalVector:
