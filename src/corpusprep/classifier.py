@@ -61,9 +61,12 @@ class ClassifierHyper:
             raise ConfigError("lr must be > 0")
 
 
-def ngram_hashes(text: str, orders: Sequence[int]) -> list[int]:
-    """64-bit hashes of all word n-grams of the given orders."""
-    return word_window_hashes(text, orders)
+def ngram_hashes(
+    text: str, orders: Sequence[int], word_hashes: dict[str, int] | None = None
+) -> list[int]:
+    """64-bit hashes of all word n-grams of the given orders; `word_hashes`
+    is the word-hash dict of hashing.word_window_hashes."""
+    return word_window_hashes(text, orders, word_hashes)
 
 
 def _sigmoid(z: float) -> float:
@@ -188,7 +191,10 @@ def train_classifier(
     if not pos_texts or not neg_texts:
         raise ConfigError("both classes need at least one document")
 
-    sample_hashes = [ngram_hashes(t, hyper.orders) for t in pos_texts + neg_texts]
+    word_hashes: dict[str, int] = {}
+    sample_hashes = [
+        ngram_hashes(t, hyper.orders, word_hashes) for t in pos_texts + neg_texts
+    ]
     labels = np.array([1.0] * len(pos_texts) + [0.0] * len(neg_texts))
 
     # Vocabulary: most frequent n-grams first, hash value as tie-break.

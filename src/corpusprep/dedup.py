@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, map_chunks
 from .errors import ConfigError
-from .hashing import mix64, splitmix64_stream, word_window_hashes
+from .hashing import mix64, splitmix64_stream, text_hash64, word_window_hashes
 from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
@@ -144,9 +144,7 @@ def shingle(text: str, width: int) -> ShingleSet:
     """
     if width < 1:
         raise ConfigError("shingle width must be >= 1")
-    hashes = word_window_hashes(text, (width,)) or word_window_hashes(
-        text, (len(text.lower().split()),)
-    )
+    hashes = word_window_hashes(text, (width,)) or [text_hash64(text)]
     return ShingleSet(shingles=frozenset(hashes), width=width)
 
 

@@ -13,6 +13,8 @@ from typing import Iterable
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
+# Most words a word_window_hashes word dict holds; a full dict is emptied.
+WORD_HASHES_MAX = 1 << 16
 
 
 def hash128_hex(data: bytes) -> str:
@@ -25,12 +27,46 @@ def hash64(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def word_window_hashes(text: str, widths: Iterable[int]) -> list[int]:
-    """hash64 of each run of n words, joined by single spaces, for each n in
-    `widths`; words are the lowercased text split on whitespace."""
-    words = text.lower().split()
-    return [hash64(" ".join(words[i : i + n]).encode("utf-8"))
-            for n in widths for i in range(len(words) - n + 1)]
+def _words(text: str) -> list[str]:
+    """The words of all word-window hashes: lowercased, split on whitespace."""
+    return text.lower().split()
+
+
+def text_hash64(text: str) -> int:
+    """hash64 of all of the text's words as one window."""
+    return hash64(" ".join(_words(text)).encode("utf-8"))
+
+
+def word_window_hashes(
+    text: str, widths: Iterable[int], word_hashes: dict[str, int] | None = None
+) -> list[int]:
+    """hash64 of each run of n >= 1 words, joined by single spaces, for each
+    n in `widths`; words are the lowercased text split on whitespace.
+
+    Single words are looked up in `word_hashes` ({word: hash64}), which is
+    filled on a miss; a caller that passes one dict for many texts hashes
+    each distinct word once. So that the dict does not grow with a large
+    corpus's vocabulary, a miss empties it once it holds WORD_HASHES_MAX
+    words; the hashes do not change. Runs of two or more words are hashed
+    each time. Without a dict, a fresh one is used for this call only.
+    """
+    words = _words(text)
+    if word_hashes is None:
+        word_hashes = {}
+    out: list[int] = []
+    for n in widths:
+        if n == 1:
+            for word in words:
+                h = word_hashes.get(word)
+                if h is None:
+                    if len(word_hashes) >= WORD_HASHES_MAX:
+                        word_hashes.clear()
+                    h = word_hashes[word] = hash64(word.encode("utf-8"))
+                out.append(h)
+        else:
+            windows = map(" ".join, zip(*(words[i:] for i in range(n))))
+            out.extend(map(hash64, map(str.encode, windows)))
+    return out
 
 
 def hash64_hex(data: bytes) -> str:

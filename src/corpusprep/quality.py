@@ -8,7 +8,11 @@ the cluster's natural-frequency counts, and binary domain tags. The
 signals are never combined here; mixing them is a sampling-time
 decision. The heuristics and scoring of each retained document are split
 over `workers` processes (corpus.map_chunks); the rows are assembled in
-the calling process, so they do not depend on the worker count.
+the calling process, so they do not depend on the worker count. Each
+chunk hashes every distinct word once, through one bounded word dict,
+and scores only the n-gram hashes found in the union of the
+classifiers' vocabularies; the scores are the same floats as without
+either step.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
 with JSON-float values; readers join them to corpus.jsonl on doc_id.
@@ -208,9 +212,21 @@ def _score_chunk(
 ) -> list[tuple[list[str], TextStats | tuple[float, ...]]]:
     """Per text, (drop reasons, TextStats) if the heuristics drop it, else
     ([], signal floats): one score per classifier, then one tag flag per
-    entry of tag_classifiers (0.0 where it is None)."""
-    n_orders = {clf.hyper.orders for clf in classifiers}
-    n_orders |= {clf.hyper.orders for clf in tag_classifiers if clf is not None}
+    entry of tag_classifiers (0.0 where it is None).
+
+    Each distinct word of the chunk is hashed once (one word dict), and
+    each text's n-gram hashes are cut to `known`, the union of all the
+    vocabularies, before scoring. score_hashes ignores hashes outside its
+    vocabulary and the cut keeps the order of the rest, so every score is
+    the one the full hash list gives, bit for bit. The cut costs one set
+    probe per window and saves one dict probe per classifier for each
+    window outside `known`, so it pays when most windows are in no
+    vocabulary and several classifiers score each text.
+    """
+    scorers = [*classifiers, *(clf for clf in tag_classifiers if clf is not None)]
+    n_orders = {clf.hyper.orders for clf in scorers}
+    known = set().union(*(clf.vocabulary for clf in scorers))
+    word_hashes: dict[str, int] = {}
     rows = []
     for text in texts:
         stats = text_stats(text)
@@ -218,7 +234,10 @@ def _score_chunk(
         if reasons:
             rows.append((reasons, stats))
             continue
-        hashes_by_orders = {orders: ngram_hashes(text, orders) for orders in n_orders}
+        hashes_by_orders = {
+            orders: [h for h in ngram_hashes(text, orders, word_hashes) if h in known]
+            for orders in n_orders
+        }
         values = [clf.score_hashes(hashes_by_orders[clf.hyper.orders]) for clf in classifiers]
         for clf in tag_classifiers:
             tagged = clf is not None and (

@@ -14,7 +14,7 @@ hashing.derive_seed(seed, worker_index) as each worker's substream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -230,19 +230,16 @@ def restrict_clusters(
     """Cluster views whose retained lists keep only the allowed docs.
 
     Used before sampling so variant rotation never resurrects documents
-    that were filtered out or fell outside a stage's eligible set.
+    that were filtered out or fell outside a stage's eligible set. A
+    cluster whose retained docs are all allowed is returned as it is, not
+    copied; callers only read the result.
     """
     allowed = set(doc_ids)
     out = []
     for c in clusters:
         retained = [i for i in c.retained_ids if i in allowed]
-        if retained:
-            out.append(
-                DuplicateCluster(
-                    cluster_id=c.cluster_id,
-                    member_ids=list(c.member_ids),
-                    retained_ids=retained,
-                    signals=c.signals,
-                )
-            )
+        if not retained:
+            continue
+        unchanged = len(retained) == len(c.retained_ids)
+        out.append(c if unchanged else replace(c, retained_ids=retained))
     return out

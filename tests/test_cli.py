@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from corpusprep.classifier import QualityClassifier
 from corpusprep.cli import main
+from corpusprep.corpus import read_corpus
 from corpusprep.jsonl import read_json, read_jsonl
 
 from conftest import make_pipeline_workspace, planted_corpus_records, write_records
@@ -70,6 +72,10 @@ class TestQualityCommands:
         assert main(["quality", "score", "--model", str(model), "--in", str(corpus), "--out", str(scores)]) == 0
         rows = list(read_jsonl(scores))
         assert rows and all(0.0 <= r["score"] <= 1.0 for r in rows)
+        clf = QualityClassifier.load(model)
+        assert rows == [
+            {"doc_id": d.doc_id, "score": clf.score_text(d.text)} for d in read_corpus(corpus)
+        ]
 
         dcode = tmp_path / "dcode.clf"
         dmath = tmp_path / "dmath.clf"

@@ -60,6 +60,8 @@ class TestShingle:
 
     def test_short_text_single_shingle(self):
         assert len(shingle("a b", 5)) == 1
+        # The one shingle is the window of all of the text's words.
+        assert shingle("A  b\tC", 5).shingles == frozenset(ngram_hashes("a b c", (3,)))
 
     def test_matches_string_oracle_cardinality(self):
         rng = np.random.default_rng(3)

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusprep import hashing
 from corpusprep.classifier import (
     ClassifierHyper,
     QualityClassifier,
+    ngram_hashes,
     train_classifier,
 )
 from corpusprep.corpus import Corpus, ingest_record
@@ -21,7 +24,10 @@ from corpusprep.errors import ConfigError, PipelineOrderError, UnknownSignalErro
 from corpusprep.quality import (
     Annotation,
     DropRecord,
+    HeuristicThresholds,
     QualitySignalVector,
+    _drop_reasons,
+    _score_chunk,
     annotate,
     heuristic_filter,
     read_annotations,
@@ -345,6 +351,159 @@ class TestAnnotateWorkers:
         _, _, ensemble, domain = annotated_fixture()
         for w in (1, 2, 3):
             assert annotate(Corpus([]), [], ensemble, domain, workers=w) == ([], [])
+
+
+# Words whose lowercase forms collide ("Apple"/"APPLE"), differ only by
+# lowercasing rules ("İstanbul" lowercases to "i̇stanbul", not "istanbul"),
+# or are not ASCII.
+SCORE_WORDS = (
+    "apple", "Apple", "APPLE", "pear", "Pear", "plum", "fig", "kiwi", "lime",
+    "Straße", "STRASSE", "strasse", "İstanbul", "istanbul", "ISTANBUL",
+    "жёлтый", "Жёлтый", "café", "naïve", "x", "7",
+)
+SCORE_THRESHOLDS = HeuristicThresholds(min_words=2)
+
+
+@lru_cache(maxsize=1)
+def score_ensemble():
+    """Classifiers of orders (1,), (1, 2) and (2, 3) over SCORE_WORDS, and
+    tag classifiers with a missing entry, as annotate passes them."""
+    rng = np.random.default_rng(31)
+
+    def texts(marker: str, n: int) -> list[str]:
+        out = []
+        for _ in range(n):
+            words = [SCORE_WORDS[int(i)] for i in rng.integers(0, len(SCORE_WORDS), 12)]
+            words[int(rng.integers(0, 12))] = marker
+            out.append(" ".join(words))
+        return out
+
+    pos, neg = texts("Straße", 30), texts("apple", 30)
+    classifiers = [
+        train_classifier(pos, neg, ClassifierHyper(orders=(1,), epochs=3, seed=1), "uni"),
+        train_classifier(neg, pos, ClassifierHyper(orders=(1, 2), epochs=3, seed=2), "bi"),
+        train_classifier(pos, neg, ClassifierHyper(orders=(2, 3), epochs=3, seed=3), "tri"),
+    ]
+    tags = [
+        train_classifier(neg, pos, ClassifierHyper(orders=(2, 3), epochs=3, seed=4), "code"),
+        None,
+        train_classifier(pos, neg, ClassifierHyper(orders=(1,), epochs=3, seed=5), "math"),
+    ]
+    return classifiers, tags
+
+
+score_texts = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(SCORE_WORDS), max_size=14),
+        st.sampled_from([" ", "\n", " \t "]),
+    ).map(lambda words_sep: words_sep[1].join(words_sep[0])),
+    max_size=8,
+)
+
+
+def reference_rows(texts, classifiers, tags, tag_threshold=0.5):
+    """_score_chunk's rows built text by text, from the full hash lists."""
+    rows = []
+    for text in texts:
+        stats = text_stats(text)
+        reasons = _drop_reasons(stats, SCORE_THRESHOLDS)
+        if reasons:
+            rows.append((reasons, stats))
+            continue
+        values = [clf.score_hashes(ngram_hashes(text, clf.hyper.orders)) for clf in classifiers]
+        for clf in tags:
+            tagged = clf is not None and (
+                clf.score_hashes(ngram_hashes(text, clf.hyper.orders)) >= tag_threshold
+            )
+            values.append(1.0 if tagged else 0.0)
+        rows.append(([], tuple(values)))
+    return rows
+
+
+def bits(rows):
+    return [(r, p if r else [v.hex() for v in p]) for r, p in rows]
+
+
+class TestScoreChunk:
+    @settings(max_examples=150, deadline=None)
+    @given(score_texts)
+    def test_rows_equal_per_text_scoring_bit_for_bit(self, texts):
+        classifiers, tags = score_ensemble()
+        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+        assert bits(rows) == bits(reference_rows(texts, classifiers, tags))
+
+    def test_fixture_covers_short_dropped_and_scored_texts(self):
+        classifiers, tags = score_ensemble()
+        texts = ["Straße apple", "x", "", "İstanbul ISTANBUL istanbul Apple APPLE apple"]
+        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+        assert [bool(reasons) for reasons, _ in rows] == [False, True, True, False]
+        assert bits(rows) == bits(reference_rows(texts, classifiers, tags))
+        # The vocabularies hold the non-ASCII words, so the filter keeps some.
+        known = set().union(*(clf.vocabulary for clf in classifiers))
+        assert hashing.hash64("straße".encode("utf-8")) in known
+
+    @settings(max_examples=150, deadline=None)
+    @given(score_texts, st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_shared_word_dict_equals_fresh_dicts(self, texts, widths):
+        shared: dict[str, int] = {}
+        for text in texts:
+            assert hashing.word_window_hashes(text, widths, shared) == (
+                hashing.word_window_hashes(text, widths)
+            )
+        words = {w for t in texts for w in t.lower().split()} if 1 in widths else ()
+        assert shared == {w: hashing.hash64(w.encode("utf-8")) for w in words}
+
+    def test_full_word_dict_is_emptied_and_hashes_do_not_change(self, monkeypatch):
+        monkeypatch.setattr(hashing, "WORD_HASHES_MAX", 3)
+        shared: dict[str, int] = {}
+        for text in ["a b c", "c d e f", "Straße a", "g"]:
+            assert hashing.word_window_hashes(text, (1, 2), shared) == (
+                hashing.word_window_hashes(text, (1, 2))
+            )
+            assert len(shared) <= 3
+        assert shared == {w: hashing.hash64(w.encode("utf-8")) for w in ("straße", "a", "g")}
+
+
+class TestHashCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = Counter()
+        original = hashing.hash64
+
+        def counting(data: bytes) -> int:
+            count["hash64"] += 1
+            return original(data)
+
+        monkeypatch.setattr(hashing, "hash64", counting)
+        return count
+
+    def test_score_chunk_hashes_each_distinct_word_once(self, calls):
+        classifiers, tags = score_ensemble()
+        texts = [
+            "Apple apple APPLE pear Straße STRASSE strasse",
+            "pear plum apple İstanbul istanbul",
+            "x",  # dropped: too short
+            "plum fig",  # shorter than order 3
+        ]
+        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+        kept = [t.lower().split() for t, (reasons, _) in zip(texts, rows) if not reasons]
+        assert len(kept) == 3
+        orders = {clf.hyper.orders for clf in classifiers} | {
+            clf.hyper.orders for clf in tags if clf is not None
+        }
+        windows = sum(
+            max(0, len(words) - n + 1)
+            for words in kept for o in orders for n in o if n >= 2
+        )
+        distinct_words = len({w for words in kept for w in words})
+        assert distinct_words == 8
+        assert calls["hash64"] == distinct_words + windows
+
+    def test_bare_call_hashes_every_window(self, calls):
+        ngram_hashes("a b c", (1, 2))
+        assert calls["hash64"] == 5
+        ngram_hashes("a b c", (1, 2))
+        assert calls["hash64"] == 10
 
 
 class TestSignalVector:

@@ -302,6 +302,39 @@ class TestRestriction:
         c = DuplicateCluster("a", ["a"], ["a"], FrequencySignals(1, 1, 1))
         assert restrict_clusters([c], {"zzz"}) == []
 
+    @staticmethod
+    def _restrict_clusters_copying(clusters, doc_ids):
+        """The earlier implementation, which copied every cluster."""
+        allowed = set(doc_ids)
+        out = []
+        for c in clusters:
+            retained = [i for i in c.retained_ids if i in allowed]
+            if retained:
+                out.append(DuplicateCluster(c.cluster_id, list(c.member_ids), retained, c.signals))
+        return out
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5)), max_size=12),
+        st.sets(st.integers(0, 60)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_restrict_clusters_equals_the_copying_version(self, shapes, allowed_ints):
+        clusters, next_id = [], 0
+        for size, keep in shapes:
+            members = [f"d{next_id + j:02d}" for j in range(size)]
+            next_id += size
+            clusters.append(
+                DuplicateCluster(members[0], members, members[:keep][::-1],
+                                 FrequencySignals(size, 1, 1))
+            )
+        allowed = {f"d{i:02d}" for i in allowed_ints}
+        out = restrict_clusters(clusters, allowed)
+        assert out == self._restrict_clusters_copying(clusters, allowed)
+        for c in out:
+            original = next(o for o in clusters if o.cluster_id == c.cluster_id)
+            if c.retained_ids == original.retained_ids:
+                assert c is original
+
     def test_restrict_to_nothing_rejected(self):
         dist = MergedDistribution({"a": 1.0}, {"s": 1.0})
         with pytest.raises(ConfigError):
