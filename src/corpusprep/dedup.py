@@ -2,6 +2,11 @@
 
 Each distinct text is shingled into hashed word w-grams and MinHash-signed
 once, in one pass split over `workers` processes (corpus.map_chunks).
+A chunk of texts hashes each distinct word once with blake2b and composes
+every w-gram's hash from its word hashes with numpy, one pass per batch of
+texts (a Karp-Rabin polynomial, hashing.window_hashes), so blake2b runs per
+distinct word, not per window; SHINGLE_HASH_VERSION names this hash in the
+dedup phase key.
 Documents with equal shingle sets form one group, whose smallest doc_id
 is its representative; only representatives are LSH-banded, since every
 member of a group has the representative's signature and its Jaccard to
@@ -29,10 +34,15 @@ import numpy as np
 
 from .corpus import Corpus, Document, map_chunks
 from .errors import ConfigError
-from .hashing import mix64, splitmix64_stream, text_hash64, word_window_hashes
+from .hashing import mix64, splitmix64_stream, text_hash64, window_hashes, word_hash_array
 from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
+# Version of the shingle hash (see shingle); part of the dedup phase key, so
+# a workspace deduplicated under another version reruns dedup.
+SHINGLE_HASH_VERSION = 2
+# Texts whose word and window hashes _shingle_rows holds at once.
+SHINGLE_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -139,13 +149,39 @@ class DuplicateCluster:
 def shingle(text: str, width: int) -> ShingleSet:
     """Hash every consecutive width-word window (lowercased, whitespace split).
 
-    Texts with fewer than `width` words yield a single shingle over all
-    their words.
+    A window's hash is composed from the hash64 of its words
+    (hashing.window_hashes). Texts with fewer than `width` words yield a
+    single shingle, text_hash64 of all their words.
     """
     if width < 1:
         raise ConfigError("shingle width must be >= 1")
-    hashes = word_window_hashes(text, (width,)) or [text_hash64(text)]
-    return ShingleSet(shingles=frozenset(hashes), width=width)
+    return ShingleSet(shingles=frozenset(_shingle_rows([text], width)[0].tolist()), width=width)
+
+
+def _shingle_rows(texts: Sequence[str], width: int) -> list[np.ndarray]:
+    """Sorted distinct shingle hashes of each text, as uint64 arrays.
+
+    The words of each batch of SHINGLE_BATCH texts are hashed into one
+    array, through one word dict for all of `texts`, and every width-word
+    window of it is hashed in one pass; a text's shingles are the windows
+    that start and end inside it. A text of fewer than `width` words has
+    the one shingle text_hash64(text).
+    """
+    word_hashes: dict[str, int] = {}
+    rows = []
+    for first in range(0, len(texts), SHINGLE_BATCH):
+        batch = texts[first : first + SHINGLE_BATCH]
+        words, counts = word_hash_array(batch, word_hashes)
+        windows = window_hashes(words, width)
+        start = 0
+        for text, n in zip(batch, counts):
+            if n < width:
+                rows.append(np.array([text_hash64(text)], dtype=np.uint64))
+            else:
+                ranked = np.sort(windows[start : start + n - width + 1])
+                rows.append(ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))])
+            start += n
+    return rows
 
 
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
@@ -188,12 +224,7 @@ def _shingle_sign_chunk(
     texts: Sequence[str], cfg: DedupConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(sorted shingle hashes, signature minima) per text, as uint64 arrays."""
-    rows = []
-    for text in texts:
-        s = shingle(text, cfg.shingle_width)
-        hashes = np.sort(np.fromiter(s.shingles, dtype=np.uint64, count=len(s)))
-        rows.append((hashes, _minima(hashes, cfg)))
-    return rows
+    return [(hashes, _minima(hashes, cfg)) for hashes in _shingle_rows(texts, cfg.shingle_width)]
 
 
 def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:

@@ -8,13 +8,16 @@ is never used for anything that reaches an output file.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
-# Most words a word_window_hashes word dict holds; a full dict is emptied.
+# Most words a word dict holds; a full dict is emptied.
 WORD_HASHES_MAX = 1 << 16
+# Odd multiplier of the polynomial that composes a window's hash from its
+# word hashes (window_hashes).
+WINDOW_BASE = 0x9E3779B97F4A7C15
 
 
 def hash128_hex(data: bytes) -> str:
@@ -43,12 +46,11 @@ def word_window_hashes(
     """hash64 of each run of n >= 1 words, joined by single spaces, for each
     n in `widths`; words are the lowercased text split on whitespace.
 
-    Single words are looked up in `word_hashes` ({word: hash64}), which is
-    filled on a miss; a caller that passes one dict for many texts hashes
-    each distinct word once. So that the dict does not grow with a large
-    corpus's vocabulary, a miss empties it once it holds WORD_HASHES_MAX
-    words; the hashes do not change. Runs of two or more words are hashed
-    each time. Without a dict, a fresh one is used for this call only.
+    Single words are looked up in `word_hashes` (see _hash_words); a
+    caller that passes one dict for many texts hashes each distinct word
+    once, and the hashes do not depend on the dict. Runs of two or more
+    words are hashed each time. Without a dict, a fresh one is used for
+    this call only.
     """
     words = _words(text)
     if word_hashes is None:
@@ -56,17 +58,59 @@ def word_window_hashes(
     out: list[int] = []
     for n in widths:
         if n == 1:
-            for word in words:
-                h = word_hashes.get(word)
-                if h is None:
-                    if len(word_hashes) >= WORD_HASHES_MAX:
-                        word_hashes.clear()
-                    h = word_hashes[word] = hash64(word.encode("utf-8"))
-                out.append(h)
+            out.extend(_hash_words(words, word_hashes))
         else:
             windows = map(" ".join, zip(*(words[i:] for i in range(n))))
             out.extend(map(hash64, map(str.encode, windows)))
     return out
+
+
+def _hash_words(words: Iterable[str], word_hashes: dict[str, int]) -> Iterator[int]:
+    """hash64 of each word, looked up in `word_hashes` ({word: hash64}).
+
+    A miss fills the dict, after emptying it if it holds WORD_HASHES_MAX
+    words, so a dict shared by many texts hashes each distinct word once
+    without growing with a large corpus's vocabulary.
+    """
+    for word in words:
+        h = word_hashes.get(word)
+        if h is None:
+            if len(word_hashes) >= WORD_HASHES_MAX:
+                word_hashes.clear()
+            h = word_hashes[word] = hash64(word.encode("utf-8"))
+        yield h
+
+
+def word_hash_array(
+    texts: Iterable[str], word_hashes: dict[str, int]
+) -> tuple[np.ndarray, list[int]]:
+    """hash64 of every word of `texts`, in order, as one uint64 array, and
+    the word count of each text. Words are as in word_window_hashes and
+    are looked up in `word_hashes` (see _hash_words)."""
+    counts: list[int] = []
+    flat: list[int] = []
+    for text in texts:
+        words = _words(text)
+        counts.append(len(words))
+        flat.extend(_hash_words(words, word_hashes))
+    return np.array(flat, dtype=np.uint64), counts
+
+
+def window_hashes(hashes: np.ndarray, width: int) -> np.ndarray:
+    """Hash of each run of `width` consecutive entries of the uint64 array
+    `hashes`; entry i covers hashes[i : i + width].
+
+    A run h_0 .. h_{w-1} hashes to mix64(sum of h_j * WINDOW_BASE^(w-1-j)),
+    wrapping mod 2^64: the Karp-Rabin polynomial over element hashes,
+    finished with a bijective mix. Distinct runs of random element hashes
+    collide with probability about 2^-64.
+    """
+    m = max(len(hashes) - width + 1, 0)
+    acc = hashes[:m].copy()
+    for j in range(1, width):
+        acc *= np.uint64(WINDOW_BASE)
+        acc += hashes[j : j + m]
+    return mix64(acc)
 
 
 def hash64_hex(data: bytes) -> str:

@@ -229,6 +229,7 @@ class Pipeline:
         raw = self.config.raw
         return hash128_hex(dumps({
             "phase": phase.name,
+            "version": phase.version,
             "config": {key: _config_value(raw, key) for key in phase.config_keys},
             "files": {path: sha256_file(path) for path in phase.outside_files(self.config)},
             "upstream": {
@@ -299,6 +300,7 @@ class Pipeline:
         n_docs = len(corpus)
         return [out_clusters], {
             "documents": n_docs,
+            "shingle_hash_version": dedup_mod.SHINGLE_HASH_VERSION,
             "clusters": len(clusters),
             "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
             "retained_total": retained_total,
@@ -529,6 +531,8 @@ class Phase:
     `config_keys` are dotted keys into the raw config; the slice they
     select may be wider than the phase needs, never narrower. `reads`
     are glob patterns over the work-relative outputs of earlier phases.
+    `version` names how the phase computes its outputs from those inputs;
+    a change to it makes earlier outputs stale.
     """
 
     name: str
@@ -536,6 +540,7 @@ class Phase:
     config_keys: tuple[str, ...]
     reads: tuple[str, ...] = ()
     outside_files: Callable[[PipelineConfig], list[str]] = lambda config: []
+    version: int = 0
 
     @property
     def sidecar(self) -> str:
@@ -545,7 +550,8 @@ class Phase:
 PHASE_TABLE = (
     Phase("ingest", Pipeline._phase_ingest, ("input",),
           outside_files=PipelineConfig.resolve_inputs),
-    Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",)),
+    Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
+          version=dedup_mod.SHINGLE_HASH_VERSION),
     Phase("quality", Pipeline._phase_quality, ("quality",),
           reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from corpusprep.classifier import ngram_hashes
 from corpusprep.corpus import Corpus, ingest_record
-from corpusprep import dedup
+from corpusprep import dedup, hashing
 from corpusprep.dedup import (
     DedupConfig,
     DuplicateCluster,
@@ -33,6 +34,7 @@ from corpusprep.dedup import (
     write_clusters,
 )
 from corpusprep.errors import ConfigError
+from corpusprep.hashing import WINDOW_BASE, hash64
 
 from conftest import (
     cluster_pairs,
@@ -49,6 +51,32 @@ CFG = DedupConfig()
 
 def doc_from(text: str, idx: int, **kwargs):
     return ingest_record(json.dumps(make_record(text, idx, **kwargs)))
+
+
+_U64 = (1 << 64) - 1
+_WORDS = st.one_of(
+    st.sampled_from(["a", "A", "b", "Straße", "STRASSE", "İstanbul", "Жёлтый"]),
+    st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8),
+)
+_SEPS = st.sampled_from([" ", "\n", " \t "])
+
+
+def reference_shingles(text: str, width: int) -> frozenset[int]:
+    """Shingle hashes one window at a time: the polynomial in WINDOW_BASE
+    over hash64 of each lowercased word, mod 2^64, then the splitmix64
+    finalizer. A text shorter than `width` has the hash64 of all its words."""
+    words = text.lower().split()
+    if len(words) < width:
+        return frozenset([hash64(" ".join(words).encode("utf-8"))])
+    out = set()
+    for i in range(len(words) - width + 1):
+        z = 0
+        for word in words[i : i + width]:
+            z = (z * WINDOW_BASE + hash64(word.encode("utf-8"))) & _U64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        out.add(z ^ (z >> 31))
+    return frozenset(out)
 
 
 class TestShingle:
@@ -76,19 +104,35 @@ class TestShingle:
     def test_case_insensitive(self):
         assert shingle("A b C", 2).shingles == shingle("a B c", 2).shingles
 
+    @given(st.integers(1, 6), st.lists(_WORDS, min_size=0, max_size=40), _SEPS)
+    @settings(max_examples=200, deadline=None)
+    def test_shingles_match_the_scalar_reference(self, width, words, sep):
+        text = sep.join(words)
+        assert shingle(text, width).shingles == reference_shingles(text, width)
+
     @given(
         st.integers(1, 6),
-        st.lists(
-            st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8),
-            min_size=7,
-            max_size=40,
-        ),
-        st.sampled_from([" ", "\n", " \t "]),
+        st.lists(st.lists(_WORDS, min_size=0, max_size=12).map(" ".join), min_size=1, max_size=8),
+        st.sets(st.integers(1, 7)),
+        st.integers(1, 4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_shingles_are_the_classifier_ngrams(self, width, words, sep):
-        text = sep.join(words)
-        assert shingle(text, width).shingles == frozenset(ngram_hashes(text, (width,)))
+    def test_chunk_rows_equal_one_text_per_call(self, width, texts, cuts, batch):
+        """Windows never cross texts: rows of any split of a text list into
+        chunks, shingled in batches of any size, equal the rows of each
+        text alone, and its shingle set."""
+        cfg = DedupConfig(shingle_width=width, num_perms=8, bands=1, rows=8)
+        bounds = [0, *sorted(c for c in cuts if c < len(texts)), len(texts)]
+        with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
+            chunked = [
+                row for a, b in zip(bounds, bounds[1:])
+                for row in dedup._shingle_sign_chunk(texts[a:b], cfg)
+            ]
+        assert len(chunked) == len(texts)
+        for text, (hashes, minima) in zip(texts, chunked):
+            [(alone, alone_minima)] = dedup._shingle_sign_chunk([text], cfg)
+            assert hashes.tolist() == alone.tolist() == sorted(shingle(text, width).shingles)
+            assert minima.tolist() == alone_minima.tolist()
 
 
 class TestMinHash:
@@ -520,6 +564,32 @@ class TestLargeBlocks:
         clusters = run_dedup(corpus, CFG)
         assert sorted(len(c.member_ids) for c in clusters) == [1] * 2000 + [2000]
         assert calls < len(corpus)
+
+
+class TestHashCount:
+    def test_run_dedup_hashes_each_distinct_word_once(self, monkeypatch):
+        """Shingles are composed from word hashes: blake2b runs once per
+        distinct word and once per distinct text shorter than the width,
+        not once per window."""
+        rng = np.random.default_rng(5)
+        vocab = make_vocab(rng, 300)
+        texts = [make_text(rng, vocab, int(rng.integers(1, 60))) for _ in range(180)]
+        corpus = Corpus([doc_from(t, i) for i, t in enumerate(texts + texts[:20])])
+        assert len(corpus) == 200
+        words = {w for d in corpus for w in d.text.lower().split()}
+        short = {d.text for d in corpus if len(d.text.split()) < CFG.shingle_width}
+        assert short
+        calls = 0
+        real = hashing.hash64
+
+        def counting(data):
+            nonlocal calls
+            calls += 1
+            return real(data)
+
+        monkeypatch.setattr(hashing, "hash64", counting)
+        run_dedup(corpus, CFG)
+        assert 0 < calls <= len(words) + len(short)
 
 
 class TestWorkerCounts:

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from corpusprep import pipeline
+from corpusprep import dedup, pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
-from corpusprep.hashing import sha256_file
-from corpusprep.jsonl import read_json, read_jsonl
+from corpusprep.hashing import hash128_hex, sha256_file
+from corpusprep.jsonl import dumps, read_json, read_jsonl, write_json
 from corpusprep.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -287,6 +287,26 @@ class TestConfigHash:
         shutil.copytree(raw["work_dir"], moved)
         rerun = run_pipeline(PipelineConfig.from_dict(dict(raw, workers=2, work_dir=str(moved))))
         assert not any(rerun["phases_executed"].values())
+
+    def test_dedup_keyed_before_shingle_hash_versions_reruns(self, tmp_path):
+        """A dedup marker whose key names no shingle hash version, as every
+        key did before shingle hashes were composed from word hashes, holds
+        clusters of the old hash: a rerun must not take them as fresh."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        work = Path(raw["work_dir"])
+        marker = read_json(work / "dedup.done.json")
+        marker["config_hash"] = hash128_hex(dumps({
+            "phase": "dedup",
+            "config": {"dedup": raw["dedup"]},
+            "files": {},
+            "upstream": {"corpus.jsonl": sha256_file(work / "corpus.jsonl")},
+        }).encode("utf-8"))
+        write_json(work / "dedup.done.json", marker)
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"]["ingest"] is False
+        assert rerun["phases_executed"]["dedup"] is True
+        assert rerun["phases"]["dedup"]["shingle_hash_version"] == dedup.SHINGLE_HASH_VERSION
 
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
