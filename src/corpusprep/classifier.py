@@ -69,6 +69,16 @@ def ngram_hashes(
     return word_window_hashes(text, orders, word_hashes)
 
 
+def _feature_counts(hashes: Iterable[int], vocab: dict[int, int]) -> dict[int, int]:
+    """{weight index: count} of the hashes found in `vocab`, in first-seen order."""
+    counts: dict[int, int] = {}
+    for h in hashes:
+        idx = vocab.get(h)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -85,18 +95,9 @@ class QualityClassifier:
     bias: float
     training_meta: dict = field(default_factory=dict)
 
-    def _features(self, hashes: Iterable[int]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        vocab = self.vocabulary
-        for h in hashes:
-            idx = vocab.get(h)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
-        return counts
-
     def score_hashes(self, hashes: Iterable[int]) -> float:
         z = self.bias
-        for idx, count in self._features(hashes).items():
+        for idx, count in _feature_counts(hashes, self.vocabulary).items():
             z += self.weights[idx] * count
         return _sigmoid(z)
 
@@ -207,11 +208,7 @@ def train_classifier(
 
     feats: list[tuple[np.ndarray, np.ndarray]] = []
     for hashes in sample_hashes:
-        counts: dict[int, int] = {}
-        for h in hashes:
-            idx = vocab.get(h)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
+        counts = _feature_counts(hashes, vocab)
         idxs = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
         vals = np.array([float(counts[i]) for i in idxs])
         feats.append((idxs, vals))

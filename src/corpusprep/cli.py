@@ -25,11 +25,20 @@ from .errors import (
     PhaseError,
     ValidationError,
 )
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import read_jsonl, write_json, write_jsonl
 from .packing import pack_documents, write_packed
-from .pipeline import Pipeline, PipelineConfig, PolicySpec, build_report
-from .rope import rope_config
-from .schedule import dump_csv, load_schedule, lr_at
+from .pipeline import (
+    Pipeline,
+    PipelineConfig,
+    PolicySpec,
+    build_report,
+    config_list,
+    config_section,
+    read_config,
+    training_texts,
+)
+from .rope import DEFAULT_HEAD_DIM, rope_config
+from .schedule import LrScheduleSpec, dump_csv, lr_at
 
 
 def _read_corpus_shards(paths: list[str]) -> Corpus:
@@ -52,8 +61,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    raw = read_json(args.config) if args.config else {}
-    cfg = dedup_mod.DedupConfig.from_dict(raw.get("dedup", raw))
+    raw = read_config(args.config) if args.config else {}
+    cfg = config_section(dedup_mod.DedupConfig, raw.get("dedup", raw), "dedup")
     cfg.validate()
     corpus = _read_corpus_shards(args.inputs)
     clusters = dedup_mod.run_dedup(corpus, cfg, workers=args.workers)
@@ -64,25 +73,11 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_quality_train(args) -> int:
-    def texts(path: str) -> list[str]:
-        out = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    out.append(rec["text"] if isinstance(rec, dict) else str(rec))
-        return out
-
-    hyper = clf_mod.ClassifierHyper(
-        orders=tuple(args.orders),
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-    )
+    flags = {k: v for k, v in vars(args).items() if v is not None}  # unset flags take the defaults
+    hyper = config_section(clf_mod.ClassifierHyper, flags, "quality train")
     model = clf_mod.train_classifier(
-        texts(args.positives),
-        texts(args.negatives),
+        training_texts(args.positives),
+        training_texts(args.negatives),
         hyper=hyper,
         model_id=args.model_id,
         source_name=args.positives,
@@ -129,11 +124,10 @@ def cmd_quality_annotate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    raw = read_json(args.config)
-    policy_recs = raw.get("sampling", raw).get("policies", [])
-    if not policy_recs:
+    raw = read_config(args.config)
+    specs = config_list(PolicySpec, raw.get("sampling", raw), "sampling", "policies")
+    if not specs:
         raise ConfigError("config has no sampling policies")
-    specs = [PolicySpec.from_dict(r) for r in policy_recs]
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
         key=lambda row: row.doc_id,
@@ -156,7 +150,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_curriculum_validate(args) -> int:
-    plan = cur_mod.StagePlan.from_dict(read_json(args.plan))
+    plan = cur_mod.StagePlan.from_dict(read_config(args.plan))
     violations = cur_mod.validate_plan(plan)
     if violations:
         for code, msg in violations:
@@ -208,7 +202,8 @@ def cmd_prep_pack(args) -> int:
 
 
 def cmd_prep_schedule(args) -> int:
-    spec = load_schedule(args.spec)
+    spec = config_section(LrScheduleSpec, read_config(args.spec), "lr_schedule")
+    spec.validate()
     if args.dump_csv:
         rows = dump_csv(spec, args.dump_csv, stride=args.stride)
         print(f"wrote {rows} rows -> {args.dump_csv}")
@@ -273,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", required=True)
     p.add_argument("--model-id", default="clf")
     p.add_argument("--out", required=True)
-    p.add_argument("--orders", type=int, nargs="+", default=[1, 2])
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--orders", type=int, nargs="+")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_quality_train)
 
     p = qsub.add_parser("score")
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", required=True)
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--domain", nargs="*", help="tag=path pairs")
-    p.add_argument("--tag-threshold", type=float, default=0.5)
+    p.add_argument("--tag-threshold", type=float, default=quality_mod.DEFAULT_TAG_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--drops")
     p.add_argument("--workers", type=int, default=1)
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = prsub.add_parser("rope")
     p.add_argument("--stage", required=True)
-    p.add_argument("--head-dim", type=int, default=128)
+    p.add_argument("--head-dim", type=int, default=DEFAULT_HEAD_DIM)
     p.set_defaults(fn=cmd_prep_rope)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")

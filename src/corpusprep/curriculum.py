@@ -35,6 +35,7 @@ from .tokenizer import Tokenizer
 
 GATE_MAX_CLF = "clf:max"  # max over ensemble scores, the default gate
 OTHER_GROUP = "other"
+DEFAULT_SHARD_TOKENS = 1_000_000
 
 
 def _fraction(value) -> Fraction:
@@ -61,8 +62,8 @@ class StageSpec:
             token_share=_fraction(rec["token_share"]),
             quality_threshold=float(rec["quality_threshold"]),
             mixture={k: _fraction(v) for k, v in rec["mixture"].items()},
-            description=str(rec.get("description", "")),
-            gating_signal=str(rec.get("gating_signal", GATE_MAX_CLF)),
+            # absent optional keys keep their field defaults
+            **{k: str(rec[k]) for k in ("description", "gating_signal") if k in rec},
         )
 
     def to_dict(self) -> dict:
@@ -83,10 +84,13 @@ class StagePlan:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "StagePlan":
-        return cls(
-            stages=[StageSpec.from_dict(s) for s in rec["stages"]],
-            total_token_budget=int(rec["total_token_budget"]),
-        )
+        try:
+            return cls(
+                stages=[StageSpec.from_dict(s) for s in rec["stages"]],
+                total_token_budget=int(rec["total_token_budget"]),
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad stage plan: {type(exc).__name__} {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -302,7 +306,7 @@ def emit_stage(
     tokenizer: Tokenizer,
     master_seed: int,
     out_dir: str | Path,
-    shard_tokens: int = 1_000_000,
+    shard_tokens: int = DEFAULT_SHARD_TOKENS,
 ) -> ShardManifest:
     """Draw, tokenize and shard one stage's token budget.
 

@@ -55,18 +55,6 @@ class DedupConfig:
     top_k: int = 3
     perm_seed: int = DEFAULT_PERM_SEED
 
-    @classmethod
-    def from_dict(cls, rec: dict) -> "DedupConfig":
-        return cls(
-            shingle_width=int(rec.get("shingle_width", 5)),
-            num_perms=int(rec.get("num_perms", 128)),
-            bands=int(rec.get("bands", 16)),
-            rows=int(rec.get("rows", 8)),
-            jaccard_threshold=float(rec.get("jaccard_threshold", 0.8)),
-            top_k=int(rec.get("top_k", 3)),
-            perm_seed=int(rec.get("perm_seed", DEFAULT_PERM_SEED)),
-        )
-
     def validate(self) -> None:
         if self.shingle_width < 1:
             raise ConfigError("shingle_width must be >= 1")

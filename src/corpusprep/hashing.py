@@ -46,7 +46,7 @@ def word_window_hashes(
     """hash64 of each run of n >= 1 words, joined by single spaces, for each
     n in `widths`; words are the lowercased text split on whitespace.
 
-    Single words are looked up in `word_hashes` (see _hash_words); a
+    Single words are looked up in `word_hashes` (see hash_words); a
     caller that passes one dict for many texts hashes each distinct word
     once, and the hashes do not depend on the dict. Runs of two or more
     words are hashed each time. Without a dict, a fresh one is used for
@@ -58,14 +58,14 @@ def word_window_hashes(
     out: list[int] = []
     for n in widths:
         if n == 1:
-            out.extend(_hash_words(words, word_hashes))
+            out.extend(hash_words(words, word_hashes))
         else:
             windows = map(" ".join, zip(*(words[i:] for i in range(n))))
             out.extend(map(hash64, map(str.encode, windows)))
     return out
 
 
-def _hash_words(words: Iterable[str], word_hashes: dict[str, int]) -> Iterator[int]:
+def hash_words(words: Iterable[str], word_hashes: dict[str, int]) -> Iterator[int]:
     """hash64 of each word, looked up in `word_hashes` ({word: hash64}).
 
     A miss fills the dict, after emptying it if it holds WORD_HASHES_MAX
@@ -86,13 +86,13 @@ def word_hash_array(
 ) -> tuple[np.ndarray, list[int]]:
     """hash64 of every word of `texts`, in order, as one uint64 array, and
     the word count of each text. Words are as in word_window_hashes and
-    are looked up in `word_hashes` (see _hash_words)."""
+    are looked up in `word_hashes` (see hash_words)."""
     counts: list[int] = []
     flat: list[int] = []
     for text in texts:
         words = _words(text)
         counts.append(len(words))
-        flat.extend(_hash_words(words, word_hashes))
+        flat.extend(hash_words(words, word_hashes))
     return np.array(flat, dtype=np.uint64), counts
 
 

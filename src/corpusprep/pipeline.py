@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import glob
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, TypeVar, get_args, get_origin, get_type_hints
 
 from . import classifier as clf_mod
 from . import curriculum as cur_mod
@@ -40,9 +40,63 @@ from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write
 from .packing import pack_documents, write_packed
 from .rope import rope_config
 from .schedule import LrScheduleSpec, dump_csv
-from .tokenizer import WhitespaceTokenizer
+from .tokenizer import DEFAULT_VOCAB_SIZE, WhitespaceTokenizer
 
 TIMING_KEYS = ("timing", "generated_at", "wall_clock_s")
+T = TypeVar("T")
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object in config file `path`; ConfigError if the file is
+    missing or unreadable, or holds no valid JSON object."""
+    try:
+        raw = read_json(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return raw
+
+
+def config_section(
+    cls: type[T], rec: Any, section: str, keys: Mapping[str, str] = {}, **given: Any
+) -> T:
+    """Dataclass `cls` from the config object `rec`, called `section` in errors.
+
+    A field in `given` takes that value; any other takes rec[key] cast to
+    its annotated type, key being keys[field] or else the field's name, or
+    else keeps its default. A missing required key or a value that does
+    not cast raises ConfigError naming the section and the key."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"config {section} must be a JSON object")
+    hints = get_type_hints(cls)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = keys.get(f.name, f.name)
+        if key in rec:
+            try:
+                values[f.name] = _cast(hints[f.name], rec[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config {section}.{key}: {exc}") from exc
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config {section} needs key '{key}'")
+    return cls(**values)
+
+
+def _cast(hint: Any, value: Any) -> Any:
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        return tuple(map(get_args(hint)[0], value))
+    return hint(value)
+
+
+def config_list(cls: type[T], rec: Any, section: str, key: str) -> list[T]:
+    """cls.from_dict of each entry of the list at `key` in config object `rec`."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"config {section} must be a JSON object")
+    entries = rec.get(key, [])
+    return [cls.from_dict(entry, f"{section}.{key}[{i}]") for i, entry in enumerate(entries)]
 
 
 @dataclass
@@ -55,25 +109,12 @@ class ClassifierSpec:
     tag: str = ""  # set for domain classifiers
 
     @classmethod
-    def from_dict(cls, rec: dict) -> "ClassifierSpec":
-        hyper_rec = rec.get("hyper", {})
-        hyper = clf_mod.ClassifierHyper(
-            orders=tuple(hyper_rec.get("orders", (1, 2))),
-            max_features=int(hyper_rec.get("max_features", 1 << 18)),
-            epochs=int(hyper_rec.get("epochs", 25)),
-            lr=float(hyper_rec.get("lr", 0.5)),
-            seed=int(hyper_rec.get("seed", 0)),
-        )
-        spec = cls(
-            model_id=str(rec.get("model_id", rec.get("tag", ""))),
-            path=str(rec.get("path", "")),
-            positives=str(rec.get("positives", "")),
-            negatives=str(rec.get("negatives", "")),
-            hyper=hyper,
-            tag=str(rec.get("tag", "")),
-        )
+    def from_dict(cls, rec: dict, section: str) -> "ClassifierSpec":
+        hyper = config_section(clf_mod.ClassifierHyper, rec.get("hyper", {}), f"{section}.hyper")
+        # model_id defaults to the tag
+        spec = config_section(cls, {"model_id": rec.get("tag", ""), **rec}, section, hyper=hyper)
         if not spec.model_id:
-            raise ConfigError("classifier spec needs a model_id or tag")
+            raise ConfigError(f"config {section} needs a model_id or tag")
         if not spec.path and not (spec.positives and spec.negatives):
             raise ConfigError(
                 f"classifier '{spec.model_id}' needs either a path or "
@@ -88,16 +129,12 @@ class PolicySpec:
     mixture_weight: float
 
     @classmethod
-    def from_dict(cls, rec: dict) -> "PolicySpec":
-        policy = sampling_mod.UpsamplePolicy(
-            signal_name=str(rec["signal"]),
-            transform=str(rec.get("transform", "identity")),
-            threshold=float(rec.get("threshold", 0.0)),
-            boost=float(rec.get("boost", 1.0)),
-            cap=int(rec.get("cap", 6)),
+    def from_dict(cls, rec: dict, section: str) -> "PolicySpec":
+        policy = config_section(
+            sampling_mod.UpsamplePolicy, rec, section, {"signal_name": "signal"}
         )
         policy.validate()
-        return cls(policy=policy, mixture_weight=float(rec["lambda"]))
+        return config_section(cls, rec, section, {"mixture_weight": "lambda"}, policy=policy)
 
 
 @dataclass
@@ -123,19 +160,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         try:
-            dedup_cfg = dedup_mod.DedupConfig.from_dict(raw.get("dedup", {}))
             q = raw.get("quality", {})
-            h = q.get("heuristics", {})
-            heuristics = quality_mod.HeuristicThresholds(
-                min_words=int(h.get("min_words", 20)),
-                min_mean_word_length=float(h.get("min_mean_word_length", 2.0)),
-                max_mean_word_length=float(h.get("max_mean_word_length", 12.0)),
-                min_alpha_ratio=float(h.get("min_alpha_ratio", 0.6)),
-                max_line_repeat_ratio=float(h.get("max_line_repeat_ratio", 0.5)),
-            )
-            classifiers = [ClassifierSpec.from_dict(r) for r in q.get("classifiers", [])]
-            domain = [ClassifierSpec.from_dict(r) for r in q.get("domain_classifiers", [])]
-            policies = [PolicySpec.from_dict(r) for r in raw.get("sampling", {}).get("policies", [])]
             cur = raw.get("curriculum", {})
             if "stages" in cur:
                 plan = cur_mod.StagePlan.from_dict(cur)
@@ -149,25 +174,29 @@ class PipelineConfig:
                 work_dir=Path(raw.get("work_dir", "work")),
                 master_seed=int(raw.get("master_seed", 0)),
                 workers=int(raw.get("workers", 1)),
-                dedup=dedup_cfg,
-                heuristics=heuristics,
-                tag_threshold=float(q.get("tag_threshold", 0.5)),
-                classifiers=classifiers,
-                domain_classifiers=domain,
-                policies=policies,
+                dedup=config_section(dedup_mod.DedupConfig, raw.get("dedup", {}), "dedup"),
+                heuristics=config_section(
+                    quality_mod.HeuristicThresholds, q.get("heuristics", {}), "quality.heuristics"
+                ),
+                tag_threshold=float(q.get("tag_threshold", quality_mod.DEFAULT_TAG_THRESHOLD)),
+                classifiers=config_list(ClassifierSpec, q, "quality", "classifiers"),
+                domain_classifiers=config_list(ClassifierSpec, q, "quality", "domain_classifiers"),
+                policies=config_list(PolicySpec, raw.get("sampling", {}), "sampling", "policies"),
                 plan=plan,
-                shard_tokens=int(cur.get("shard_tokens", 1_000_000)),
+                shard_tokens=int(cur.get("shard_tokens", cur_mod.DEFAULT_SHARD_TOKENS)),
                 sequence_length=int(tp.get("sequence_length", 4_096)),
                 rope_stage=str(tp.get("rope_stage", "pretrain")),
-                vocab_size=int(tp.get("vocab_size", 102_400)),
-                lr_schedule=LrScheduleSpec.from_dict(lr_rec) if lr_rec else None,
+                vocab_size=int(tp.get("vocab_size", DEFAULT_VOCAB_SIZE)),
+                lr_schedule=(
+                    config_section(LrScheduleSpec, lr_rec, "train_prep.lr_schedule") if lr_rec else None
+                ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad pipeline config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
-        raw = read_json(path)
+        raw = read_config(path)
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(raw)
@@ -206,6 +235,18 @@ class PipelineConfig:
         return paths
 
 
+def training_texts(path: str) -> list[str]:
+    """The `text` of each JSON object in a classifier training source;
+    other rows are skipped."""
+    texts = []
+    for rec in read_jsonl(path):
+        if isinstance(rec, dict) and isinstance(rec.get("text"), str):
+            texts.append(rec["text"])
+    if not texts:
+        raise ConfigError(f"no text records in training source {path}")
+    return texts
+
+
 def strip_timing(obj: Any) -> Any:
     """Remove volatile fields so reports can be compared across runs."""
     if isinstance(obj, dict):
@@ -220,6 +261,7 @@ class Pipeline:
         config.validate()
         self.config = config
         self.work_dir = config.work_dir
+        self.tokenizer = WhitespaceTokenizer(config.vocab_size)
 
     # -- phase plumbing ------------------------------------------------
 
@@ -307,22 +349,13 @@ class Pipeline:
             "cluster_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
         }
 
-    def _load_training_texts(self, path: str) -> list[str]:
-        texts = []
-        for rec in read_jsonl(path):
-            if isinstance(rec, dict) and isinstance(rec.get("text"), str):
-                texts.append(rec["text"])
-        if not texts:
-            raise ConfigError(f"no text records in training source {path}")
-        return texts
-
     def _obtain_classifier(self, spec: ClassifierSpec, out_dir: Path) -> tuple[clf_mod.QualityClassifier, Path]:
         if spec.path:
             model = clf_mod.QualityClassifier.load(spec.path)
         else:
             model = clf_mod.train_classifier(
-                self._load_training_texts(spec.positives),
-                self._load_training_texts(spec.negatives),
+                training_texts(spec.positives),
+                training_texts(spec.negatives),
                 hyper=spec.hyper,
                 model_id=spec.model_id,
                 source_name=spec.positives,
@@ -420,7 +453,7 @@ class Pipeline:
             annotated,
             corpus,
             sampling_mod.restrict_clusters(clusters, eligible),
-            WhitespaceTokenizer(self.config.vocab_size),
+            self.tokenizer,
             self.config.master_seed,
             self.work_dir / "stages" / stage.stage_id,
             shard_tokens=self.config.shard_tokens,
@@ -460,7 +493,7 @@ class Pipeline:
         outputs: list[Path] = []
         packed_dir = self.work_dir / "packed"
         packed_dir.mkdir(parents=True, exist_ok=True)
-        tokenizer = WhitespaceTokenizer(self.config.vocab_size)
+        pad_id = self.tokenizer.pad_id
         seq_len = self.config.sequence_length
 
         packed_summary = {}
@@ -472,9 +505,9 @@ class Pipeline:
             for shard in manifest.shards:
                 for rec in read_jsonl(stage_dir / shard["file"]):
                     stream.append((rec["doc_id"], rec["token_ids"]))
-            sequences = pack_documents(stream, seq_len, tokenizer.pad_id)
+            sequences = pack_documents(stream, seq_len, pad_id)
             out_bin = packed_dir / f"stage_{stage.stage_id}.bin"
-            write_packed(out_bin, sequences, seq_len, tokenizer.pad_id)
+            write_packed(out_bin, sequences, seq_len, pad_id)
             outputs.append(out_bin)
             non_pad = sum(s.pad_from for s in sequences)
             packed_summary[stage.stage_id] = {
@@ -483,7 +516,7 @@ class Pipeline:
                 "input_tokens": manifest.total_tokens,
             }
             manifest_lines.append(
-                f"{out_bin.name}\tseq_len={seq_len}\tpad_id={tokenizer.pad_id}"
+                f"{out_bin.name}\tseq_len={seq_len}\tpad_id={pad_id}"
                 f"\tsequences={len(sequences)}\tsha256={sha256_file(out_bin)}"
             )
         out_manifest = packed_dir / "manifest.txt"

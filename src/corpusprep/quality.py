@@ -33,6 +33,7 @@ from .jsonl import read_jsonl, write_jsonl
 REQUIRED_TAGS = ("code", "math")
 ANNOTATED_FORMAT = 2
 ANNOTATION_KEYS = frozenset({"doc_id", "url", "cluster_id", "extra"})
+DEFAULT_TAG_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def annotate(
     classifiers: Sequence[QualityClassifier],
     domain_classifiers: Mapping[str, QualityClassifier] | None = None,
     thresholds: HeuristicThresholds = HeuristicThresholds(),
-    tag_threshold: float = 0.5,
+    tag_threshold: float = DEFAULT_TAG_THRESHOLD,
     workers: int = 1,
 ) -> tuple[list[Annotation], list[DropRecord]]:
     """One Annotation row per retained, heuristics-surviving doc, in

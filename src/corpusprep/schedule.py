@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .jsonl import atomic_write, read_json
+from .jsonl import atomic_write
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,6 @@ class LrScheduleSpec:
                     f"fast-decay slope {fast:g} is gentler than slow-decay slope {slow:g}"
                 )
 
-    @classmethod
-    def from_dict(cls, rec: dict) -> "LrScheduleSpec":
-        spec = cls(
-            peak_lr=float(rec["peak_lr"]),
-            warmup_end=int(rec["warmup_end"]),
-            constant_end=int(rec["constant_end"]),
-            slow_decay_end=int(rec["slow_decay_end"]),
-            slow_decay_floor=float(rec["slow_decay_floor"]),
-            end_step=int(rec["end_step"]),
-            final_lr=float(rec["final_lr"]),
-        )
-        spec.validate()
-        return spec
-
 
 def lr_at(step: int, spec: LrScheduleSpec) -> float:
     """Learning rate at an integer step in [0, end_step]."""
@@ -76,10 +62,6 @@ def lr_at(step: int, spec: LrScheduleSpec) -> float:
         return spec.peak_lr + (spec.slow_decay_floor - spec.peak_lr) * frac
     frac = (step - spec.slow_decay_end) / (spec.end_step - spec.slow_decay_end)
     return spec.slow_decay_floor + (spec.final_lr - spec.slow_decay_floor) * frac
-
-
-def load_schedule(path: str | Path) -> LrScheduleSpec:
-    return LrScheduleSpec.from_dict(read_json(path))
 
 
 def dump_csv(spec: LrScheduleSpec, path: str | Path, stride: int = 1) -> int:

@@ -8,19 +8,11 @@ a production BPE tokenizer plugs in behind the same protocol.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
-from .hashing import hash64
+from .hashing import hash_words
 
 DEFAULT_VOCAB_SIZE = 102_400
-
-
-@lru_cache(maxsize=1 << 16)
-def _word_hash(word: str) -> int:
-    """hash64 of the word's UTF-8 bytes; bounded, as natural text repeats
-    a small vocabulary while the tail of rare words is unbounded."""
-    return hash64(word.encode("utf-8"))
 
 
 @runtime_checkable
@@ -32,12 +24,14 @@ class Tokenizer(Protocol):
 
 
 class WhitespaceTokenizer:
-    """Word -> 1 + hash64(word) mod vocab_size; id 0 is reserved for padding."""
+    """Word -> 1 + hash64(word) mod vocab_size; id 0 is reserved for padding.
+    Each tokenizer hashes words through its own bounded word dict."""
 
     def __init__(self, vocab_size: int = DEFAULT_VOCAB_SIZE):
         self.vocab_size = vocab_size
         self.pad_id = 0
         self.name = f"whitespace-{vocab_size}"
+        self._word_hashes: dict[str, int] = {}
 
     def encode(self, text: str) -> list[int]:
-        return [1 + _word_hash(w) % self.vocab_size for w in text.split()]
+        return [1 + h % self.vocab_size for h in hash_words(text.split(), self._word_hashes)]

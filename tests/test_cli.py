@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from corpusprep.classifier import QualityClassifier
+from corpusprep.classifier import ClassifierHyper, QualityClassifier
 from corpusprep.cli import main
 from corpusprep.corpus import read_corpus
+from corpusprep.dedup import DedupConfig
 from corpusprep.jsonl import read_json, read_jsonl
+from corpusprep.pipeline import PolicySpec, config_section
+from corpusprep.quality import HeuristicThresholds
+from corpusprep.sampling import UpsamplePolicy
+from corpusprep.schedule import LrScheduleSpec
 
 from conftest import make_pipeline_workspace, planted_corpus_records, write_records
 
@@ -267,3 +273,119 @@ class TestRunReport:
         ])
         assert rc == 0
         assert (override_dir / "report.json").is_file()
+
+
+    def test_quality_train_writes_the_run_classifier(self, tmp_path):
+        """`quality train` and `run` read training sources alike (a row
+        without text is skipped) and write the same .clf bytes."""
+        config_path, raw = make_pipeline_workspace(tmp_path, n_docs=60, total_tokens=8_000)
+        spec = raw["quality"]["classifiers"][0]
+        with open(spec["positives"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"url": "https://a.example/no-text"}) + "\n")
+        assert main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "web.clf"
+        rc = main([
+            "quality", "train", "--positives", spec["positives"], "--negatives", spec["negatives"],
+            "--model-id", spec["model_id"], "--out", str(out),
+            "--epochs", str(spec["hyper"]["epochs"]), "--seed", str(spec["hyper"]["seed"]),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == (Path(raw["work_dir"]) / "classifiers" / "web.clf").read_bytes()
+
+
+# -- malformed config files ---------------------------------------------------------
+
+DELETE = object()
+# Each command that reads a config file: its arguments before the file, and
+# the part of the pipeline config the file holds.
+CONFIG_COMMANDS = {
+    "run": (["run", "--config"], ()),
+    "dedup": (["dedup", "--in", "corpus.jsonl", "--out", "clusters.jsonl", "--config"], ("dedup",)),
+    "sample": (["sample", "--in", "annotated.jsonl", "--out", "weights.jsonl", "--config"], ("sampling",)),
+    "curriculum-emit": (["curriculum", "emit", "--stage", "i", "--config"], ()),
+    "curriculum-validate": (["curriculum", "validate", "--plan"], ("curriculum",)),
+    "prep-schedule": (["prep", "schedule", "--spec"], ("train_prep", "lr_schedule")),
+}
+# (command, case, key path inside the file, new value or DELETE)
+BROKEN_KEYS = [
+    ("run", "missing-key", ("sampling", "policies", 0, "signal"), DELETE),
+    ("run", "non-numeric", ("dedup", "bands"), "x"),
+    ("dedup", "non-numeric", ("bands",), "x"),
+    ("sample", "missing-key", ("policies", 0, "signal"), DELETE),
+    ("sample", "non-numeric", ("policies", 0, "lambda"), "x"),
+    ("curriculum-emit", "missing-key", ("curriculum", "stages", 0, "token_share"), DELETE),
+    ("curriculum-emit", "non-numeric", ("quality", "heuristics"), {"min_words": "x"}),
+    ("curriculum-validate", "missing-key", ("stages", 0, "token_share"), DELETE),
+    ("curriculum-validate", "non-numeric", ("total_token_budget",), "x"),
+    ("prep-schedule", "missing-key", ("end_step",), DELETE),
+    ("prep-schedule", "non-numeric", ("peak_lr",), "x"),
+]
+MALFORMED = [
+    (command, case, (), None) for command in CONFIG_COMMANDS for case in ("missing-file", "invalid-json")
+] + BROKEN_KEYS
+
+
+@pytest.mark.parametrize(
+    "command,case,keys,value", MALFORMED, ids=[f"{m[0]}-{m[1]}" for m in MALFORMED]
+)
+def test_malformed_config_exits_1(workspace, tmp_path, monkeypatch, capsys, command, case, keys, value):
+    _, _, raw = workspace
+    argv, section = CONFIG_COMMANDS[command]
+    path = tmp_path / "config.json"
+    if case == "invalid-json":
+        path.write_text('{"dedup": {"bands": 16,', encoding="utf-8")
+    elif case != "missing-file":
+        obj = copy.deepcopy(raw)
+        for key in section:
+            obj = obj[key]
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("cls", [DedupConfig, ClassifierHyper, HeuristicThresholds])
+def test_empty_config_section_is_the_dataclass_default(cls):
+    assert config_section(cls, {}, "section") == cls()
+
+
+@pytest.mark.parametrize("cls,rec,expected", [
+    (DedupConfig,
+     {"shingle_width": "4", "num_perms": 64, "bands": 8, "rows": 8, "jaccard_threshold": "0.7",
+      "top_k": 2, "perm_seed": 7, "unknown": 1},
+     DedupConfig(shingle_width=4, num_perms=64, bands=8, rows=8, jaccard_threshold=0.7, top_k=2,
+                 perm_seed=7)),
+    (ClassifierHyper,
+     {"orders": [1, "3"], "max_features": 1000, "epochs": "5", "lr": 1, "seed": 9},
+     ClassifierHyper(orders=(1, 3), max_features=1000, epochs=5, lr=1.0, seed=9)),
+    (HeuristicThresholds,
+     {"min_words": 5.0, "min_alpha_ratio": "0.5", "max_line_repeat_ratio": 1},
+     HeuristicThresholds(min_words=5, min_alpha_ratio=0.5, max_line_repeat_ratio=1.0)),
+    (LrScheduleSpec,
+     {"peak_lr": 1, "warmup_end": "10", "constant_end": 20, "slow_decay_end": 30,
+      "slow_decay_floor": 0.5, "end_step": 35.0, "final_lr": 0},
+     LrScheduleSpec(peak_lr=1.0, warmup_end=10, constant_end=20, slow_decay_end=30,
+                    slow_decay_floor=0.5, end_step=35, final_lr=0.0)),
+], ids=["dedup", "hyper", "heuristics", "lr_schedule"])
+def test_config_section_casts_like_the_field_parsers(cls, rec, expected):
+    got = config_section(cls, rec, "section")
+    assert got == expected and repr(got) == repr(expected)  # repr tells 5 from 5.0
+
+
+def test_policy_spec_maps_signal_and_lambda():
+    got = PolicySpec.from_dict(
+        {"signal": "clf:web", "transform": "threshold", "threshold": "0.9", "boost": 5, "lambda": "0.6"},
+        "sampling.policies[0]",
+    )
+    expected = PolicySpec(UpsamplePolicy("clf:web", "threshold", threshold=0.9, boost=5.0), 0.6)
+    assert got == expected and repr(got) == repr(expected)
+    assert PolicySpec.from_dict({"signal": "s", "lambda": 1}, "p").policy == UpsamplePolicy("s")
