@@ -39,6 +39,7 @@ from .hashing import word_window_hashes
 from .jsonl import atomic_write
 
 MAGIC = b"CPQC"
+DEFAULT_MODEL_ID = "clf"
 FORMAT_VERSION = 1
 
 
@@ -178,7 +179,7 @@ def train_classifier(
     positives: Iterable[Document | str],
     negatives: Iterable[Document | str],
     hyper: ClassifierHyper = ClassifierHyper(),
-    model_id: str = "clf",
+    model_id: str = DEFAULT_MODEL_ID,
     source_name: str = "",
 ) -> QualityClassifier:
     """Train one ensemble member on a positive source vs. a negative pool.

@@ -17,7 +17,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import Corpus, ingest_files, read_corpus, write_corpus
+from .corpus import DEFAULT_WORKERS, Corpus, ingest_files, read_corpus, write_corpus
 from .errors import (
     ConfigError,
     CorpusPrepError,
@@ -41,7 +41,15 @@ from .rope import DEFAULT_HEAD_DIM, rope_config
 from .schedule import LrScheduleSpec, dump_csv, lr_at
 
 
+def _need_files(*paths: str | None) -> None:
+    """ConfigError naming every given path (None: flag unset) that is not a file."""
+    missing = [p for p in paths if p is not None and not Path(p).is_file()]
+    if missing:
+        raise ConfigError(f"input files not found: {missing}")
+
+
 def _read_corpus_shards(paths: list[str]) -> Corpus:
+    _need_files(*paths)
     docs = []
     for path in paths:
         docs.extend(read_corpus(path).documents)
@@ -49,6 +57,7 @@ def _read_corpus_shards(paths: list[str]) -> Corpus:
 
 
 def cmd_ingest(args) -> int:
+    _need_files(*args.inputs)
     corpus, report = ingest_files(args.inputs, workers=args.workers)
     write_corpus(corpus, args.out)
     if args.report:
@@ -75,6 +84,7 @@ def cmd_dedup(args) -> int:
 def cmd_quality_train(args) -> int:
     flags = {k: v for k, v in vars(args).items() if v is not None}  # unset flags take the defaults
     hyper = config_section(clf_mod.ClassifierHyper, flags, "quality train")
+    _need_files(args.positives, args.negatives)
     model = clf_mod.train_classifier(
         training_texts(args.positives),
         training_texts(args.negatives),
@@ -84,11 +94,12 @@ def cmd_quality_train(args) -> int:
     )
     model.save(args.out)
     acc = model.training_meta["train_accuracy"]
-    print(f"trained {args.model_id} (train accuracy {acc:.3f}) -> {args.out}")
+    print(f"trained {model.model_id} (train accuracy {acc:.3f}) -> {args.out}")
     return 0
 
 
 def cmd_quality_score(args) -> int:
+    _need_files(args.model)
     model = clf_mod.QualityClassifier.load(args.model)
     corpus = _read_corpus_shards(args.inputs)
     rows = [
@@ -103,15 +114,17 @@ def cmd_quality_score(args) -> int:
 
 
 def cmd_quality_annotate(args) -> int:
-    corpus = _read_corpus_shards(args.inputs)
-    clusters = dedup_mod.read_clusters(args.clusters)
-    ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
-    domain = {}
+    domain_paths = {}
     for item in args.domain or []:
         tag, _, path = item.partition("=")
         if not path:
             raise ConfigError(f"--domain expects tag=path, got '{item}'")
-        domain[tag] = clf_mod.QualityClassifier.load(path)
+        domain_paths[tag] = path
+    _need_files(args.clusters, *args.models, *domain_paths.values())
+    corpus = _read_corpus_shards(args.inputs)
+    clusters = dedup_mod.read_clusters(args.clusters)
+    ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
+    domain = {tag: clf_mod.QualityClassifier.load(p) for tag, p in domain_paths.items()}
     annotated, drops = quality_mod.annotate(
         corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold,
         workers=args.workers,
@@ -128,6 +141,7 @@ def cmd_sample(args) -> int:
     specs = config_list(PolicySpec, raw.get("sampling", raw), "sampling", "policies")
     if not specs:
         raise ConfigError("config has no sampling policies")
+    _need_files(*args.inputs, args.clusters)
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
         key=lambda row: row.doc_id,
@@ -189,6 +203,7 @@ def cmd_curriculum_emit(args) -> int:
 
 
 def cmd_prep_pack(args) -> int:
+    _need_files(*args.inputs)
     stream = []
     for path in args.inputs:
         for rec in read_jsonl(path):
@@ -250,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("dedup", help="cluster exact and fuzzy duplicates")
     p.add_argument("--config")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_dedup)
 
     q = sub.add_parser("quality", help="train/score/annotate quality signals")
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = qsub.add_parser("train")
     p.add_argument("--positives", required=True)
     p.add_argument("--negatives", required=True)
-    p.add_argument("--model-id", default="clf")
+    p.add_argument("--model-id", default=clf_mod.DEFAULT_MODEL_ID)
     p.add_argument("--out", required=True)
     p.add_argument("--orders", type=int, nargs="+")
     p.add_argument("--epochs", type=int)
@@ -288,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag-threshold", type=float, default=quality_mod.DEFAULT_TAG_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--drops")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_quality_annotate)
 
     p = sub.add_parser("sample", help="build per-signal weights and merged distribution")

@@ -26,6 +26,8 @@ from .hashing import hash64_hex, hash128_hex
 from .jsonl import dumps, read_jsonl, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
+# Processes a sharded phase uses unless told otherwise (see map_chunks).
+DEFAULT_WORKERS = 1
 
 _BLANK_RUN = re.compile(r"\n{4,}")
 
@@ -242,7 +244,7 @@ def map_chunks(fn: Callable[..., list], items: Sequence, workers: int, *shared) 
 
 
 def ingest_lines(
-    lines: Iterable[tuple[bytes, int]], workers: int = 1
+    lines: Iterable[tuple[bytes, int]], workers: int = DEFAULT_WORKERS
 ) -> tuple[Corpus, IngestReport]:
     """Ingest raw lines, sharding by line ranges when workers > 1.
 
@@ -275,7 +277,7 @@ def _iter_file_lines(path: str | Path) -> Iterator[tuple[bytes, int]]:
 
 
 def ingest_files(
-    paths: Sequence[str | Path], workers: int = 1
+    paths: Sequence[str | Path], workers: int = DEFAULT_WORKERS
 ) -> tuple[Corpus, IngestReport]:
     lines: list[tuple[bytes, int]] = []
     for path in paths:

@@ -5,8 +5,12 @@ once, in one pass split over `workers` processes (corpus.map_chunks).
 A chunk of texts hashes each distinct word once with blake2b and composes
 every w-gram's hash from its word hashes with numpy, one pass per batch of
 texts (a Karp-Rabin polynomial, hashing.window_hashes), so blake2b runs per
-distinct word, not per window; SHINGLE_HASH_VERSION names this hash in the
-dedup phase key.
+distinct word, not per window. Signing is one-permutation MinHash (Li, Owen
+and Zhang 2012): each shingle is mixed once and falls into one of num_perms
+bins, each bin keeps its minimum, and an empty bin copies the first
+non-empty bin in a fixed probe order (optimal densification, Shrivastava
+2017). SHINGLE_HASH_VERSION and SIGNATURE_VERSION name the shingle hash and
+the signer in the dedup phase key.
 Documents with equal shingle sets form one group, whose smallest doc_id
 is its representative; only representatives are LSH-banded, since every
 member of a group has the representative's signature and its Jaccard to
@@ -32,17 +36,29 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, map_chunks
+from .corpus import DEFAULT_WORKERS, Corpus, Document, map_chunks
 from .errors import ConfigError
-from .hashing import mix64, splitmix64_stream, text_hash64, window_hashes, word_hash_array
+from .hashing import mix64, text_hash64, window_hashes, word_hash_array
 from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
 # Version of the shingle hash (see shingle); part of the dedup phase key, so
 # a workspace deduplicated under another version reruns dedup.
 SHINGLE_HASH_VERSION = 2
-# Texts whose word and window hashes _shingle_rows holds at once.
+# Version of the signer (see minhash_signature), likewise part of the dedup
+# phase key: 1 took 128 seeded permutations, 2 is one-permutation hashing
+# with optimal densification.
+SIGNATURE_VERSION = 2
+# Texts per batch: _shingle_rows holds their word and window hashes at
+# once, and _signatures their bins.
 SHINGLE_BATCH = 1024
+_U64_MASK = (1 << 64) - 1
+
+
+def versions() -> dict[str, int]:
+    """The shingle hash and signer versions, as the dedup report records
+    them; the dedup phase key includes them."""
+    return {"shingle_hash_version": SHINGLE_HASH_VERSION, "signature_version": SIGNATURE_VERSION}
 
 
 @dataclass(frozen=True)
@@ -82,7 +98,7 @@ class ShingleSet:
 
 @dataclass
 class MinHashSignature:
-    values: np.ndarray  # uint64, one minimum per permutation
+    values: np.ndarray  # uint64, one component per bin (minhash_signature)
     perm_seed: int
 
     @property
@@ -179,27 +195,65 @@ def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
     return len(a.shingles & b.shingles) / union
 
 
-@lru_cache(maxsize=8)
-def _perm_seeds(perm_seed: int, num_perms: int) -> np.ndarray:
-    return splitmix64_stream(perm_seed, num_perms)
-
-
 def minhash_signature(s: ShingleSet, cfg: DedupConfig) -> MinHashSignature:
-    """Per-permutation minima over the shingle set.
+    """One-permutation MinHash of the shingle set, with optimal densification.
 
-    Permutation i is x -> mix64(x ^ seed_i); the fraction of equal
-    components between two signatures estimates their exact Jaccard.
+    Each shingle x hashes once, to h = mix64(x ^ perm_seed), and falls into
+    bin h % num_perms; a bin's component is the least h in it. An empty bin
+    takes the component of the first non-empty bin in its probe order (see
+    _probe_order), so sets that fill the same bins borrow from the same
+    bins. The fraction of equal components between two signatures
+    estimates their exact Jaccard.
     """
     if not s.shingles:
         raise ValueError("cannot sign an empty shingle set")
     x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    return MinHashSignature(values=_minima(x, cfg), perm_seed=cfg.perm_seed)
+    return MinHashSignature(values=_signatures([x], cfg)[0], perm_seed=cfg.perm_seed)
 
 
-def _minima(hashes: np.ndarray, cfg: DedupConfig) -> np.ndarray:
-    """Minimum of mix64(hashes ^ seed_i) for each permutation seed_i."""
-    seeds = _perm_seeds(cfg.perm_seed, cfg.num_perms)
-    return mix64(hashes[None, :] ^ seeds[:, None]).min(axis=1)
+@lru_cache(maxsize=8)
+def _probe_order(perm_seed: int, num_perms: int) -> np.ndarray:
+    """Entry [t, j] is the t-th bin that empty bin j probes: column j is
+    every bin b, sorted by mix64((j * num_perms + b) ^ perm_seed)."""
+    cells = np.arange(num_perms * num_perms, dtype=np.uint64) ^ np.uint64(perm_seed & _U64_MASK)
+    keys = mix64(cells).reshape(num_perms, num_perms)
+    order = np.ascontiguousarray(np.argsort(keys, axis=1, kind="stable").T)
+    order.flags.writeable = False  # shared by every caller of the cache
+    return order
+
+
+def _signatures(rows: Sequence[np.ndarray], cfg: DedupConfig) -> list[np.ndarray]:
+    """minhash_signature values of each non-empty uint64 shingle array,
+    SHINGLE_BATCH rows at a time."""
+    k = cfg.num_perms
+    seed = np.uint64(cfg.perm_seed & _U64_MASK)
+    probe = _probe_order(cfg.perm_seed, k)
+    out: list[np.ndarray] = []
+    for first in range(0, len(rows), SHINGLE_BATCH):
+        batch = rows[first : first + SHINGLE_BATCH]
+        # Cell i * k + b is bin b of the batch's text i.
+        h = mix64(np.concatenate(batch) ^ seed)
+        sizes = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
+        cell = np.repeat(np.arange(0, len(batch) * k, k), sizes) + (h % np.uint64(k)).astype(np.intp)
+        sig = np.full(len(batch) * k, _U64_MASK, dtype=np.uint64)
+        np.minimum.at(sig, cell, h)
+        filled = np.zeros(len(batch) * k, dtype=bool)
+        filled[cell] = True
+        # Walk every empty cell's probe order in step; a filled cell is never
+        # written, so each empty cell copies a bin's own minimum.
+        empty = np.flatnonzero(~filled)
+        bins = empty % k
+        base = empty - bins
+        for step in probe:
+            if not len(empty):
+                break
+            src = base + step[bins]
+            hit = filled[src]
+            sig[empty[hit]] = sig[src[hit]]
+            miss = ~hit
+            empty, bins, base = empty[miss], bins[miss], base[miss]
+        out.extend(sig.reshape(len(batch), k))
+    return out
 
 
 def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -211,8 +265,9 @@ def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
 def _shingle_sign_chunk(
     texts: Sequence[str], cfg: DedupConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(sorted shingle hashes, signature minima) per text, as uint64 arrays."""
-    return [(hashes, _minima(hashes, cfg)) for hashes in _shingle_rows(texts, cfg.shingle_width)]
+    """(sorted shingle hashes, signature values) per text, as uint64 arrays."""
+    rows = _shingle_rows(texts, cfg.shingle_width)
+    return list(zip(rows, _signatures(rows, cfg)))
 
 
 def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
@@ -231,7 +286,7 @@ def compute_signatures(corpus: Corpus, cfg: DedupConfig) -> dict[str, MinHashSig
     """Signature per document."""
     rows = _shingle_sign_chunk([d.text for d in corpus], cfg)
     return {
-        d.doc_id: MinHashSignature(minima, cfg.perm_seed) for d, (_, minima) in zip(corpus, rows)
+        d.doc_id: MinHashSignature(values, cfg.perm_seed) for d, (_, values) in zip(corpus, rows)
     }
 
 
@@ -391,7 +446,7 @@ def retain_top_k(
 
 
 def run_dedup(
-    corpus: Corpus, cfg: DedupConfig, workers: int = 1
+    corpus: Corpus, cfg: DedupConfig, workers: int = DEFAULT_WORKERS
 ) -> list[DuplicateCluster]:
     """Full dedup pass: shingles and signatures per distinct text (split
     over `workers` processes) -> representatives -> LSH buckets ->
@@ -402,7 +457,7 @@ def run_dedup(
     cfg.validate()
     # One pool pass shingles and signs each distinct text; signing a text
     # rather than a group's representative is exact, since equal shingle
-    # sets have equal minima.
+    # sets have equal signatures.
     texts = list(dict.fromkeys(d.text for d in corpus))
     row_of = dict(zip(texts, map_chunks(_shingle_sign_chunk, texts, workers, cfg)))
     # Equal shingle sets (equal sorted hash arrays) mean equal signatures and

@@ -12,7 +12,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-_U64_MASK = (1 << 64) - 1
 # Most words a word dict holds; a full dict is emptied.
 WORD_HASHES_MAX = 1 << 16
 # Odd multiplier of the polynomial that composes a window's hash from its
@@ -131,24 +130,12 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the splitmix64 sequence, as uint64."""
-    state = seed & _U64_MASK
-    out = np.empty(count, dtype=np.uint64)
-    for i in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _U64_MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
-        out[i] = z ^ (z >> 31)
-    return out
-
-
 def mix64(values: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array.
 
     A bijection on [0, 2^64): xor-ing with a seed and mixing yields the
-    seeded permutations MinHash needs. Arithmetic wraps mod 2^64.
+    seeded permutation of one-permutation MinHash (dedup.minhash_signature)
+    and its probe orders. Arithmetic wraps mod 2^64.
     """
     z = values.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)

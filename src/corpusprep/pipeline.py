@@ -33,7 +33,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import Corpus, ingest_files, read_corpus, write_corpus
+from .corpus import DEFAULT_WORKERS, Corpus, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
 from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
@@ -173,7 +173,7 @@ class PipelineConfig:
                 input_paths=list(raw.get("input", [])),
                 work_dir=Path(raw.get("work_dir", "work")),
                 master_seed=int(raw.get("master_seed", 0)),
-                workers=int(raw.get("workers", 1)),
+                workers=int(raw.get("workers", DEFAULT_WORKERS)),
                 dedup=config_section(dedup_mod.DedupConfig, raw.get("dedup", {}), "dedup"),
                 heuristics=config_section(
                     quality_mod.HeuristicThresholds, q.get("heuristics", {}), "quality.heuristics"
@@ -271,7 +271,7 @@ class Pipeline:
         raw = self.config.raw
         return hash128_hex(dumps({
             "phase": phase.name,
-            "version": phase.version,
+            "version": phase.version(),
             "config": {key: _config_value(raw, key) for key in phase.config_keys},
             "files": {path: sha256_file(path) for path in phase.outside_files(self.config)},
             "upstream": {
@@ -342,7 +342,7 @@ class Pipeline:
         n_docs = len(corpus)
         return [out_clusters], {
             "documents": n_docs,
-            "shingle_hash_version": dedup_mod.SHINGLE_HASH_VERSION,
+            **dedup_mod.versions(),
             "clusters": len(clusters),
             "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
             "retained_total": retained_total,
@@ -564,8 +564,9 @@ class Phase:
     `config_keys` are dotted keys into the raw config; the slice they
     select may be wider than the phase needs, never narrower. `reads`
     are glob patterns over the work-relative outputs of earlier phases.
-    `version` names how the phase computes its outputs from those inputs;
-    a change to it makes earlier outputs stale.
+    `version` returns what names how the phase computes its outputs from
+    those inputs, read each time a key is taken; a change to it makes
+    earlier outputs stale.
     """
 
     name: str
@@ -573,7 +574,7 @@ class Phase:
     config_keys: tuple[str, ...]
     reads: tuple[str, ...] = ()
     outside_files: Callable[[PipelineConfig], list[str]] = lambda config: []
-    version: int = 0
+    version: Callable[[], Any] = lambda: 0
 
     @property
     def sidecar(self) -> str:
@@ -584,7 +585,7 @@ PHASE_TABLE = (
     Phase("ingest", Pipeline._phase_ingest, ("input",),
           outside_files=PipelineConfig.resolve_inputs),
     Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
-          version=dedup_mod.SHINGLE_HASH_VERSION),
+          version=dedup_mod.versions),
     Phase("quality", Pipeline._phase_quality, ("quality",),
           reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources),

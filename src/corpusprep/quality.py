@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
-from .corpus import Corpus, Document, map_chunks
+from .corpus import DEFAULT_WORKERS, Corpus, Document, map_chunks
 from .dedup import DuplicateCluster
 from .errors import ConfigError, PipelineOrderError, UnknownSignalError
 from .jsonl import read_jsonl, write_jsonl
@@ -256,7 +256,7 @@ def annotate(
     domain_classifiers: Mapping[str, QualityClassifier] | None = None,
     thresholds: HeuristicThresholds = HeuristicThresholds(),
     tag_threshold: float = DEFAULT_TAG_THRESHOLD,
-    workers: int = 1,
+    workers: int = DEFAULT_WORKERS,
 ) -> tuple[list[Annotation], list[DropRecord]]:
     """One Annotation row per retained, heuristics-surviving doc, in
     doc_id order.

@@ -293,6 +293,60 @@ class TestRunReport:
         assert out.read_bytes() == (Path(raw["work_dir"]) / "classifiers" / "web.clf").read_bytes()
 
 
+# -- missing input files ------------------------------------------------------------
+
+MISSING = "absent.jsonl"
+# Each per-phase command with one named input or model file that does not exist.
+MISSING_INPUTS = {
+    "ingest-in": ["ingest", "--in", MISSING, "--out", "corpus2.jsonl"],
+    "dedup-in": ["dedup", "--in", MISSING, "--out", "clusters2.jsonl"],
+    "train-positives": ["quality", "train", "--positives", MISSING, "--negatives", "neg.jsonl",
+                        "--out", "m.clf"],
+    "score-model": ["quality", "score", "--model", MISSING, "--in", "corpus.jsonl"],
+    "annotate-in": ["quality", "annotate", "--in", MISSING, "--clusters", "clusters.jsonl",
+                    "--models", "web.clf", "--out", "a.jsonl"],
+    "annotate-clusters": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters", MISSING,
+                          "--models", "web.clf", "--out", "a.jsonl"],
+    "annotate-models": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
+                        "clusters.jsonl", "--models", "web.clf", MISSING, "--out", "a.jsonl"],
+    "annotate-domain": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
+                        "clusters.jsonl", "--models", "web.clf", "--domain", f"code={MISSING}",
+                        "--out", "a.jsonl"],
+    "sample-in": ["sample", "--config", "config.json", "--in", MISSING, "--out", "w.jsonl"],
+    "pack-in": ["prep", "pack", "--length", "8", "--in", MISSING, "--out", "p.bin"],
+}
+
+
+@pytest.fixture(scope="module")
+def phase_files(workspace, tmp_path_factory):
+    """A directory holding every input the MISSING_INPUTS commands name, but
+    MISSING."""
+    _, config_path, raw = workspace
+    root = tmp_path_factory.mktemp("inputs")
+    q = raw["quality"]["classifiers"][0]
+    (root / "config.json").write_bytes(Path(config_path).read_bytes())
+    (root / "neg.jsonl").write_bytes(Path(q["negatives"]).read_bytes())
+    for argv in (
+        ["ingest", "--in", raw["input"][0], "--out", str(root / "corpus.jsonl")],
+        ["dedup", "--in", str(root / "corpus.jsonl"), "--out", str(root / "clusters.jsonl")],
+        ["quality", "train", "--positives", q["positives"], "--negatives", q["negatives"],
+         "--out", str(root / "web.clf"), "--epochs", "1"],
+    ):
+        assert main(argv) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv", MISSING_INPUTS.values(), ids=MISSING_INPUTS.keys())
+def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
+    monkeypatch.chdir(phase_files)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert MISSING in err
+    assert "Traceback" not in out + err
+
+
 # -- malformed config files ---------------------------------------------------------
 
 DELETE = object()

@@ -20,6 +20,7 @@ from corpusprep.dedup import (
     DuplicateCluster,
     FrequencySignals,
     MinHashSignature,
+    ShingleSet,
     UnionFind,
     build_clusters,
     compute_signatures,
@@ -61,6 +62,13 @@ _WORDS = st.one_of(
 _SEPS = st.sampled_from([" ", "\n", " \t "])
 
 
+def reference_mix64(z: int) -> int:
+    """The splitmix64 finalizer on one Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
 def reference_shingles(text: str, width: int) -> frozenset[int]:
     """Shingle hashes one window at a time: the polynomial in WINDOW_BASE
     over hash64 of each lowercased word, mod 2^64, then the splitmix64
@@ -73,10 +81,28 @@ def reference_shingles(text: str, width: int) -> frozenset[int]:
         z = 0
         for word in words[i : i + width]:
             z = (z * WINDOW_BASE + hash64(word.encode("utf-8"))) & _U64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        out.add(z ^ (z >> 31))
+        out.add(reference_mix64(z))
     return frozenset(out)
+
+
+def reference_signature(shingles: frozenset[int], cfg: DedupConfig) -> list[int]:
+    """One text at a time: shingle x hashes to h = mix64(x ^ perm_seed) in
+    bin h % num_perms, and each bin keeps its least h. Empty bin j then
+    takes the first filled bin among all bins b, in ascending order of
+    mix64((j * num_perms + b) ^ perm_seed)."""
+    k, seed = cfg.num_perms, cfg.perm_seed & _U64
+    bins: list[int | None] = [None] * k
+    for x in shingles:
+        h = reference_mix64(x ^ seed)
+        if bins[h % k] is None or h < bins[h % k]:
+            bins[h % k] = h
+    out = []
+    for j, value in enumerate(bins):
+        if value is None:
+            probes = sorted(range(k), key=lambda b: reference_mix64((j * k + b) ^ seed))
+            value = next(bins[b] for b in probes if bins[b] is not None)
+        out.append(value)
+    return out
 
 
 class TestShingle:
@@ -185,6 +211,42 @@ class TestMinHash:
             )
             within += abs(est - exact) <= 0.15
         assert within / 200 >= 0.95
+
+    @pytest.mark.parametrize("batch", [1, 3, dedup.SHINGLE_BATCH])
+    @pytest.mark.parametrize("cfg", [CFG, DedupConfig(num_perms=30, bands=5, rows=6)])
+    def test_batch_signer_equals_the_per_text_reference(self, cfg, batch):
+        """Sets of 1, 2, k - 1, k and 10k shingles, signed together in
+        batches of any size, equal the plain per-text signer bit for bit."""
+        rng = np.random.default_rng(5)
+        k = cfg.num_perms
+        sets = [
+            frozenset(int(x) for x in rng.integers(0, 2**64, size=n, dtype=np.uint64))
+            for n in (1, 2, k - 1, k, 10 * k, 1, 7)
+        ]
+        rows = [np.array(sorted(s), dtype=np.uint64) for s in sets]
+        with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
+            signed = dedup._signatures(rows, cfg)
+        assert len(signed) == len(sets)
+        for s, values in zip(sets, signed):
+            assert values.tolist() == reference_signature(s, cfg)
+            assert minhash_signature(ShingleSet(s, 5), cfg).values.tolist() == values.tolist()
+
+    def test_signature_pinned(self):
+        """Fixed bits for one fixed set, so no library upgrade can change
+        dedup's output unnoticed. Its 5 shingles fill bins 4 to 7; bins 0 to
+        3 borrow from bins 6, 7, 5 and 5."""
+        cfg = DedupConfig(num_perms=8, bands=2, rows=4)
+        s = shingle("the quick brown fox jumps over the lazy dog", 5)
+        assert minhash_signature(s, cfg).values.tolist() == [
+            17266356209418166950,
+            4201321962987394287,
+            3178477075982746253,
+            3178477075982746253,
+            14658775288058014308,
+            3178477075982746253,
+            17266356209418166950,
+            4201321962987394287,
+        ]
 
     def test_mismatched_configs_rejected(self):
         s = shingle("one two three four five six", 2)

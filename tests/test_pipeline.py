@@ -308,6 +308,20 @@ class TestConfigHash:
         assert rerun["phases_executed"]["dedup"] is True
         assert rerun["phases"]["dedup"]["shingle_hash_version"] == dedup.SHINGLE_HASH_VERSION
 
+    def test_signature_version_is_in_the_dedup_key(self, tmp_path, monkeypatch):
+        """A finished workspace skips dedup while the signer is unchanged and
+        reruns it, reporting it executed, under another SIGNATURE_VERSION."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        first = run_pipeline(PipelineConfig.from_dict(raw))
+        assert first["phases"]["dedup"]["signature_version"] == dedup.SIGNATURE_VERSION == 2
+        unchanged = run_pipeline(PipelineConfig.from_dict(raw))
+        assert not any(unchanged["phases_executed"].values())
+        monkeypatch.setattr(dedup, "SIGNATURE_VERSION", dedup.SIGNATURE_VERSION + 1)
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"]["ingest"] is False
+        assert rerun["phases_executed"]["dedup"] is True
+        assert rerun["phases"]["dedup"]["signature_version"] == 3
+
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
         run_pipeline(PipelineConfig.from_dict(raw))
