@@ -6,6 +6,14 @@ same inputs and seed always produce bit-identical weights. Ensemble
 members are trained independently, one per high-quality reference
 source; their scores stay separate signals downstream.
 
+A vocabulary that did not reach max_features holds every n-gram seen in
+training. Every word of a seen n-gram is a seen word, so with order 1
+among the orders the vocabulary is closed: it holds every word of each
+of its longer n-grams. Scoring a closed model may therefore skip every
+n-gram with a word outside the vocabulary without hashing it
+(QualityClassifier.allows_word_gate); the score is the same float, short
+of a 64-bit hash collision.
+
 Binary model format (little-endian), version 1:
 
     magic      4 bytes  b"CPQC"
@@ -29,7 +37,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -63,11 +71,15 @@ class ClassifierHyper:
 
 
 def ngram_hashes(
-    text: str, orders: Sequence[int], word_hashes: dict[str, int] | None = None
+    text: str,
+    orders: Sequence[int],
+    word_hashes: dict[str, int] | None = None,
+    known: Container[int] | None = None,
 ) -> list[int]:
     """64-bit hashes of all word n-grams of the given orders; `word_hashes`
-    is the word-hash dict of hashing.word_window_hashes."""
-    return word_window_hashes(text, orders, word_hashes)
+    is the word-hash dict and `known` the word gate of
+    hashing.word_window_hashes."""
+    return word_window_hashes(text, orders, word_hashes, known)
 
 
 def _feature_counts(hashes: Iterable[int], vocab: dict[int, int]) -> dict[int, int]:
@@ -102,9 +114,21 @@ class QualityClassifier:
             z += self.weights[idx] * count
         return _sigmoid(z)
 
+    @property
+    def allows_word_gate(self) -> bool:
+        """Whether scoring may skip the n-grams with a word outside the
+        vocabulary (the word gate of hashing.word_window_hashes). It may
+        when the vocabulary holds every word of each of its n-grams:
+        train_classifier keeps every n-gram it saw unless the vocabulary
+        reached max_features, and with order 1 those include every word
+        of the longer ones."""
+        return 1 in self.hyper.orders and len(self.vocabulary) < self.hyper.max_features
+
     def score_text(self, text: str) -> float:
-        """Sigmoid of the linear score over the text's hashed n-grams."""
-        return self.score_hashes(ngram_hashes(text, self.hyper.orders))
+        """Sigmoid of the linear score over the text's hashed n-grams; the
+        word gate skips the n-grams that cannot be in the vocabulary."""
+        known = self.vocabulary if self.allows_word_gate else None
+        return self.score_hashes(ngram_hashes(text, self.hyper.orders, known=known))
 
     def save(self, path: str | Path) -> None:
         vocab_items = sorted(self.vocabulary.items(), key=lambda kv: kv[1])

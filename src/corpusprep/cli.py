@@ -17,7 +17,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import DEFAULT_WORKERS, Corpus, ingest_files, read_corpus, write_corpus
+from .corpus import DEFAULT_WORKERS, Corpus, check_workers, ingest_files, read_corpus, write_corpus
 from .errors import (
     ConfigError,
     CorpusPrepError,
@@ -369,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", None) is not None:
+            check_workers(args.workers)
         return args.fn(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

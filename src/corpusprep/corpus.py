@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .errors import RejectedRecord
+from .errors import ConfigError, RejectedRecord
 from .hashing import hash64_hex, hash128_hex
 from .jsonl import dumps, read_jsonl, write_jsonl
 
@@ -225,6 +225,12 @@ def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
         ranges.append((start, start + size))
         start += size
     return ranges
+
+
+def check_workers(workers: int) -> None:
+    """ConfigError unless `workers`, a sharded phase's process count, is >= 1."""
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
 
 
 def map_chunks(fn: Callable[..., list], items: Sequence, workers: int, *shared) -> list:

@@ -8,7 +8,8 @@ is never used for anything that reaches an output file.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -40,27 +41,48 @@ def text_hash64(text: str) -> int:
 
 
 def word_window_hashes(
-    text: str, widths: Iterable[int], word_hashes: dict[str, int] | None = None
+    text: str,
+    widths: Iterable[int],
+    word_hashes: dict[str, int] | None = None,
+    known: Container[int] | None = None,
 ) -> list[int]:
     """hash64 of each run of n >= 1 words, joined by single spaces, for each
     n in `widths`; words are the lowercased text split on whitespace.
 
     Single words are looked up in `word_hashes` (see hash_words); a
     caller that passes one dict for many texts hashes each distinct word
-    once, and the hashes do not depend on the dict. Runs of two or more
-    words are hashed each time. Without a dict, a fresh one is used for
-    this call only.
+    once, and the hashes do not depend on the dict. Without a dict, a
+    fresh one is used for this call only.
+
+    Without `known`, every run of two or more words is hashed each time.
+    With `known` (a set of hashes), the word gate is on: every word is
+    hashed, and only runs whose word hashes are all in `known` are kept,
+    single words included; a longer run with a word outside `known` is
+    never hashed. The kept hashes keep their order, so a vocabulary
+    inside `known` that holds every word of each of its n-grams (see
+    classifier.QualityClassifier.allows_word_gate) finds the same hashes,
+    in the same order, in the gated list as in the full one.
     """
     words = _words(text)
     if word_hashes is None:
         word_hashes = {}
+    if known is not None:
+        singles = list(hash_words(words, word_hashes))
+        hits = list(compress(range(len(singles)), map(known.__contains__, singles)))
     out: list[int] = []
     for n in widths:
         if n == 1:
-            out.extend(hash_words(words, word_hashes))
-        else:
+            kept = hash_words(words, word_hashes) if known is None else (singles[i] for i in hits)
+            out.extend(kept)
+            continue
+        if known is None:
             windows = map(" ".join, zip(*(words[i:] for i in range(n))))
-            out.extend(map(hash64, map(str.encode, windows)))
+        else:
+            # hits rises, so hits[k + n - 1] - hits[k] == n - 1 exactly
+            # when the n words from hits[k] on are all hits.
+            starts = (i for i, j in zip(hits, hits[n - 1 :]) if j - i == n - 1)
+            windows = (" ".join(words[i : i + n]) for i in starts)
+        out.extend(map(hash64, map(str.encode, windows)))
     return out
 
 

@@ -33,7 +33,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import DEFAULT_WORKERS, Corpus, ingest_files, read_corpus, write_corpus
+from .corpus import DEFAULT_WORKERS, Corpus, check_workers, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
 from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
@@ -205,8 +205,7 @@ class PipelineConfig:
         """Validate every sub-config before any phase runs."""
         if not self.input_paths:
             raise ConfigError("config needs at least one input path")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        check_workers(self.workers)
         self.dedup.validate()
         if not self.classifiers:
             raise ConfigError("at least one quality classifier is required")

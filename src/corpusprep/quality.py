@@ -10,9 +10,12 @@ decision. The heuristics and scoring of each retained document are split
 over `workers` processes (corpus.map_chunks); the rows are assembled in
 the calling process, so they do not depend on the worker count. Each
 chunk hashes every distinct word once, through one bounded word dict,
-and scores only the n-gram hashes found in the union of the
-classifiers' vocabularies; the scores are the same floats as without
-either step.
+and scores only the n-gram hashes found in `known`, the union of the
+classifiers' vocabularies. Where every classifier of an n-gram order set
+allows the word gate (classifier.QualityClassifier.allows_word_gate:
+order 1 among its orders, vocabulary not cut at max_features), an n-gram
+of two or more words is hashed only if all its words are in `known`.
+The scores are the same floats as without any of these steps.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
 with JSON-float values; readers join them to corpus.jsonl on doc_id.
@@ -220,13 +223,23 @@ def _score_chunk(
     vocabularies, before scoring. score_hashes ignores hashes outside its
     vocabulary and the cut keeps the order of the rest, so every score is
     the one the full hash list gives, bit for bit. The cut costs one set
-    probe per window and saves one dict probe per classifier for each
-    window outside `known`, so it pays when most windows are in no
-    vocabulary and several classifiers score each text.
+    probe per hash and saves one dict probe per classifier for each hash
+    outside `known`, so it pays when most n-grams are in no vocabulary
+    and several classifiers score each text.
+
+    Scorers are grouped by their n-gram orders. In a group whose
+    scorers all allow the word gate, a window of two or more words is
+    hashed only if each of its words is in `known`
+    (hashing.word_window_hashes): each scorer's vocabulary holds the
+    words of its own n-grams, so no window that one of them knows is
+    skipped. Every other group hashes each window, then cuts.
     """
     scorers = [*classifiers, *(clf for clf in tag_classifiers if clf is not None)]
-    n_orders = {clf.hyper.orders for clf in scorers}
     known = set().union(*(clf.vocabulary for clf in scorers))
+    ungated = {clf.hyper.orders for clf in scorers if not clf.allows_word_gate}
+    gates = {
+        clf.hyper.orders: None if clf.hyper.orders in ungated else known for clf in scorers
+    }
     word_hashes: dict[str, int] = {}
     rows = []
     for text in texts:
@@ -236,8 +249,8 @@ def _score_chunk(
             rows.append((reasons, stats))
             continue
         hashes_by_orders = {
-            orders: [h for h in ngram_hashes(text, orders, word_hashes) if h in known]
-            for orders in n_orders
+            orders: [h for h in ngram_hashes(text, orders, word_hashes, gate) if h in known]
+            for orders, gate in gates.items()
         }
         values = [clf.score_hashes(hashes_by_orders[clf.hyper.orders]) for clf in classifiers]
         for clf in tag_classifiers:

@@ -347,6 +347,28 @@ def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
     assert "Traceback" not in out + err
 
 
+# Each command with --workers, reading the files phase_files holds.
+WORKER_COMMANDS = {
+    "ingest": ["ingest", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+    "dedup": ["dedup", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+    "quality-annotate": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
+                         "clusters.jsonl", "--models", "web.clf", "--out", "out.jsonl"],
+}
+
+
+@pytest.mark.parametrize("argv", WORKER_COMMANDS.values(), ids=WORKER_COMMANDS.keys())
+def test_workers_below_1_exits_1_like_run(phase_files, monkeypatch, capsys, argv):
+    monkeypatch.chdir(phase_files)
+    for workers in ("0", "-1"):
+        capsys.readouterr()
+        assert main([*argv, f"--workers={workers}"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: workers must be >= 1\n"
+        assert not (phase_files / "out.jsonl").exists()
+    assert main([*argv, "--workers", "1"]) == 0
+    (phase_files / "out.jsonl").unlink()
+
+
 # -- malformed config files ---------------------------------------------------------
 
 DELETE = object()

@@ -361,40 +361,79 @@ SCORE_WORDS = (
     "Straße", "STRASSE", "strasse", "İstanbul", "istanbul", "ISTANBUL",
     "жёлтый", "Жёлтый", "café", "naïve", "x", "7",
 )
+# Words in no training text: the word gate skips each n-gram holding one.
+UNSEEN_WORDS = ("quince", "Quince", "über", "ÜBER", "ёж", "9")
+# Words only the (2, 3) models train on, so only they know n-grams with
+# words outside every order-1 vocabulary.
+PAIR_WORDS = ("yuzu", "Kumquat")
+# A phrase in every text of the capped model. The phrase and its two words
+# tie on document frequency, and the phrase hash sorts before "fig", so a
+# vocabulary cut to two entries keeps "fig kiwi" and drops "fig".
+CAPPED_PHRASE = "fig kiwi"
 SCORE_THRESHOLDS = HeuristicThresholds(min_words=2)
 
 
 @lru_cache(maxsize=1)
-def score_ensemble():
-    """Classifiers of orders (1,), (1, 2) and (2, 3) over SCORE_WORDS, and
-    tag classifiers with a missing entry, as annotate passes them."""
+def score_models() -> dict[str, QualityClassifier]:
+    """Models over SCORE_WORDS. "uni", "bi", "math" and "uni-tri" allow the
+    word gate; "tri" and "code" (orders (2, 3), also over PAIR_WORDS) and
+    "capped" (its vocabulary reached max_features) do not."""
     rng = np.random.default_rng(31)
 
-    def texts(marker: str, n: int) -> list[str]:
+    def texts(marker: str, n: int, words: tuple[str, ...] = SCORE_WORDS) -> list[str]:
         out = []
         for _ in range(n):
-            words = [SCORE_WORDS[int(i)] for i in rng.integers(0, len(SCORE_WORDS), 12)]
-            words[int(rng.integers(0, 12))] = marker
-            out.append(" ".join(words))
+            drawn = [words[int(i)] for i in rng.integers(0, len(words), 12)]
+            drawn[int(rng.integers(0, 12))] = marker
+            out.append(" ".join(drawn))
         return out
 
+    def hyper(orders, seed, **kw):
+        return ClassifierHyper(orders=orders, epochs=3, seed=seed, **kw)
+
     pos, neg = texts("Straße", 30), texts("apple", 30)
-    classifiers = [
-        train_classifier(pos, neg, ClassifierHyper(orders=(1,), epochs=3, seed=1), "uni"),
-        train_classifier(neg, pos, ClassifierHyper(orders=(1, 2), epochs=3, seed=2), "bi"),
-        train_classifier(pos, neg, ClassifierHyper(orders=(2, 3), epochs=3, seed=3), "tri"),
-    ]
-    tags = [
-        train_classifier(neg, pos, ClassifierHyper(orders=(2, 3), epochs=3, seed=4), "code"),
-        None,
-        train_classifier(pos, neg, ClassifierHyper(orders=(1,), epochs=3, seed=5), "math"),
-    ]
-    return classifiers, tags
+    pair_pos = texts("Straße", 30, SCORE_WORDS + PAIR_WORDS)
+    pair_neg = texts("apple", 30, SCORE_WORDS + PAIR_WORDS)
+    phrased_pos = [f"{t} {CAPPED_PHRASE}" for t in pos]
+    phrased_neg = [f"{CAPPED_PHRASE} {t}" for t in neg]
+    return {
+        "uni": train_classifier(pos, neg, hyper((1,), 1), "uni"),
+        "bi": train_classifier(neg, pos, hyper((1, 2), 2), "bi"),
+        "tri": train_classifier(pair_pos, pair_neg, hyper((2, 3), 3), "tri"),
+        "code": train_classifier(pair_neg, pair_pos, hyper((2, 3), 4), "code"),
+        "math": train_classifier(pos, neg, hyper((1,), 5), "math"),
+        "uni-tri": train_classifier(neg, pos, hyper((1, 2, 3), 6), "uni-tri"),
+        "capped": train_classifier(
+            phrased_pos, phrased_neg, hyper((1, 2), 7, max_features=2), "capped"
+        ),
+    }
 
 
+# (classifiers, tag classifiers with None for a missing tag, as annotate
+# passes them) by name.
+SCORE_ENSEMBLES = {
+    # Every orders group gated.
+    "gated": (("uni", "bi", "uni-tri"), ("math", None)),
+    # Gated (1,), (1, 2) and (1, 2, 3) beside the gate-off (2, 3).
+    "mixed": (("uni", "bi", "tri"), ("code", None, "math", "uni-tri")),
+    # Only gate-off models, one of them capped; no other model holds the
+    # word "fig", so gating would skip "fig kiwi".
+    "capped": (("capped",), ("tri",)),
+}
+def score_ensemble(name: str = "mixed"):
+    models = score_models()
+    classifiers, tags = SCORE_ENSEMBLES[name]
+    return [models[m] for m in classifiers], [m and models[m] for m in tags]
+
+
+def lowered_windows(words: list[str], n: int) -> list[list[str]]:
+    return [words[i : i + n] for i in range(len(words) - n + 1)]
+
+
+score_words = st.sampled_from(SCORE_WORDS + UNSEEN_WORDS + PAIR_WORDS)
 score_texts = st.lists(
     st.tuples(
-        st.lists(st.sampled_from(SCORE_WORDS), max_size=14),
+        st.lists(score_words, max_size=14),
         st.sampled_from([" ", "\n", " \t "]),
     ).map(lambda words_sep: words_sep[1].join(words_sep[0])),
     max_size=8,
@@ -428,19 +467,27 @@ class TestScoreChunk:
     @settings(max_examples=150, deadline=None)
     @given(score_texts)
     def test_rows_equal_per_text_scoring_bit_for_bit(self, texts):
-        classifiers, tags = score_ensemble()
-        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
-        assert bits(rows) == bits(reference_rows(texts, classifiers, tags))
+        for name in SCORE_ENSEMBLES:
+            classifiers, tags = score_ensemble(name)
+            rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+            assert bits(rows) == bits(reference_rows(texts, classifiers, tags)), name
 
     def test_fixture_covers_short_dropped_and_scored_texts(self):
-        classifiers, tags = score_ensemble()
-        texts = ["Straße apple", "x", "", "İstanbul ISTANBUL istanbul Apple APPLE apple"]
-        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
-        assert [bool(reasons) for reasons, _ in rows] == [False, True, True, False]
-        assert bits(rows) == bits(reference_rows(texts, classifiers, tags))
+        texts = [
+            "Straße apple", "x", "", "İstanbul ISTANBUL istanbul Apple APPLE apple",
+            "quince apple über pear Pear ёж plum fig",
+            "fig kiwi yuzu kumquat fig kiwi apple pear",
+        ]
+        for name in SCORE_ENSEMBLES:
+            classifiers, tags = score_ensemble(name)
+            rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+            assert [bool(reasons) for reasons, _ in rows] == [False, True, True, False, False, False]
+            assert bits(rows) == bits(reference_rows(texts, classifiers, tags)), name
         # The vocabularies hold the non-ASCII words, so the filter keeps some.
-        known = set().union(*(clf.vocabulary for clf in classifiers))
+        known = set().union(*(clf.vocabulary for clf in score_models().values()))
         assert hashing.hash64("straße".encode("utf-8")) in known
+        unseen = {hashing.hash64(w.lower().encode("utf-8")) for w in UNSEEN_WORDS + PAIR_WORDS}
+        assert not unseen & known
 
     @settings(max_examples=150, deadline=None)
     @given(score_texts, st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -464,9 +511,69 @@ class TestScoreChunk:
         assert shared == {w: hashing.hash64(w.encode("utf-8")) for w in ("straße", "a", "g")}
 
 
+class TestWordGate:
+    def test_gate_needs_order_1_and_an_uncut_vocabulary(self):
+        models = score_models()
+        assert {name for name, clf in models.items() if clf.allows_word_gate} == {
+            "uni", "bi", "math", "uni-tri"
+        }
+        capped = models["capped"]
+        assert len(capped.vocabulary) == capped.hyper.max_features
+        # Its cut vocabulary holds a bigram without one of its words.
+        assert set(capped.vocabulary) == {
+            hashing.hash64(w.encode("utf-8")) for w in (CAPPED_PHRASE, "kiwi")
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        score_texts,
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.sets(score_words.map(str.lower)),
+    )
+    def test_gated_hashes_are_the_windows_of_known_words(self, texts, widths, known_words):
+        known = {hashing.hash64(w.encode("utf-8")) for w in known_words}
+        shared: dict[str, int] = {}
+        for text in texts:
+            words = text.lower().split()
+            expected = [
+                hashing.hash64(" ".join(window).encode("utf-8"))
+                for n in widths
+                for window in lowered_windows(words, n)
+                if known_words.issuperset(window)
+            ]
+            assert hashing.word_window_hashes(text, widths, shared, known) == expected
+            assert ngram_hashes(text, widths, known=known) == expected
+
+    def test_trained_vocabulary_holds_the_words_of_its_ngrams(self):
+        """The closure that makes the gate exact: every n-gram a gated model
+        saw is in its vocabulary, and so is each of its words."""
+        rng = np.random.default_rng(12)
+        pos = toy_texts("alphamarker", 30, rng, n_words=20)
+        neg = toy_texts("betamarker", 30, rng, n_words=20)
+        for orders in ((1, 2), (1, 2, 3), (1, 3)):
+            clf = train_classifier(pos, neg, ClassifierHyper(orders=orders, epochs=1), "closed")
+            assert clf.allows_word_gate
+            vocab = clf.vocabulary
+            for text in pos + neg:
+                words = text.lower().split()
+                for n in orders:
+                    for window in lowered_windows(words, n):
+                        assert hashing.hash64(" ".join(window).encode("utf-8")) in vocab
+                        assert all(hashing.hash64(w.encode("utf-8")) in vocab for w in window)
+
+    @settings(max_examples=100, deadline=None)
+    @given(score_texts)
+    def test_score_text_equals_the_full_hash_list_bit_for_bit(self, texts):
+        for clf in score_models().values():
+            for text in texts:
+                full = clf.score_hashes(ngram_hashes(text, clf.hyper.orders))
+                assert clf.score_text(text).hex() == full.hex(), clf.model_id
+
+
 class TestHashCount:
     @pytest.fixture
     def calls(self, monkeypatch):
+        score_models()  # trained before the count starts
         count = Counter()
         original = hashing.hash64
 
@@ -478,26 +585,69 @@ class TestHashCount:
         return count
 
     def test_score_chunk_hashes_each_distinct_word_once(self, calls):
-        classifiers, tags = score_ensemble()
+        """Each distinct word once, every window of a gate-off group, and
+        only the windows of known words in a gated group."""
+        classifiers, tags = score_ensemble("mixed")
         texts = [
             "Apple apple APPLE pear Straße STRASSE strasse",
-            "pear plum apple İstanbul istanbul",
+            "pear quince plum apple İstanbul istanbul über fig",
             "x",  # dropped: too short
             "plum fig",  # shorter than order 3
+            "quince ÜBER",  # no word in any vocabulary
         ]
         rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+        hashed = calls["hash64"]
         kept = [t.lower().split() for t, (reasons, _) in zip(texts, rows) if not reasons]
-        assert len(kept) == 3
-        orders = {clf.hyper.orders for clf in classifiers} | {
-            clf.hyper.orders for clf in tags if clf is not None
+        assert len(kept) == 4
+        scorers = [*classifiers, *(clf for clf in tags if clf is not None)]
+        gated = {clf.hyper.orders for clf in scorers if clf.allows_word_gate}
+        gate_off = {clf.hyper.orders for clf in scorers} - gated
+        assert gated == {(1,), (1, 2), (1, 2, 3)} and gate_off == {(2, 3)}
+        known_words = {
+            w for words in kept for w in words
+            if any(hashing.hash64(w.encode("utf-8")) in clf.vocabulary for clf in scorers)
         }
-        windows = sum(
-            max(0, len(words) - n + 1)
-            for words in kept for o in orders for n in o if n >= 2
-        )
         distinct_words = len({w for words in kept for w in words})
-        assert distinct_words == 8
-        assert calls["hash64"] == distinct_words + windows
+        assert distinct_words == 10 and len(known_words) == 8
+        open_windows = sum(
+            len(lowered_windows(words, n))
+            for words in kept for orders in gate_off for n in orders
+        )
+        all_gated = [
+            window
+            for words in kept for orders in gated for n in orders if n >= 2
+            for window in lowered_windows(words, n)
+        ]
+        gated_windows = sum(known_words.issuperset(window) for window in all_gated)
+        assert 0 < gated_windows < len(all_gated)
+        assert hashed == distinct_words + open_windows + gated_windows
+
+    def test_one_capped_model_turns_its_groups_gate_off(self, calls):
+        models = score_models()
+        text = "quince apple pear über fig kiwi"
+        words = text.lower().split()
+        _score_chunk([text], [models["bi"], models["capped"]], [], SCORE_THRESHOLDS, 0.5)
+        assert calls["hash64"] == len(words) + len(lowered_windows(words, 2))
+        calls.clear()
+        _score_chunk([text], [models["bi"]], [], SCORE_THRESHOLDS, 0.5)
+        assert calls["hash64"] == len(words) + 2  # "apple pear" and "fig kiwi"
+
+    def test_score_text_hashes_each_word_once_and_known_windows(self, calls):
+        models = score_models()
+        text = "pear quince apple İstanbul istanbul über pear apple"
+        words = text.lower().split()
+        for clf in (models["bi"], models["uni-tri"]):
+            calls.clear()
+            clf.score_text(text)
+            hashed = calls["hash64"]
+            known = {w for w in words if hashing.hash64(w.encode("utf-8")) in clf.vocabulary}
+            windows = [
+                window for n in clf.hyper.orders if n >= 2 for window in lowered_windows(words, n)
+            ]
+            assert hashed == len(set(words)) + sum(known.issuperset(w) for w in windows)
+        calls.clear()
+        models["tri"].score_text(text)
+        assert calls["hash64"] == len(lowered_windows(words, 2)) + len(lowered_windows(words, 3))
 
     def test_bare_call_hashes_every_window(self, calls):
         ngram_hashes("a b c", (1, 2))
