@@ -58,7 +58,7 @@ def _read_corpus_shards(paths: list[str]) -> Corpus:
 
 def cmd_ingest(args) -> int:
     _need_files(*args.inputs)
-    corpus, report = ingest_files(args.inputs, workers=args.workers)
+    corpus, report = ingest_files(args.inputs)
     write_corpus(corpus, args.out)
     if args.report:
         write_json(args.report, report.to_dict())
@@ -74,7 +74,7 @@ def cmd_dedup(args) -> int:
     cfg = config_section(dedup_mod.DedupConfig, raw.get("dedup", raw), "dedup")
     cfg.validate()
     corpus = _read_corpus_shards(args.inputs)
-    clusters = dedup_mod.run_dedup(corpus, cfg, workers=args.workers)
+    clusters = dedup_mod.run_dedup(corpus, cfg)
     dedup_mod.write_clusters(clusters, args.out)
     dups = len(corpus) - len(clusters)
     print(f"{len(clusters)} clusters over {len(corpus)} docs ({dups} duplicates) -> {args.out}")
@@ -265,14 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("dedup", help="cluster exact and fuzzy duplicates")
     p.add_argument("--config")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_dedup)
 
     q = sub.add_parser("quality", help="train/score/annotate quality signals")

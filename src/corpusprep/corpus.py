@@ -7,6 +7,9 @@ content hash and document id, and keeps only essential metadata.
 
 Two records with the same normalized text share ``content_hash`` but,
 if fetched from different (url, crawl_time), get distinct ``doc_id``s.
+
+Ingestion parses and rejects one line at a time in the calling process.
+map_chunks, the process pool of quality scoring, also lives here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .hashing import hash64_hex, hash128_hex
 from .jsonl import dumps, read_jsonl, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
-# Processes a sharded phase uses unless told otherwise (see map_chunks).
+# Quality-scoring processes unless told otherwise (see map_chunks).
 DEFAULT_WORKERS = 1
 
 _BLANK_RUN = re.compile(r"\n{4,}")
@@ -204,17 +207,6 @@ def _decode_line(raw: bytes, line_start: int) -> str:
         ) from None
 
 
-def _ingest_chunk(lines: Sequence[tuple[bytes, int]]) -> list[Document | str]:
-    """A Document or the reject reason for each (raw line bytes, byte offset)."""
-    rows: list[Document | str] = []
-    for raw, offset in lines:
-        try:
-            rows.append(ingest_record(_decode_line(raw, offset)))
-        except RejectedRecord as err:
-            rows.append(err.reason)
-    return rows
-
-
 def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, n)) if n else 1
     base, rem = divmod(n, parts)
@@ -228,7 +220,7 @@ def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 
 
 def check_workers(workers: int) -> None:
-    """ConfigError unless `workers`, a sharded phase's process count, is >= 1."""
+    """ConfigError unless `workers`, the quality-scoring process count, is >= 1."""
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -249,27 +241,27 @@ def map_chunks(fn: Callable[..., list], items: Sequence, workers: int, *shared) 
         return [row for future in futures for row in future.result()]
 
 
-def ingest_lines(
-    lines: Iterable[tuple[bytes, int]], workers: int = DEFAULT_WORKERS
-) -> tuple[Corpus, IngestReport]:
-    """Ingest raw lines, sharding by line ranges when workers > 1.
+def ingest_lines(lines: Iterable[tuple[bytes, int]]) -> tuple[Corpus, IngestReport]:
+    """Ingest (raw line bytes, byte offset) pairs, one line at a time.
 
-    The merged corpus is sorted by doc_id and deduplicated on doc_id
-    (first occurrence in input order wins), so the result is independent
-    of the worker count.
+    The corpus is sorted by doc_id and deduplicated on doc_id (first
+    occurrence in input order wins).
     """
-    items = list(lines)
-    report = IngestReport(input_lines=len(items))
+    report = IngestReport()
     seen: set[str] = set()
     docs: list[Document] = []
-    for row in map_chunks(_ingest_chunk, items, workers):
-        if isinstance(row, str):
-            report.reject(row)
-        elif row.doc_id in seen:
+    for raw, offset in lines:
+        report.input_lines += 1
+        try:
+            doc = ingest_record(_decode_line(raw, offset))
+        except RejectedRecord as err:
+            report.reject(err.reason)
+            continue
+        if doc.doc_id in seen:
             report.reject("duplicate_doc_id")
         else:
-            seen.add(row.doc_id)
-            docs.append(row)
+            seen.add(doc.doc_id)
+            docs.append(doc)
     report.accepted = len(docs)
     return Corpus(docs), report
 
@@ -282,13 +274,8 @@ def _iter_file_lines(path: str | Path) -> Iterator[tuple[bytes, int]]:
             offset += len(raw)
 
 
-def ingest_files(
-    paths: Sequence[str | Path], workers: int = DEFAULT_WORKERS
-) -> tuple[Corpus, IngestReport]:
-    lines: list[tuple[bytes, int]] = []
-    for path in paths:
-        lines.extend(_iter_file_lines(path))
-    return ingest_lines(lines, workers=workers)
+def ingest_files(paths: Sequence[str | Path]) -> tuple[Corpus, IngestReport]:
+    return ingest_lines(line for path in paths for line in _iter_file_lines(path))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> int:

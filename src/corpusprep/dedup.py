@@ -1,18 +1,18 @@
 """Exact and fuzzy deduplication into duplicate clusters.
 
-Each distinct text is shingled into hashed word w-grams and MinHash-signed
-once, in one pass split over `workers` processes (corpus.map_chunks).
-A chunk of texts hashes each distinct word once with blake2b and composes
-every w-gram's hash from its word hashes with numpy, one pass per batch of
-texts (a Karp-Rabin polynomial, hashing.window_hashes), so blake2b runs per
-distinct word, not per window. Signing is one-permutation MinHash (Li, Owen
+Each distinct text is shingled into hashed word w-grams once, in the
+calling process. Shingling hashes each distinct word once with blake2b
+and composes every w-gram's hash from its word hashes with numpy, one pass
+per batch of texts (a Karp-Rabin polynomial, hashing.window_hashes), so
+blake2b runs per distinct word, not per window. Signing is one-permutation MinHash (Li, Owen
 and Zhang 2012): each shingle is mixed once and falls into one of num_perms
 bins, each bin keeps its minimum, and an empty bin copies the first
 non-empty bin in a fixed probe order (optimal densification, Shrivastava
 2017). SHINGLE_HASH_VERSION and SIGNATURE_VERSION name the shingle hash and
 the signer in the dedup phase key.
 Documents with equal shingle sets form one group, whose smallest doc_id
-is its representative; only representatives are LSH-banded, since every
+is its representative; only representatives are MinHash-signed and
+LSH-banded, since every
 member of a group has the representative's signature and its Jaccard to
 any other document. Banding yields buckets of representatives that agree
 on all rows of some band. The groups and the buckets are verified with
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_WORKERS, Corpus, Document, map_chunks
+from .corpus import Corpus, Document
 from .errors import ConfigError
 from .hashing import mix64, text_hash64, window_hashes, word_hash_array
 from .jsonl import read_jsonl, write_jsonl
@@ -262,14 +262,6 @@ def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     return float(np.mean(a.values == b.values))
 
 
-def _shingle_sign_chunk(
-    texts: Sequence[str], cfg: DedupConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(sorted shingle hashes, signature values) per text, as uint64 arrays."""
-    rows = _shingle_rows(texts, cfg.shingle_width)
-    return list(zip(rows, _signatures(rows, cfg)))
-
-
 def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
     """Shingle set per doc_id, shingling each distinct text once."""
     by_text: dict[str, ShingleSet] = {}
@@ -284,9 +276,10 @@ def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
 
 def compute_signatures(corpus: Corpus, cfg: DedupConfig) -> dict[str, MinHashSignature]:
     """Signature per document."""
-    rows = _shingle_sign_chunk([d.text for d in corpus], cfg)
+    rows = _shingle_rows([d.text for d in corpus], cfg.shingle_width)
     return {
-        d.doc_id: MinHashSignature(values, cfg.perm_seed) for d, (_, values) in zip(corpus, rows)
+        d.doc_id: MinHashSignature(values, cfg.perm_seed)
+        for d, values in zip(corpus, _signatures(rows, cfg))
     }
 
 
@@ -445,30 +438,25 @@ def retain_top_k(
     return replace(cluster, retained_ids=retained)
 
 
-def run_dedup(
-    corpus: Corpus, cfg: DedupConfig, workers: int = DEFAULT_WORKERS
-) -> list[DuplicateCluster]:
-    """Full dedup pass: shingles and signatures per distinct text (split
-    over `workers` processes) -> representatives -> LSH buckets ->
-    verified clusters -> top-k.
+def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
+    """Full dedup pass: shingles per distinct text -> representatives ->
+    signatures -> LSH buckets -> verified clusters -> top-k.
 
     Returns clusters sorted by cluster_id with retention filled.
     """
     cfg.validate()
-    # One pool pass shingles and signs each distinct text; signing a text
-    # rather than a group's representative is exact, since equal shingle
-    # sets have equal signatures.
     texts = list(dict.fromkeys(d.text for d in corpus))
-    row_of = dict(zip(texts, map_chunks(_shingle_sign_chunk, texts, workers, cfg)))
+    row_of = dict(zip(texts, _shingle_rows(texts, cfg.shingle_width)))
     # Equal shingle sets (equal sorted hash arrays) mean equal signatures and
     # Jaccard 1.0 to each other and equal Jaccard to everyone else, so one
     # member per group stands in.
     groups: dict[bytes, list[str]] = {}
     for d in corpus:
-        groups.setdefault(row_of[d.text][0].tobytes(), []).append(d.doc_id)
+        groups.setdefault(row_of[d.text].tobytes(), []).append(d.doc_id)
     representatives = [corpus.get(min(ids)) for ids in groups.values()]
+    rows = _signatures([row_of[d.text] for d in representatives], cfg)
     signatures = {
-        d.doc_id: MinHashSignature(row_of[d.text][1], cfg.perm_seed) for d in representatives
+        d.doc_id: MinHashSignature(values, cfg.perm_seed) for d, values in zip(representatives, rows)
     }
     candidates = [ids for ids in groups.values() if len(ids) > 1]
     candidates += lsh_candidate_pairs(signatures, cfg)
@@ -478,7 +466,7 @@ def run_dedup(
     for doc_id in {i for ids in candidates for i in ids}:
         text = corpus.get(doc_id).text
         if text not in by_text:
-            by_text[text] = ShingleSet(frozenset(row_of[text][0].tolist()), cfg.shingle_width)
+            by_text[text] = ShingleSet(frozenset(row_of[text].tolist()), cfg.shingle_width)
         shingle_sets[doc_id] = by_text[text]
     clusters = build_clusters(corpus, candidates, cfg, shingle_sets=shingle_sets)
     return [retain_top_k(c, corpus, cfg) for c in clusters]

@@ -14,8 +14,9 @@ recorded digests. On re-run a phase is skipped when its marker holds the
 current key and every recorded output still verifies, so an edit reruns
 only the phases that read what changed, and a rerun phase whose outputs
 come out byte-identical stops the reruns below it. Outputs are fully
-determined by (inputs, config, master_seed); the worker count only
-shards work.
+determined by (inputs, config, master_seed); the worker count is the
+number of quality-scoring processes and changes no output byte. Every
+other phase runs in the calling process.
 """
 
 from __future__ import annotations
@@ -323,14 +324,14 @@ class Pipeline:
 
     def _phase_ingest(self) -> tuple[list[Path], dict]:
         paths = self.config.resolve_inputs()
-        corpus, report = ingest_files(paths, workers=self.config.workers)
+        corpus, report = ingest_files(paths)
         out_corpus = self.work_dir / "corpus.jsonl"
         write_corpus(corpus, out_corpus)
         return [out_corpus], {"inputs": paths, **report.to_dict()}
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus.jsonl")
-        clusters = dedup_mod.run_dedup(corpus, self.config.dedup, workers=self.config.workers)
+        clusters = dedup_mod.run_dedup(corpus, self.config.dedup)
         out_clusters = self.work_dir / "clusters.jsonl"
         dedup_mod.write_clusters(clusters, out_clusters)
 

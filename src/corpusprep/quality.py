@@ -7,8 +7,9 @@ survives gets a QualitySignalVector: one entry per ensemble classifier,
 the cluster's natural-frequency counts, and binary domain tags. The
 signals are never combined here; mixing them is a sampling-time
 decision. The heuristics and scoring of each retained document are split
-over `workers` processes (corpus.map_chunks); the rows are assembled in
-the calling process, so they do not depend on the worker count. Each
+over `workers` processes (corpus.map_chunks), the pipeline's one pooled
+pass; the rows are assembled in the calling process, so they do not
+depend on the worker count. Each
 chunk hashes every distinct word once, through one bounded word dict,
 and scores only the n-gram hashes found in `known`, the union of the
 classifiers' vocabularies. Where every classifier of an n-gram order set

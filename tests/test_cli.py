@@ -347,10 +347,8 @@ def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
     assert "Traceback" not in out + err
 
 
-# Each command with --workers, reading the files phase_files holds.
+# Each per-phase command with --workers, reading the files phase_files holds.
 WORKER_COMMANDS = {
-    "ingest": ["ingest", "--in", "corpus.jsonl", "--out", "out.jsonl"],
-    "dedup": ["dedup", "--in", "corpus.jsonl", "--out", "out.jsonl"],
     "quality-annotate": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
                          "clusters.jsonl", "--models", "web.clf", "--out", "out.jsonl"],
 }
@@ -465,3 +463,14 @@ def test_policy_spec_maps_signal_and_lambda():
     expected = PolicySpec(UpsamplePolicy("clf:web", "threshold", threshold=0.9, boost=5.0), 0.6)
     assert got == expected and repr(got) == repr(expected)
     assert PolicySpec.from_dict({"signal": "s", "lambda": 1}, "p").policy == UpsamplePolicy("s")
+
+
+@pytest.mark.parametrize("command", ["ingest", "dedup"])
+def test_ingest_and_dedup_take_no_workers_flag(phase_files, monkeypatch, capsys, command):
+    """Only quality scoring runs in a process pool."""
+    monkeypatch.chdir(phase_files)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--in", "corpus.jsonl", "--out", "out.jsonl", "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (phase_files / "out.jsonl").exists()

@@ -150,15 +150,17 @@ class TestShingle:
         cfg = DedupConfig(shingle_width=width, num_perms=8, bands=1, rows=8)
         bounds = [0, *sorted(c for c in cuts if c < len(texts)), len(texts)]
         with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
-            chunked = [
+            rows = [
                 row for a, b in zip(bounds, bounds[1:])
-                for row in dedup._shingle_sign_chunk(texts[a:b], cfg)
+                for row in dedup._shingle_rows(texts[a:b], width)
             ]
-        assert len(chunked) == len(texts)
-        for text, (hashes, minima) in zip(texts, chunked):
-            [(alone, alone_minima)] = dedup._shingle_sign_chunk([text], cfg)
+            minima = dedup._signatures(rows, cfg)
+        assert len(rows) == len(minima) == len(texts)
+        for text, hashes, values in zip(texts, rows, minima):
+            [alone] = dedup._shingle_rows([text], width)
+            [alone_minima] = dedup._signatures([alone], cfg)
             assert hashes.tolist() == alone.tolist() == sorted(shingle(text, width).shingles)
-            assert minima.tolist() == alone_minima.tolist()
+            assert values.tolist() == alone_minima.tolist()
 
 
 class TestMinHash:
@@ -485,11 +487,11 @@ class TestEndToEndDedup:
         for chash, cluster_ids in by_hash.items():
             assert len(cluster_ids) == 1
 
-    def test_byte_identical_across_runs_and_workers(self, small_planted, tmp_path):
+    def test_byte_identical_across_runs(self, small_planted, tmp_path):
         corpus, _, _, _ = small_planted
         out = []
-        for i, workers in enumerate((1, 4)):
-            clusters = run_dedup(corpus, CFG, workers=workers)
+        for i in range(2):
+            clusters = run_dedup(corpus, CFG)
             path = tmp_path / f"clusters_{i}.jsonl"
             write_clusters(clusters, path)
             out.append(path.read_bytes())
@@ -584,17 +586,20 @@ _DOC_SPECS = st.lists(
 
 
 class TestRepresentativesEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize(
         "cfg", [CFG, DedupConfig(num_perms=8, bands=1, rows=8)], ids=["default", "bands1"]
     )
     @given(specs=_DOC_SPECS)
     @settings(max_examples=60, deadline=None)
-    def test_clusters_file_equals_reference(self, tmp_path_factory, cfg, workers, specs):
+    def test_clusters_file_equals_reference(self, tmp_path_factory, cfg, batch, specs):
+        """Shingled and signed SHINGLE_BATCH texts at a time, so batches
+        split the distinct texts and the representatives anywhere."""
         texts = [_variant(_BASES[b], kind, k) for b, kind, k in specs]
         corpus = Corpus([doc_from(t, 700 + n) for n, t in enumerate(texts)])
         out = tmp_path_factory.mktemp("equiv")
-        write_clusters(run_dedup(corpus, cfg, workers=workers), out / "new.jsonl")
+        with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
+            write_clusters(run_dedup(corpus, cfg), out / "new.jsonl")
         write_clusters(reference_dedup(corpus, cfg), out / "ref.jsonl")
         assert (out / "new.jsonl").read_bytes() == (out / "ref.jsonl").read_bytes()
 
@@ -655,19 +660,14 @@ class TestHashCount:
 
 
 class TestWorkerCounts:
-    """The pool pass shingles and signs each distinct text; the clusters
-    must not depend on how the distinct texts split over workers."""
-
-    @staticmethod
-    def records(corpus: Corpus, workers: int) -> list[dict]:
-        return [c.to_record() for c in run_dedup(corpus, CFG, workers=workers)]
+    """Edge cases of one distinct text, two documents and texts shorter
+    than the shingle width, against the brute-force reference."""
 
     def test_500_identical_copies(self):
         text = make_text(np.random.default_rng(11), make_vocab(np.random.default_rng(12), 300), 80)
         corpus = Corpus([doc_from(text, i) for i in range(500)])
-        one = self.records(corpus, 1)
-        assert len(one) == 1 and len(one[0]["member_ids"]) == 500
-        assert self.records(corpus, 2) == one
+        clusters = run_dedup(corpus, CFG)
+        assert len(clusters) == 1 and len(clusters[0].member_ids) == 500
 
     @pytest.mark.parametrize(
         "texts",
@@ -682,4 +682,6 @@ class TestWorkerCounts:
     )
     def test_two_documents(self, texts):
         corpus = Corpus([doc_from(t, i) for i, t in enumerate(texts)])
-        assert self.records(corpus, 2) == self.records(corpus, 1)
+        assert [c.to_record() for c in run_dedup(corpus, CFG)] == [
+            c.to_record() for c in reference_dedup(corpus, CFG)
+        ]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import traceback
 from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
-from corpusprep import dedup, pipeline
+from corpusprep import corpus, dedup, pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import hash128_hex, sha256_file
 from corpusprep.jsonl import dumps, read_json, read_jsonl, write_json
@@ -192,6 +193,24 @@ class TestDeterminismAcrossWorkers:
             reports.append(strip_timing(report))
         assert digests[0] == digests[1]
         assert reports[0] == reports[1]
+
+    def test_only_quality_starts_a_process_pool(self, tmp_path, monkeypatch):
+        """Ingest and dedup run in the calling process; a run at workers=2
+        starts one process pool, for quality scoring."""
+        pools = []
+
+        class CountingPool(corpus.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append([f.name for f in traceback.extract_stack()])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", CountingPool)
+        config_path, _ = make_pipeline_workspace(
+            tmp_path, n_docs=200, total_tokens=20_000, workers=2
+        )
+        report = run_pipeline(PipelineConfig.from_file(config_path))
+        assert report["reconciliation"]["ok"]
+        assert len(pools) == 1 and "_phase_quality" in pools[0]
 
 
 class TestValidation:
