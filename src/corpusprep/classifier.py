@@ -2,9 +2,12 @@
 
 Each classifier is a logistic model over hashed word n-gram counts
 (unigrams + bigrams by default), trained with seeded SGD so that the
-same inputs and seed always produce bit-identical weights. Ensemble
-members are trained independently, one per high-quality reference
-source; their scores stay separate signals downstream.
+same inputs and seed always produce bit-identical weights on any CPU:
+each margin is an exactly rounded math.fsum of elementwise products,
+never a BLAS dot product, whose kernel and summation order OpenBLAS
+picks by CPU. Ensemble members are trained independently, one per
+high-quality reference source; their scores stay separate signals
+downstream.
 
 A vocabulary that did not reach max_features holds every n-gram seen in
 training. Every word of a seen n-gram is a seen word, so with order 1
@@ -49,6 +52,10 @@ from .jsonl import atomic_write
 MAGIC = b"CPQC"
 DEFAULT_MODEL_ID = "clf"
 FORMAT_VERSION = 1
+# Version of train_classifier's arithmetic and metadata; part of the quality
+# phase key. 1 summed margins with a BLAS dot product and named the source by
+# its path; 2 sums them with math.fsum and names it by its sha256.
+TRAINING_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -204,12 +211,15 @@ def train_classifier(
     negatives: Iterable[Document | str],
     hyper: ClassifierHyper = ClassifierHyper(),
     model_id: str = DEFAULT_MODEL_ID,
-    source_name: str = "",
+    source: str = "",
 ) -> QualityClassifier:
     """Train one ensemble member on a positive source vs. a negative pool.
 
     Deterministic given the seed: vocabulary order, SGD example order and
-    float accumulation order are all fixed.
+    float accumulation order are all fixed, and each margin is summed
+    exactly (math.fsum). `source` names the positive source in
+    training_meta (default: model_id); the pipeline and the CLI pass the
+    sha256 of the positives file, so no path reaches the model bytes.
     """
     hyper.validate()
     pos_texts = _texts(positives)
@@ -244,14 +254,15 @@ def train_classifier(
     for _ in range(hyper.epochs):
         for i in rng.permutation(len(feats)):
             idxs, vals = feats[i]
-            z = bias + float(weights[idxs] @ vals)
+            # A list of floats, not the array: fsum reads it twice as fast.
+            z = bias + math.fsum((weights[idxs] * vals).tolist())
             grad = _sigmoid(z) - labels[i]
             weights[idxs] -= hyper.lr * grad * vals
             bias -= hyper.lr * grad
 
     correct = 0
     for (idxs, vals), y in zip(feats, labels):
-        p = _sigmoid(bias + float(weights[idxs] @ vals))
+        p = _sigmoid(bias + math.fsum((weights[idxs] * vals).tolist()))
         correct += int((p >= 0.5) == (y == 1.0))
     train_accuracy = correct / len(feats)
 
@@ -262,7 +273,7 @@ def train_classifier(
         weights=weights,
         bias=bias,
         training_meta={
-            "source": source_name or model_id,
+            "source": source or model_id,
             "seed": hyper.seed,
             "epochs": hyper.epochs,
             "positives": len(pos_texts),

@@ -25,6 +25,7 @@ from .errors import (
     PhaseError,
     ValidationError,
 )
+from .hashing import sha256_file
 from .jsonl import read_jsonl, write_json, write_jsonl
 from .packing import pack_documents, write_packed
 from .pipeline import (
@@ -90,7 +91,7 @@ def cmd_quality_train(args) -> int:
         training_texts(args.negatives),
         hyper=hyper,
         model_id=args.model_id,
-        source_name=args.positives,
+        source=sha256_file(args.positives),
     )
     model.save(args.out)
     acc = model.training_meta["train_accuracy"]

@@ -4,17 +4,17 @@ Each distinct text is shingled into hashed word w-grams once, in the
 calling process. Shingling hashes each distinct word once with blake2b
 and composes every w-gram's hash from its word hashes with numpy, one pass
 per batch of texts (a Karp-Rabin polynomial, hashing.window_hashes), so
-blake2b runs per distinct word, not per window. Signing is one-permutation MinHash (Li, Owen
-and Zhang 2012): each shingle is mixed once and falls into one of num_perms
-bins, each bin keeps its minimum, and an empty bin copies the first
-non-empty bin in a fixed probe order (optimal densification, Shrivastava
-2017). SHINGLE_HASH_VERSION and SIGNATURE_VERSION name the shingle hash and
-the signer in the dedup phase key.
+blake2b runs per distinct word, not per window. Signing is one-permutation
+MinHash (Li, Owen and Zhang 2012): each shingle is mixed once and falls
+into one of num_perms bins, each bin keeps its minimum, and an empty bin
+copies the first non-empty bin in a fixed probe order (optimal
+densification, Shrivastava 2017). SHINGLE_HASH_VERSION and
+SIGNATURE_VERSION name the shingle hash and the signer in the dedup phase
+key.
 Documents with equal shingle sets form one group, whose smallest doc_id
 is its representative; only representatives are MinHash-signed and
-LSH-banded, since every
-member of a group has the representative's signature and its Jaccard to
-any other document. Banding yields buckets of representatives that agree
+LSH-banded, since every member of a group has the representative's
+signature and its Jaccard to any other document. Banding yields buckets of representatives that agree
 on all rows of some band. The groups and the buckets are verified with
 exact Jaccard on the shingle sets, after exact duplicates (equal
 content_hash) are linked unconditionally; a pair already in one
@@ -450,15 +450,17 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
     # Equal shingle sets (equal sorted hash arrays) mean equal signatures and
     # Jaccard 1.0 to each other and equal Jaccard to everyone else, so one
     # member per group stands in.
-    groups: dict[bytes, list[str]] = {}
+    by_set: dict[bytes, list[str]] = {}
     for d in corpus:
-        groups.setdefault(row_of[d.text].tobytes(), []).append(d.doc_id)
-    representatives = [corpus.get(min(ids)) for ids in groups.values()]
+        by_set.setdefault(row_of[d.text].tobytes(), []).append(d.doc_id)
+    groups = list(by_set.values())
+    del by_set  # its keys copy every shingle array; free them before signing
+    representatives = [corpus.get(min(ids)) for ids in groups]
     rows = _signatures([row_of[d.text] for d in representatives], cfg)
     signatures = {
         d.doc_id: MinHashSignature(values, cfg.perm_seed) for d, values in zip(representatives, rows)
     }
-    candidates = [ids for ids in groups.values() if len(ids) > 1]
+    candidates = [ids for ids in groups if len(ids) > 1]
     candidates += lsh_candidate_pairs(signatures, cfg)
     # Only candidates are verified, so only they need shingle sets.
     by_text: dict[str, ShingleSet] = {}

@@ -358,7 +358,7 @@ class Pipeline:
                 training_texts(spec.negatives),
                 hyper=spec.hyper,
                 model_id=spec.model_id,
-                source_name=spec.positives,
+                source=sha256_file(spec.positives),
             )
         out_path = out_dir / f"{spec.model_id}.clf"
         model.save(out_path)
@@ -403,6 +403,7 @@ class Pipeline:
         return outputs + [out_annotated, out_drops], {
             "annotated": len(annotated),
             "annotated_format": quality_mod.ANNOTATED_FORMAT,
+            "training_version": clf_mod.TRAINING_VERSION,
             "dropped": len(drops),
             "drop_reasons": dict(sorted(reasons.items())),
             "classifiers": sorted(m.model_id for m in ensemble),
@@ -588,7 +589,7 @@ PHASE_TABLE = (
           version=dedup_mod.versions),
     Phase("quality", Pipeline._phase_quality, ("quality",),
           reads=("corpus.jsonl", "clusters.jsonl"),
-          outside_files=_classifier_sources),
+          outside_files=_classifier_sources, version=lambda: clf_mod.TRAINING_VERSION),
     Phase("sampling", Pipeline._phase_sampling, ("sampling",), reads=("annotated.jsonl",)),
     Phase("curriculum", Pipeline._phase_curriculum,
           ("curriculum", "master_seed", "sampling", "train_prep.vocab_size"),

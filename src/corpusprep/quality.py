@@ -9,13 +9,13 @@ signals are never combined here; mixing them is a sampling-time
 decision. The heuristics and scoring of each retained document are split
 over `workers` processes (corpus.map_chunks), the pipeline's one pooled
 pass; the rows are assembled in the calling process, so they do not
-depend on the worker count. Each
-chunk hashes every distinct word once, through one bounded word dict,
-and scores only the n-gram hashes found in `known`, the union of the
-classifiers' vocabularies. Where every classifier of an n-gram order set
-allows the word gate (classifier.QualityClassifier.allows_word_gate:
-order 1 among its orders, vocabulary not cut at max_features), an n-gram
-of two or more words is hashed only if all its words are in `known`.
+depend on the worker count. Each chunk hashes every distinct word once,
+through one bounded word dict, and scores only the n-gram hashes found
+in `known`, the union of the classifiers' vocabularies. Where every
+classifier of an n-gram order set allows the word gate
+(classifier.QualityClassifier.allows_word_gate: order 1 among its
+orders, vocabulary not cut at max_features), an n-gram of two or more
+words is hashed only if all its words are in `known`.
 The scores are the same floats as without any of these steps.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)

@@ -593,8 +593,8 @@ class TestRepresentativesEquivalence:
     @given(specs=_DOC_SPECS)
     @settings(max_examples=60, deadline=None)
     def test_clusters_file_equals_reference(self, tmp_path_factory, cfg, batch, specs):
-        """Shingled and signed SHINGLE_BATCH texts at a time, so batches
-        split the distinct texts and the representatives anywhere."""
+        """run_dedup shingles and signs SHINGLE_BATCH texts at a time;
+        batches of one and two texts put a batch boundary everywhere."""
         texts = [_variant(_BASES[b], kind, k) for b, kind, k in specs]
         corpus = Corpus([doc_from(t, 700 + n) for n, t in enumerate(texts)])
         out = tmp_path_factory.mktemp("equiv")
@@ -660,8 +660,9 @@ class TestHashCount:
 
 
 class TestWorkerCounts:
-    """Edge cases of one distinct text, two documents and texts shorter
-    than the shingle width, against the brute-force reference."""
+    """Edge cases: one text copied 500 times, and pairs of documents
+    (identical, near, unrelated, shorter than the shingle width) against
+    the brute-force reference."""
 
     def test_500_identical_copies(self):
         text = make_text(np.random.default_rng(11), make_vocab(np.random.default_rng(12), 300), 80)

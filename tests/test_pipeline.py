@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusprep import corpus, dedup, pipeline
+from corpusprep import classifier, corpus, dedup, pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import hash128_hex, sha256_file
 from corpusprep.jsonl import dumps, read_json, read_jsonl, write_json
@@ -213,6 +213,28 @@ class TestDeterminismAcrossWorkers:
         assert len(pools) == 1 and "_phase_quality" in pools[0]
 
 
+class TestPathIndependence:
+    def test_science_artifacts_do_not_depend_on_the_workspace_path(self, tmp_path):
+        """Criterion 08's workspace, built under two directory names with
+        absolute config paths. Only the sidecar reports may differ: their
+        config_hash keys the config slice and ingest's lists the dumps."""
+        outputs = []
+        for name in ("one", "two"):
+            config_path, raw = make_pipeline_workspace(
+                tmp_path / name, n_docs=1200, seed=8, total_tokens=120_000
+            )
+            assert Path(raw["input"][0]).is_absolute()
+            run_pipeline(PipelineConfig.from_file(config_path))
+            files = work_files(Path(raw["work_dir"]))
+            outputs.append({rel: d for rel, d in files.items() if not rel.endswith("_report.json")})
+        for rel in ("corpus.jsonl", "clusters.jsonl", "classifiers/web.clf",
+                    "annotated.jsonl", "weights.jsonl"):
+            assert rel in outputs[0]
+        assert any(rel.startswith("stages/") for rel in outputs[0])
+        assert any(rel.startswith("packed/") for rel in outputs[0])
+        assert outputs[0] == outputs[1]
+
+
 class TestValidation:
     def test_bad_banding_aborts_before_any_phase(self, tmp_path):
         config_path, raw = make_pipeline_workspace(tmp_path, n_docs=50)
@@ -340,6 +362,17 @@ class TestConfigHash:
         assert rerun["phases_executed"]["ingest"] is False
         assert rerun["phases_executed"]["dedup"] is True
         assert rerun["phases"]["dedup"]["signature_version"] == 3
+
+    def test_training_version_is_in_the_quality_key(self, tmp_path, monkeypatch):
+        """Quality reruns, and dedup does not, under another TRAINING_VERSION."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        first = run_pipeline(PipelineConfig.from_dict(raw))
+        assert first["phases"]["quality"]["training_version"] == classifier.TRAINING_VERSION == 2
+        monkeypatch.setattr(classifier, "TRAINING_VERSION", 3)
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"]["dedup"] is False
+        assert rerun["phases_executed"]["quality"] is True
+        assert rerun["phases"]["quality"]["training_version"] == 3
 
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpusprep
 from corpusprep import hashing
 from corpusprep.classifier import (
     ClassifierHyper,
@@ -35,7 +40,13 @@ from corpusprep.quality import (
     write_annotations,
 )
 
-from conftest import ingest_records, make_record, make_text, make_vocab
+from conftest import (
+    ingest_records,
+    make_pipeline_workspace,
+    make_record,
+    make_text,
+    make_vocab,
+)
 
 RNG = np.random.default_rng(42)
 VOCAB = make_vocab(RNG, 600)
@@ -132,7 +143,47 @@ class TestHeuristics:
         )
 
 
+def _on_openblas() -> bool:
+    config = getattr(np.__config__, "CONFIG", {})
+    return "openblas" in str(config.get("Build Dependencies", {}).get("blas", {})).lower()
+
+
+# Trains `web` as the pipeline does and saves it: argv is positives, negatives, out.
+_TRAIN_SCRIPT = """
+import sys
+from corpusprep.classifier import ClassifierHyper, train_classifier
+from corpusprep.pipeline import training_texts
+pos, neg, out = sys.argv[1:]
+hyper = ClassifierHyper(epochs=12, seed=101)
+train_classifier(training_texts(pos), training_texts(neg), hyper, "web").save(out)
+"""
+
+
 class TestClassifier:
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64") or not _on_openblas(),
+        reason="OPENBLAS_CORETYPE picks kernels only in OpenBLAS on x86-64",
+    )
+    def test_model_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        """OpenBLAS picks its dot kernel by CPU, and OPENBLAS_CORETYPE
+        overrides the pick, so two processes stand in for two machines."""
+        make_pipeline_workspace(tmp_path, n_docs=50, seed=8)
+        src = os.path.dirname(os.path.dirname(corpusprep.__file__))
+        models = []
+        for coretype in ("", "Nehalem"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"web{coretype}.clf"
+            subprocess.run(
+                [sys.executable, "-c", _TRAIN_SCRIPT,
+                 str(tmp_path / "web_pos.jsonl"), str(tmp_path / "web_neg.jsonl"), str(out)],
+                env=env, check=True,
+            )
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
     def test_separable_toy_task(self):
         rng = np.random.default_rng(5)
         pos = toy_texts("alphamarker", 200, rng)
