@@ -17,7 +17,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import DEFAULT_WORKERS, Corpus, check_workers, ingest_files, read_corpus, write_corpus
+from .corpus import Corpus, ingest_files, read_corpus, write_corpus
 from .errors import (
     ConfigError,
     CorpusPrepError,
@@ -127,8 +127,7 @@ def cmd_quality_annotate(args) -> int:
     ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
     domain = {tag: clf_mod.QualityClassifier.load(p) for tag, p in domain_paths.items()}
     annotated, drops = quality_mod.annotate(
-        corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold,
-        workers=args.workers,
+        corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold
     )
     quality_mod.write_annotations(annotated, args.out)
     if args.drops:
@@ -235,11 +234,7 @@ def cmd_prep_rope(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "master_seed": args.seed,
-        "workers": args.workers,
-        "work_dir": args.work_dir,
-    }
+    overrides = {"master_seed": args.seed, "work_dir": args.work_dir}
     config = PipelineConfig.from_file(args.config, overrides=overrides)
     report = Pipeline(config).run(force=args.force)
     ok = report["reconciliation"]["ok"]
@@ -302,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag-threshold", type=float, default=quality_mod.DEFAULT_TAG_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--drops")
-    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.set_defaults(fn=cmd_quality_annotate)
 
     p = sub.add_parser("sample", help="build per-signal weights and merged distribution")
@@ -352,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--work-dir")
     p.add_argument("--force", action="store_true", help="ignore done markers")
     p.set_defaults(fn=cmd_run)
@@ -368,8 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", None) is not None:
-            check_workers(args.workers)
         return args.fn(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

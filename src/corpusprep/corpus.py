@@ -9,7 +9,6 @@ Two records with the same normalized text share ``content_hash`` but,
 if fetched from different (url, crawl_time), get distinct ``doc_id``s.
 
 Ingestion parses and rejects one line at a time in the calling process.
-map_chunks, the process pool of quality scoring, also lives here.
 """
 
 from __future__ import annotations
@@ -17,20 +16,17 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, RejectedRecord
+from .errors import RejectedRecord
 from .hashing import hash64_hex, hash128_hex
 from .jsonl import dumps, read_jsonl, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
-# Quality-scoring processes unless told otherwise (see map_chunks).
-DEFAULT_WORKERS = 1
 
 _BLANK_RUN = re.compile(r"\n{4,}")
 
@@ -205,40 +201,6 @@ def _decode_line(raw: bytes, line_start: int) -> str:
         raise RejectedRecord(
             "invalid_utf8", exc.reason, byte_offset=line_start + exc.start
         ) from None
-
-
-def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, n)) if n else 1
-    base, rem = divmod(n, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < rem else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
-def check_workers(workers: int) -> None:
-    """ConfigError unless `workers`, the quality-scoring process count, is >= 1."""
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
-
-def map_chunks(fn: Callable[..., list], items: Sequence, workers: int, *shared) -> list:
-    """``fn(items[a:b], *shared)`` over `workers` contiguous ranges of
-    `items`, one pool process each, concatenated in range order.
-
-    With one worker or fewer than two items, `fn` runs once, inline.
-    `fn` must be a top-level function with picklable arguments and rows.
-    Any per-item `fn` gives the same list for every worker count.
-    """
-    ranges = _split_ranges(len(items), workers)
-    if len(ranges) < 2:
-        return fn(items, *shared)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(fn, items[a:b], *shared) for a, b in ranges]
-        return [row for future in futures for row in future.result()]
 
 
 def ingest_lines(lines: Iterable[tuple[bytes, int]]) -> tuple[Corpus, IngestReport]:

@@ -142,7 +142,7 @@ def derive_seed(*parts: int | str) -> int:
     """Derive a 64-bit substream seed from a master seed plus labels.
 
     This is the documented substream derivation for every scoped RNG in
-    the pipeline (per-stage, per-group, per-worker): re-running one
+    the pipeline (per-stage, per-group): re-running one
     consumer never perturbs another's stream.
     """
     h = hashlib.blake2b(digest_size=8)

@@ -14,9 +14,8 @@ recorded digests. On re-run a phase is skipped when its marker holds the
 current key and every recorded output still verifies, so an edit reruns
 only the phases that read what changed, and a rerun phase whose outputs
 come out byte-identical stops the reruns below it. Outputs are fully
-determined by (inputs, config, master_seed); the worker count is the
-number of quality-scoring processes and changes no output byte. Every
-other phase runs in the calling process.
+determined by (inputs, config, master_seed). Every phase runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import curriculum as cur_mod
 from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
-from .corpus import DEFAULT_WORKERS, Corpus, check_workers, ingest_files, read_corpus, write_corpus
+from .corpus import Corpus, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
 from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
@@ -144,7 +143,6 @@ class PipelineConfig:
     input_paths: list[str]
     work_dir: Path
     master_seed: int
-    workers: int
     dedup: dedup_mod.DedupConfig
     heuristics: quality_mod.HeuristicThresholds
     tag_threshold: float
@@ -174,7 +172,6 @@ class PipelineConfig:
                 input_paths=list(raw.get("input", [])),
                 work_dir=Path(raw.get("work_dir", "work")),
                 master_seed=int(raw.get("master_seed", 0)),
-                workers=int(raw.get("workers", DEFAULT_WORKERS)),
                 dedup=config_section(dedup_mod.DedupConfig, raw.get("dedup", {}), "dedup"),
                 heuristics=config_section(
                     quality_mod.HeuristicThresholds, q.get("heuristics", {}), "quality.heuristics"
@@ -206,7 +203,6 @@ class PipelineConfig:
         """Validate every sub-config before any phase runs."""
         if not self.input_paths:
             raise ConfigError("config needs at least one input path")
-        check_workers(self.workers)
         self.dedup.validate()
         if not self.classifiers:
             raise ConfigError("at least one quality classifier is required")
@@ -389,7 +385,6 @@ class Pipeline:
             domain,
             thresholds=self.config.heuristics,
             tag_threshold=self.config.tag_threshold,
-            workers=self.config.workers,
         )
         out_annotated = self.work_dir / "annotated.jsonl"
         quality_mod.write_annotations(annotated, out_annotated)

@@ -6,13 +6,11 @@ non-alphabetic, dominated by one repeated line). Everything that
 survives gets a QualitySignalVector: one entry per ensemble classifier,
 the cluster's natural-frequency counts, and binary domain tags. The
 signals are never combined here; mixing them is a sampling-time
-decision. The heuristics and scoring of each retained document are split
-over `workers` processes (corpus.map_chunks), the pipeline's one pooled
-pass; the rows are assembled in the calling process, so they do not
-depend on the worker count. Each chunk hashes every distinct word once,
-through one bounded word dict, and scores only the n-gram hashes found
-in `known`, the union of the classifiers' vocabularies. Where every
-classifier of an n-gram order set allows the word gate
+decision. Heuristics and scoring run in the calling process, one
+retained document at a time. Every distinct word is hashed once,
+through one bounded word dict, and only the n-gram hashes found in
+`known`, the union of the classifiers' vocabularies, are scored. Where
+every classifier of an n-gram order set allows the word gate
 (classifier.QualityClassifier.allows_word_gate: order 1 among its
 orders, vocabulary not cut at max_features), an n-gram of two or more
 words is hashed only if all its words are in `known`.
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
-from .corpus import DEFAULT_WORKERS, Corpus, Document, map_chunks
+from .corpus import Corpus, Document
 from .dedup import DuplicateCluster
 from .errors import ConfigError, PipelineOrderError, UnknownSignalError
 from .jsonl import read_jsonl, write_jsonl
@@ -105,13 +103,6 @@ def heuristic_filter(
 ) -> HeuristicReport:
     """Apply the drop rules; verdict is "drop" iff any rule fails."""
     stats = text_stats(doc.text)
-    reasons = _drop_reasons(stats, thresholds)
-    return HeuristicReport(
-        verdict="drop" if reasons else "keep", reasons=reasons, stats=stats
-    )
-
-
-def _drop_reasons(stats: TextStats, thresholds: HeuristicThresholds) -> list[str]:
     reasons = []
     if stats.word_count < thresholds.min_words:
         reasons.append("min_words")
@@ -125,7 +116,9 @@ def _drop_reasons(stats: TextStats, thresholds: HeuristicThresholds) -> list[str
         reasons.append("alpha_ratio")
     if stats.max_line_repeat_ratio > thresholds.max_line_repeat_ratio:
         reasons.append("line_repeat")
-    return reasons
+    return HeuristicReport(
+        verdict="drop" if reasons else "keep", reasons=reasons, stats=stats
+    )
 
 
 @dataclass
@@ -208,61 +201,6 @@ class DropRecord:
         return {"doc_id": self.doc_id, "reasons": self.reasons, "stats": self.stats.to_dict()}
 
 
-def _score_chunk(
-    texts: Sequence[str],
-    classifiers: Sequence[QualityClassifier],
-    tag_classifiers: Sequence[QualityClassifier | None],
-    thresholds: HeuristicThresholds,
-    tag_threshold: float,
-) -> list[tuple[list[str], TextStats | tuple[float, ...]]]:
-    """Per text, (drop reasons, TextStats) if the heuristics drop it, else
-    ([], signal floats): one score per classifier, then one tag flag per
-    entry of tag_classifiers (0.0 where it is None).
-
-    Each distinct word of the chunk is hashed once (one word dict), and
-    each text's n-gram hashes are cut to `known`, the union of all the
-    vocabularies, before scoring. score_hashes ignores hashes outside its
-    vocabulary and the cut keeps the order of the rest, so every score is
-    the one the full hash list gives, bit for bit. The cut costs one set
-    probe per hash and saves one dict probe per classifier for each hash
-    outside `known`, so it pays when most n-grams are in no vocabulary
-    and several classifiers score each text.
-
-    Scorers are grouped by their n-gram orders. In a group whose
-    scorers all allow the word gate, a window of two or more words is
-    hashed only if each of its words is in `known`
-    (hashing.word_window_hashes): each scorer's vocabulary holds the
-    words of its own n-grams, so no window that one of them knows is
-    skipped. Every other group hashes each window, then cuts.
-    """
-    scorers = [*classifiers, *(clf for clf in tag_classifiers if clf is not None)]
-    known = set().union(*(clf.vocabulary for clf in scorers))
-    ungated = {clf.hyper.orders for clf in scorers if not clf.allows_word_gate}
-    gates = {
-        clf.hyper.orders: None if clf.hyper.orders in ungated else known for clf in scorers
-    }
-    word_hashes: dict[str, int] = {}
-    rows = []
-    for text in texts:
-        stats = text_stats(text)
-        reasons = _drop_reasons(stats, thresholds)
-        if reasons:
-            rows.append((reasons, stats))
-            continue
-        hashes_by_orders = {
-            orders: [h for h in ngram_hashes(text, orders, word_hashes, gate) if h in known]
-            for orders, gate in gates.items()
-        }
-        values = [clf.score_hashes(hashes_by_orders[clf.hyper.orders]) for clf in classifiers]
-        for clf in tag_classifiers:
-            tagged = clf is not None and (
-                clf.score_hashes(hashes_by_orders[clf.hyper.orders]) >= tag_threshold
-            )
-            values.append(1.0 if tagged else 0.0)
-        rows.append(([], tuple(values)))
-    return rows
-
-
 def annotate(
     corpus: Corpus,
     clusters: Sequence[DuplicateCluster],
@@ -270,16 +208,29 @@ def annotate(
     domain_classifiers: Mapping[str, QualityClassifier] | None = None,
     thresholds: HeuristicThresholds = HeuristicThresholds(),
     tag_threshold: float = DEFAULT_TAG_THRESHOLD,
-    workers: int = DEFAULT_WORKERS,
 ) -> tuple[list[Annotation], list[DropRecord]]:
     """One Annotation row per retained, heuristics-surviving doc, in
-    doc_id order.
+    doc_id order, and one DropRecord per retained doc the heuristics
+    drop, in cluster order.
 
     Requires dedup to have run: every scored document must belong to a
     cluster with retention filled in. Deterministic and idempotent; the
-    result never contains a combined score. The heuristics and scoring
-    are split over `workers` processes (see corpus.map_chunks); rows and
-    drop order are the same for any worker count.
+    result never contains a combined score.
+
+    Each kept text's n-gram hashes are cut to `known`, the union of all
+    the vocabularies, before scoring. score_hashes ignores hashes outside
+    its vocabulary and the cut keeps the order of the rest, so every
+    score is the one the full hash list gives, bit for bit. The cut costs
+    one set probe per hash and saves one dict probe per classifier for
+    each hash outside `known`, so it pays when most n-grams are in no
+    vocabulary and several classifiers score each text.
+
+    Scorers are grouped by their n-gram orders. In a group whose scorers
+    all allow the word gate, a window of two or more words is hashed only
+    if each of its words is in `known` (hashing.word_window_hashes): each
+    scorer's vocabulary holds the words of its own n-grams, so no window
+    that one of them knows is skipped. Every other group hashes each
+    window, then cuts.
     """
     domain_classifiers = domain_classifiers or {}
     cluster_by_doc: dict[str, DuplicateCluster] = {}
@@ -291,16 +242,6 @@ def annotate(
             )
         for doc_id in cluster.member_ids:
             cluster_by_doc[doc_id] = cluster
-
-    work: list[tuple[Document, DuplicateCluster]] = []
-    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        for doc_id in cluster.retained_ids:
-            doc = corpus.get(doc_id)
-            if doc is None:
-                raise PipelineOrderError(
-                    f"retained doc {doc_id} missing from corpus"
-                )
-            work.append((doc, cluster))
     missing = [d.doc_id for d in corpus if d.doc_id not in cluster_by_doc]
     if missing:
         raise PipelineOrderError(
@@ -308,32 +249,47 @@ def annotate(
             f"(first: {missing[0]})"
         )
 
-    clf_names = [f"clf:{clf.model_id}" for clf in classifiers]
     tags = [*REQUIRED_TAGS, *(t for t in domain_classifiers if t not in REQUIRED_TAGS)]
-    rows = map_chunks(
-        _score_chunk,
-        [doc.text for doc, _ in work],
-        workers,
-        classifiers,
-        [domain_classifiers.get(tag) for tag in tags],
-        thresholds,
-        tag_threshold,
-    )
+    tag_classifiers = [(f"tag:{tag}", domain_classifiers.get(tag)) for tag in tags]
+    clf_ids = [clf.model_id for clf in classifiers]
+    scorers = [*classifiers, *(clf for _, clf in tag_classifiers if clf is not None)]
+    known = set().union(*(clf.vocabulary for clf in scorers))
+    ungated = {clf.hyper.orders for clf in scorers if not clf.allows_word_gate}
+    gates = {
+        clf.hyper.orders: None if clf.hyper.orders in ungated else known for clf in scorers
+    }
+    word_hashes: dict[str, int] = {}
 
     annotated: list[Annotation] = []
     drops: list[DropRecord] = []
-    for (doc, cluster), (reasons, payload) in zip(work, rows):
-        if reasons:
-            drops.append(DropRecord(doc.doc_id, reasons, payload))
-            continue
-        signals = dict(zip(clf_names, payload))
-        signals["freq:occurrence"] = float(cluster.signals.occurrence_count)
-        signals["freq:snapshot"] = float(cluster.signals.snapshot_count)
-        signals["freq:domain"] = float(cluster.signals.domain_count)
-        signals.update(zip((f"tag:{tag}" for tag in tags), payload[len(clf_names) :]))
-        vec = QualitySignalVector(signals)
-        vec.validate([clf.model_id for clf in classifiers])
-        annotated.append(Annotation(doc.doc_id, doc.url, cluster.cluster_id, vec))
+    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
+        for doc_id in cluster.retained_ids:
+            doc = corpus.get(doc_id)
+            if doc is None:
+                raise PipelineOrderError(f"retained doc {doc_id} missing from corpus")
+            report = heuristic_filter(doc, thresholds)
+            if report.reasons:
+                drops.append(DropRecord(doc_id, report.reasons, report.stats))
+                continue
+            hashes_by_orders = {
+                orders: [h for h in ngram_hashes(doc.text, orders, word_hashes, gate) if h in known]
+                for orders, gate in gates.items()
+            }
+            signals = {
+                f"clf:{clf.model_id}": clf.score_hashes(hashes_by_orders[clf.hyper.orders])
+                for clf in classifiers
+            }
+            signals["freq:occurrence"] = float(cluster.signals.occurrence_count)
+            signals["freq:snapshot"] = float(cluster.signals.snapshot_count)
+            signals["freq:domain"] = float(cluster.signals.domain_count)
+            for name, clf in tag_classifiers:
+                tagged = clf is not None and (
+                    clf.score_hashes(hashes_by_orders[clf.hyper.orders]) >= tag_threshold
+                )
+                signals[name] = 1.0 if tagged else 0.0
+            vec = QualitySignalVector(signals)
+            vec.validate(clf_ids)
+            annotated.append(Annotation(doc_id, doc.url, cluster.cluster_id, vec))
     annotated.sort(key=lambda row: row.doc_id)
     return annotated, drops
 

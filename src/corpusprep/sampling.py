@@ -6,9 +6,6 @@ normalized independently and combined as a convex mixture, so a signal
 with mixture weight lambda can never contribute more than lambda of
 the final probability mass. Draws happen at cluster granularity with
 per-cluster repetition counters rotating through retained variants.
-
-Parallel draws, when needed, should split n across workers using
-hashing.derive_seed(seed, worker_index) as each worker's substream.
 """
 
 from __future__ import annotations

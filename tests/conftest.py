@@ -217,7 +217,6 @@ def make_pipeline_workspace(
     n_docs: int = 1200,
     seed: int = 0,
     total_tokens: int = 120_000,
-    workers: int = 1,
     work_dir: str | None = None,
 ) -> tuple[str, dict]:
     """Write a dump, classifier training sources and a pipeline config.
@@ -261,7 +260,6 @@ def make_pipeline_workspace(
         "input": [dump],
         "work_dir": work_dir or os.path.join(root, "work"),
         "master_seed": 4242,
-        "workers": workers,
         "dedup": {"top_k": 3},
         "quality": {
             "tag_threshold": 0.5,

@@ -107,19 +107,16 @@ class TestQualityCommands:
             assert "clf:web" in rec["extra"]
             assert "tag:code" in rec["extra"]
 
-        written = []
-        for workers in ("1", "2"):
-            out, dropped = tmp_path / f"annotated-w{workers}.jsonl", tmp_path / f"drops-w{workers}.jsonl"
-            rc = main([
-                "quality", "annotate",
-                "--in", str(corpus), "--clusters", str(clusters),
-                "--models", str(model),
-                "--domain", f"code={dcode}", f"math={dmath}",
-                "--out", str(out), "--drops", str(dropped), "--workers", workers,
-            ])
-            assert rc == 0
-            written.append((out.read_bytes(), dropped.read_bytes()))
-        assert written[0] == written[1] == (annotated.read_bytes(), drops.read_bytes())
+        out, dropped = tmp_path / "annotated-again.jsonl", tmp_path / "drops-again.jsonl"
+        rc = main([
+            "quality", "annotate",
+            "--in", str(corpus), "--clusters", str(clusters),
+            "--models", str(model),
+            "--domain", f"code={dcode}", f"math={dmath}",
+            "--out", str(out), "--drops", str(dropped),
+        ])
+        assert rc == 0
+        assert (out.read_bytes(), dropped.read_bytes()) == (annotated.read_bytes(), drops.read_bytes())
 
 
 class TestSampleCommand:
@@ -269,7 +266,7 @@ class TestRunReport:
         override_dir = tmp_path / "override_work"
         rc = main([
             "run", "--config", str(config_path),
-            "--work-dir", str(override_dir), "--seed", "7", "--workers", "2",
+            "--work-dir", str(override_dir), "--seed", "7",
         ])
         assert rc == 0
         assert (override_dir / "report.json").is_file()
@@ -345,26 +342,6 @@ def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert MISSING in err
     assert "Traceback" not in out + err
-
-
-# Each per-phase command with --workers, reading the files phase_files holds.
-WORKER_COMMANDS = {
-    "quality-annotate": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
-                         "clusters.jsonl", "--models", "web.clf", "--out", "out.jsonl"],
-}
-
-
-@pytest.mark.parametrize("argv", WORKER_COMMANDS.values(), ids=WORKER_COMMANDS.keys())
-def test_workers_below_1_exits_1_like_run(phase_files, monkeypatch, capsys, argv):
-    monkeypatch.chdir(phase_files)
-    for workers in ("0", "-1"):
-        capsys.readouterr()
-        assert main([*argv, f"--workers={workers}"]) == 1
-        out, err = capsys.readouterr()
-        assert err == "error: workers must be >= 1\n"
-        assert not (phase_files / "out.jsonl").exists()
-    assert main([*argv, "--workers", "1"]) == 0
-    (phase_files / "out.jsonl").unlink()
 
 
 # -- malformed config files ---------------------------------------------------------
@@ -465,12 +442,23 @@ def test_policy_spec_maps_signal_and_lambda():
     assert PolicySpec.from_dict({"signal": "s", "lambda": 1}, "p").policy == UpsamplePolicy("s")
 
 
-@pytest.mark.parametrize("command", ["ingest", "dedup"])
-def test_ingest_and_dedup_take_no_workers_flag(phase_files, monkeypatch, capsys, command):
-    """Only quality scoring runs in a process pool."""
+# Commands that once took --workers, reading the files phase_files holds.
+FORMER_WORKER_COMMANDS = {
+    "ingest": ["ingest", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+    "dedup": ["dedup", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+    "quality-annotate": ["quality", "annotate", "--in", "corpus.jsonl", "--clusters",
+                         "clusters.jsonl", "--models", "web.clf", "--out", "out.jsonl"],
+    # A run that started would create out.jsonl as its work directory.
+    "run": ["run", "--config", "config.json", "--work-dir", "out.jsonl"],
+}
+
+
+@pytest.mark.parametrize("argv", FORMER_WORKER_COMMANDS.values(), ids=FORMER_WORKER_COMMANDS.keys())
+def test_no_command_takes_a_workers_flag(phase_files, monkeypatch, capsys, argv):
+    """Every phase runs in the calling process, so argparse rejects --workers."""
     monkeypatch.chdir(phase_files)
     with pytest.raises(SystemExit) as exit_:
-        main([command, "--in", "corpus.jsonl", "--out", "out.jsonl", "--workers", "2"])
+        main([*argv, "--workers", "2"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (phase_files / "out.jsonl").exists()

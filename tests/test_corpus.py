@@ -14,7 +14,6 @@ from corpusprep.corpus import (
     ingest_files,
     ingest_lines,
     ingest_record,
-    map_chunks,
     normalize_text,
     read_corpus,
     serialize_corpus,
@@ -23,18 +22,6 @@ from corpusprep.corpus import (
 from corpusprep.errors import RejectedRecord
 
 from conftest import planted_corpus_records, write_records
-
-
-def _doc_id_or_reason(lines: list[tuple[bytes, int]]) -> list[str]:
-    """The doc_id or the reject reason of each (raw line, offset); top-level,
-    so map_chunks' pool processes can run it."""
-    rows = []
-    for raw, _ in lines:
-        try:
-            rows.append(ingest_record(raw.decode("utf-8")).doc_id)
-        except RejectedRecord as err:
-            rows.append(err.reason)
-    return rows
 
 
 def rec_line(**kwargs) -> str:
@@ -176,15 +163,6 @@ class TestIngestLines:
             _decode_line(bad, 100)
         assert err.value.reason == "invalid_utf8"
         assert err.value.byte_offset == 100 + bad.index(b"\xff")
-
-    def test_map_chunks_with_more_workers_than_items(self):
-        raw = [rec_line(url="https://h/1"), "garbage", rec_line(url="https://h/2")]
-        lines = self.lines(raw)
-        inline = _doc_id_or_reason(lines)
-        assert inline[1] == "parse_error"
-        for workers in (1, 3, 8):
-            assert map_chunks(_doc_id_or_reason, lines, workers) == inline
-        assert map_chunks(_doc_id_or_reason, [], 8) == []
 
     def test_sorted_by_doc_id(self):
         records, _, _ = planted_corpus_records(seed=6, n_docs=30, n_near_pairs=2, n_exact_triples=1)

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
-import traceback
 from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
-from corpusprep import classifier, corpus, dedup, pipeline
+from corpusprep import classifier, dedup, pipeline
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import hash128_hex, sha256_file
 from corpusprep.jsonl import dumps, read_json, read_jsonl, write_json
@@ -194,23 +194,22 @@ class TestDeterminismAcrossWorkers:
         assert digests[0] == digests[1]
         assert reports[0] == reports[1]
 
-    def test_only_quality_starts_a_process_pool(self, tmp_path, monkeypatch):
-        """Ingest and dedup run in the calling process; a run at workers=2
-        starts one process pool, for quality scoring."""
-        pools = []
+    def test_workers_key_starts_no_process(self, tmp_path, monkeypatch):
+        """Every phase runs in the calling process: with os.fork raising, a
+        config carrying "workers": 2 runs and writes what one without it does."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
 
-        class CountingPool(corpus.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append([f.name for f in traceback.extract_stack()])
-                super().__init__(*args, **kwargs)
+        def no_fork():
+            raise OSError("the pipeline must not fork")
 
-        monkeypatch.setattr(corpus, "ProcessPoolExecutor", CountingPool)
-        config_path, _ = make_pipeline_workspace(
-            tmp_path, n_docs=200, total_tokens=20_000, workers=2
-        )
-        report = run_pipeline(PipelineConfig.from_file(config_path))
-        assert report["reconciliation"]["ok"]
-        assert len(pools) == 1 and "_phase_quality" in pools[0]
+        monkeypatch.setattr(os, "fork", no_fork)
+        reports = []
+        for name, extra in (("with-key", {"workers": 2}), ("without", {})):
+            config = dict(raw, work_dir=str(tmp_path / name), **extra)
+            reports.append(strip_timing(run_pipeline(PipelineConfig.from_dict(config))))
+        assert reports[0]["reconciliation"]["ok"]
+        assert reports[0] == reports[1]
+        assert work_files(tmp_path / "with-key") == work_files(tmp_path / "without")
 
 
 class TestPathIndependence:

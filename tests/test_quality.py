@@ -23,16 +23,14 @@ from corpusprep.classifier import (
     ngram_hashes,
     train_classifier,
 )
-from corpusprep.corpus import Corpus, ingest_record
-from corpusprep.dedup import DedupConfig, run_dedup
+from corpusprep.corpus import Corpus, Document, ingest_record
+from corpusprep.dedup import DedupConfig, DuplicateCluster, FrequencySignals, run_dedup
 from corpusprep.errors import ConfigError, PipelineOrderError, UnknownSignalError
 from corpusprep.quality import (
     Annotation,
-    DropRecord,
     HeuristicThresholds,
+    REQUIRED_TAGS,
     QualitySignalVector,
-    _drop_reasons,
-    _score_chunk,
     annotate,
     heuristic_filter,
     read_annotations,
@@ -357,51 +355,27 @@ class TestAnnotate:
         with pytest.raises(PipelineOrderError):
             annotate(corpus, clusters[: len(clusters) // 2], ensemble, domain)
 
-
-def drop_heavy_fixture():
-    """Like annotated_fixture, with drops spread over the cluster order."""
-    rng = np.random.default_rng(3)
-    records = [make_record(make_text(rng, VOCAB, 60), i) for i in range(24)]
-    records += [make_record(f"short text number {i}", 100 + i) for i in range(6)]
-    records.append(make_record("\n".join(["the same line again and again"] * 30), 200))
-    corpus = ingest_records(records)
-    clusters = run_dedup(corpus, DedupConfig())
-    _, _, ensemble, domain = annotated_fixture()
-    return corpus, clusters, ensemble, domain
-
-
-class TestAnnotateWorkers:
-    @staticmethod
-    def records(rows: list[Annotation], drops: list[DropRecord]):
-        return [r.to_record() for r in rows], [d.to_record() for d in drops]
-
-    def test_rows_and_drop_order_equal_for_1_2_3_workers(self):
-        corpus, clusters, ensemble, domain = drop_heavy_fixture()
-        results = [
-            self.records(*annotate(corpus, clusters, ensemble, domain, workers=w))
-            for w in (1, 2, 3)
+    def test_drops_follow_cluster_order(self):
+        rng = np.random.default_rng(3)
+        records = [make_record(make_text(rng, VOCAB, 60), i) for i in range(24)]
+        records += [make_record(f"short text number {i}", 100 + i) for i in range(6)]
+        records.append(make_record("\n".join(["the same line again and again"] * 30), 200))
+        corpus = ingest_records(records)
+        clusters = run_dedup(corpus, DedupConfig())
+        _, _, ensemble, domain = annotated_fixture()
+        annotated, drops = annotate(corpus, clusters, ensemble, domain)
+        dropped = {d.doc_id for d in drops}
+        assert len(drops) == 7 and annotated
+        assert [d.doc_id for d in drops] == [
+            doc_id
+            for cluster in sorted(clusters, key=lambda c: c.cluster_id)
+            for doc_id in cluster.retained_ids
+            if doc_id in dropped
         ]
-        rows, drops = results[0]
-        assert len(drops) == 7 and rows
-        assert results[1] == results[0] and results[2] == results[0]
-
-    def test_fewer_retained_docs_than_workers(self):
-        corpus, clusters, ensemble, domain = annotated_fixture()
-        keep = {clusters[0].cluster_id, clusters[1].cluster_id}
-        small_clusters = [c for c in clusters if c.cluster_id in keep]
-        members = {m for c in small_clusters for m in c.member_ids}
-        small = Corpus([d for d in corpus if d.doc_id in members])
-        assert sum(len(c.retained_ids) for c in small_clusters) < 3
-        results = [
-            self.records(*annotate(small, small_clusters, ensemble, domain, workers=w))
-            for w in (1, 2, 3)
-        ]
-        assert results[0][0] and results[1] == results[0] and results[2] == results[0]
 
     def test_empty_corpus(self):
         _, _, ensemble, domain = annotated_fixture()
-        for w in (1, 2, 3):
-            assert annotate(Corpus([]), [], ensemble, domain, workers=w) == ([], [])
+        assert annotate(Corpus([]), [], ensemble, domain) == ([], [])
 
 
 # Words whose lowercase forms collide ("Apple"/"APPLE"), differ only by
@@ -491,14 +465,46 @@ score_texts = st.lists(
 )
 
 
+def unit_doc(i: int, text: str) -> Document:
+    """A document holding `text` as it is, with no normalization."""
+    return Document(
+        f"d{i:04d}", f"https://unit.example/{i}", "2024-01-01T00:00:00Z",
+        "en", "S", "unit.example", "", text,
+    )
+
+
+def annotate_texts(texts, classifiers, tags, tag_threshold=0.5):
+    """annotate over one singleton cluster per text, as one row per text:
+    (drop reasons, TextStats) if the heuristics drop it, else ([], signal
+    floats): one score per classifier, then one tag flag per entry of
+    `tags` (0.0 where it is None)."""
+    docs = [unit_doc(i, text) for i, text in enumerate(texts)]
+    clusters = [
+        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
+        for d in docs
+    ]
+    names = [REQUIRED_TAGS[i] if i < len(REQUIRED_TAGS) else f"extra{i}" for i in range(len(tags))]
+    domain = {name: clf for name, clf in zip(names, tags) if clf is not None}
+    annotated, drops = annotate(
+        Corpus(docs), clusters, classifiers, domain, SCORE_THRESHOLDS, tag_threshold
+    )
+    rows = {d.doc_id: (d.reasons, d.stats) for d in drops}
+    for row in annotated:
+        signals = row.signals.signals
+        rows[row.doc_id] = ([], tuple(
+            [signals[f"clf:{clf.model_id}"] for clf in classifiers]
+            + [signals[f"tag:{name}"] for name in names]
+        ))
+    return [rows[d.doc_id] for d in docs]
+
+
 def reference_rows(texts, classifiers, tags, tag_threshold=0.5):
-    """_score_chunk's rows built text by text, from the full hash lists."""
+    """annotate_texts' rows built text by text, from the full hash lists."""
     rows = []
-    for text in texts:
-        stats = text_stats(text)
-        reasons = _drop_reasons(stats, SCORE_THRESHOLDS)
-        if reasons:
-            rows.append((reasons, stats))
+    for i, text in enumerate(texts):
+        report = heuristic_filter(unit_doc(i, text), SCORE_THRESHOLDS)
+        if report.reasons:
+            rows.append((report.reasons, report.stats))
             continue
         values = [clf.score_hashes(ngram_hashes(text, clf.hyper.orders)) for clf in classifiers]
         for clf in tags:
@@ -515,12 +521,14 @@ def bits(rows):
 
 
 class TestScoreChunk:
+    """annotate scoring a batch of texts through one word dict."""
+
     @settings(max_examples=150, deadline=None)
     @given(score_texts)
     def test_rows_equal_per_text_scoring_bit_for_bit(self, texts):
         for name in SCORE_ENSEMBLES:
             classifiers, tags = score_ensemble(name)
-            rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+            rows = annotate_texts(texts, classifiers, tags)
             assert bits(rows) == bits(reference_rows(texts, classifiers, tags)), name
 
     def test_fixture_covers_short_dropped_and_scored_texts(self):
@@ -531,7 +539,7 @@ class TestScoreChunk:
         ]
         for name in SCORE_ENSEMBLES:
             classifiers, tags = score_ensemble(name)
-            rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+            rows = annotate_texts(texts, classifiers, tags)
             assert [bool(reasons) for reasons, _ in rows] == [False, True, True, False, False, False]
             assert bits(rows) == bits(reference_rows(texts, classifiers, tags)), name
         # The vocabularies hold the non-ASCII words, so the filter keeps some.
@@ -646,7 +654,7 @@ class TestHashCount:
             "plum fig",  # shorter than order 3
             "quince ÜBER",  # no word in any vocabulary
         ]
-        rows = _score_chunk(texts, classifiers, tags, SCORE_THRESHOLDS, 0.5)
+        rows = annotate_texts(texts, classifiers, tags)
         hashed = calls["hash64"]
         kept = [t.lower().split() for t, (reasons, _) in zip(texts, rows) if not reasons]
         assert len(kept) == 4
@@ -677,10 +685,10 @@ class TestHashCount:
         models = score_models()
         text = "quince apple pear über fig kiwi"
         words = text.lower().split()
-        _score_chunk([text], [models["bi"], models["capped"]], [], SCORE_THRESHOLDS, 0.5)
+        annotate_texts([text], [models["bi"], models["capped"]], [])
         assert calls["hash64"] == len(words) + len(lowered_windows(words, 2))
         calls.clear()
-        _score_chunk([text], [models["bi"]], [], SCORE_THRESHOLDS, 0.5)
+        annotate_texts([text], [models["bi"]], [])
         assert calls["hash64"] == len(words) + 2  # "apple pear" and "fig kiwi"
 
     def test_score_text_hashes_each_word_once_and_known_windows(self, calls):
