@@ -14,8 +14,11 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 @contextmanager
