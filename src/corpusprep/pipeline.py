@@ -9,13 +9,14 @@ slice it reads, the files outside the work directory it reads, and the
 work-directory files it reads from earlier phases. A phase writes its
 own artifacts plus a sidecar report, and its done-marker records the
 sha256 of each output. The phase's key hashes its name, its config
-slice, the contents of its outside files and the upstream outputs'
-recorded digests. On re-run a phase is skipped when its marker holds the
-current key and every recorded output still verifies, so an edit reruns
-only the phases that read what changed, and a rerun phase whose outputs
-come out byte-identical stops the reruns below it. Outputs are fully
-determined by (inputs, config, master_seed). Every phase runs in the
-calling process.
+slice without file paths, the contents of its outside files in order and
+the upstream outputs' recorded digests, so a workspace moved with its
+inputs to another directory reruns nothing. On re-run a phase is skipped
+when its marker holds the current key and every recorded output still
+verifies, so an edit reruns only the phases that read what changed, and
+a rerun phase whose outputs come out byte-identical stops the reruns
+below it. Outputs are fully determined by (inputs, config, master_seed).
+Every phase runs in the calling process.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .schedule import LrScheduleSpec, dump_csv
 from .tokenizer import DEFAULT_VOCAB_SIZE, WhitespaceTokenizer
 
 TIMING_KEYS = ("timing", "generated_at", "wall_clock_s")
+# Config keys that name a file; a phase key holds only whether each is set.
+PATH_KEYS = ("path", "positives", "negatives")
 T = TypeVar("T")
 
 
@@ -263,13 +266,15 @@ class Pipeline:
 
     def _phase_key(self, phase: "Phase", upstream: dict[str, str]) -> str:
         """Hash of everything `phase` reads; `upstream` maps each earlier
-        output's work-relative path to its recorded sha256."""
+        output's work-relative path to its recorded sha256. An outside
+        file enters by its sha256 at its place in phase.outside_files,
+        which names its role; no path enters."""
         raw = self.config.raw
         return hash128_hex(dumps({
             "phase": phase.name,
             "version": phase.version(),
-            "config": {key: _config_value(raw, key) for key in phase.config_keys},
-            "files": {path: sha256_file(path) for path in phase.outside_files(self.config)},
+            "config": {key: _path_free(_config_value(raw, key)) for key in phase.config_keys},
+            "files": [sha256_file(path) for path in phase.outside_files(self.config)],
             "upstream": {
                 rel: digest for rel, digest in upstream.items()
                 if any(fnmatch(rel, pattern) for pattern in phase.reads)
@@ -544,6 +549,16 @@ def _config_value(raw: dict, dotted: str) -> Any:
     return raw
 
 
+def _path_free(value: Any) -> Any:
+    """`value` with each PATH_KEYS entry of a nested object cut to whether
+    it is set, so the key tells a model file from a training pair."""
+    if isinstance(value, dict):
+        return {k: bool(v) if k in PATH_KEYS else _path_free(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_path_free(v) for v in value]
+    return value
+
+
 def _classifier_sources(config: PipelineConfig) -> list[str]:
     """The files the quality phase loads: each model file or training pair."""
     return [
@@ -558,8 +573,11 @@ class Phase:
     """One pipeline phase and everything it reads.
 
     `config_keys` are dotted keys into the raw config; the slice they
-    select may be wider than the phase needs, never narrower. `reads`
-    are glob patterns over the work-relative outputs of earlier phases.
+    select may be wider than the phase needs, never narrower, except for
+    file paths: `outside_files` lists the files the phase reads from
+    outside the work directory, and their contents, in that order, stand
+    in for their paths. `reads` are glob patterns over the work-relative
+    outputs of earlier phases.
     `version` returns what names how the phase computes its outputs from
     those inputs, read each time a key is taken; a change to it makes
     earlier outputs stale.
@@ -578,8 +596,7 @@ class Phase:
 
 
 PHASE_TABLE = (
-    Phase("ingest", Pipeline._phase_ingest, ("input",),
-          outside_files=PipelineConfig.resolve_inputs),
+    Phase("ingest", Pipeline._phase_ingest, (), outside_files=PipelineConfig.resolve_inputs),
     Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
           version=dedup_mod.versions),
     Phase("quality", Pipeline._phase_quality, ("quality",),

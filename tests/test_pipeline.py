@@ -215,8 +215,8 @@ class TestDeterminismAcrossWorkers:
 class TestPathIndependence:
     def test_science_artifacts_do_not_depend_on_the_workspace_path(self, tmp_path):
         """Criterion 08's workspace, built under two directory names with
-        absolute config paths. Only the sidecar reports may differ: their
-        config_hash keys the config slice and ingest's lists the dumps."""
+        absolute config paths. Only ingest_report.json may differ: it lists
+        the dumps. Every phase key, and so every other sidecar, is the same."""
         outputs = []
         for name in ("one", "two"):
             config_path, raw = make_pipeline_workspace(
@@ -225,9 +225,9 @@ class TestPathIndependence:
             assert Path(raw["input"][0]).is_absolute()
             run_pipeline(PipelineConfig.from_file(config_path))
             files = work_files(Path(raw["work_dir"]))
-            outputs.append({rel: d for rel, d in files.items() if not rel.endswith("_report.json")})
+            outputs.append({rel: d for rel, d in files.items() if rel != "ingest_report.json"})
         for rel in ("corpus.jsonl", "clusters.jsonl", "classifiers/web.clf",
-                    "annotated.jsonl", "weights.jsonl"):
+                    "annotated.jsonl", "weights.jsonl", "quality_report.json"):
             assert rel in outputs[0]
         assert any(rel.startswith("stages/") for rel in outputs[0])
         assert any(rel.startswith("packed/") for rel in outputs[0])
@@ -327,6 +327,22 @@ class TestConfigHash:
         shutil.copytree(raw["work_dir"], moved)
         rerun = run_pipeline(PipelineConfig.from_dict(dict(raw, workers=2, work_dir=str(moved))))
         assert not any(rerun["phases_executed"].values())
+
+    def test_moved_workspace_with_absolute_paths_reruns_nothing(self, tmp_path):
+        """Phase keys hold file digests, not paths: a workspace copied to
+        another directory, its config's paths rewritten to the copy and the
+        original removed, reruns no phase."""
+        root, moved = tmp_path / "one", tmp_path / "two"
+        _, raw = make_pipeline_workspace(root, n_docs=200, total_tokens=20_000)
+        sources = [raw["input"][0], raw["quality"]["classifiers"][0]["positives"]]
+        assert all(Path(p).is_absolute() and Path(p).is_relative_to(root) for p in sources)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        shutil.copytree(root, moved)
+        shutil.rmtree(root)
+        raw = json.loads(json.dumps(raw).replace(str(root), str(moved)))
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert not any(rerun["phases_executed"].values())
+        assert rerun["reconciliation"]["ok"]
 
     def test_dedup_keyed_before_shingle_hash_versions_reruns(self, tmp_path):
         """A dedup marker whose key names no shingle hash version, as every
