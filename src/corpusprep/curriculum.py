@@ -24,7 +24,7 @@ from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError, ValidationError
 from .hashing import derive_seed, sha256_file
 from .jsonl import read_json, write_json, write_jsonl
-from .quality import Annotation, QualitySignalVector
+from .quality import Annotation
 from .sampling import (
     ClusterSampler,
     MergedDistribution,
@@ -204,13 +204,15 @@ def stage_budgets(plan: StagePlan) -> dict[str, int]:
     return {s.stage_id: b for s, b in zip(plan.stages, base)}
 
 
-def gate_value(vec: QualitySignalVector, gating_signal: str) -> float:
+def gate_value(signals: Mapping[str, float], gating_signal: str) -> float:
     if gating_signal == GATE_MAX_CLF:
-        scores = [v for k, v in vec.signals.items() if k.startswith("clf:")]
+        scores = [v for k, v in signals.items() if k.startswith("clf:")]
         if not scores:
             raise UnknownSignalError("no clf:* signals present for gating")
         return max(scores)
-    return vec[gating_signal]
+    if gating_signal not in signals:
+        raise UnknownSignalError(f"gating signal '{gating_signal}' not present")
+    return signals[gating_signal]
 
 
 def stage_eligible(annotated: Iterable[Annotation], stage: StageSpec) -> set[str]:
@@ -222,13 +224,13 @@ def stage_eligible(annotated: Iterable[Annotation], stage: StageSpec) -> set[str
     }
 
 
-def mixture_group(vec: QualitySignalVector, mixture: Mapping[str, Fraction]) -> str | None:
+def mixture_group(signals: Mapping[str, float], mixture: Mapping[str, Fraction]) -> str | None:
     """First mixture tag (in config order) whose tag:<name> fires, else
     "other" when the mixture has a catch-all, else None (doc excluded)."""
     for group in mixture:
         if group == OTHER_GROUP:
             continue
-        if vec.signals.get(f"tag:{group}", 0.0) >= 1.0:
+        if signals.get(f"tag:{group}", 0.0) >= 1.0:
             return group
     return OTHER_GROUP if OTHER_GROUP in mixture else None
 

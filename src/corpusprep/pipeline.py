@@ -614,7 +614,7 @@ PHASE_TABLE = (
 def _signal_quantiles(annotated: list[quality_mod.Annotation]) -> dict[str, list[float]]:
     values: dict[str, list[float]] = {}
     for row in annotated:
-        for name, val in row.signals.signals.items():
+        for name, val in row.signals.items():
             values.setdefault(name, []).append(val)
     out = {}
     for name in sorted(values):

@@ -3,18 +3,18 @@
 The heuristic filter only drops documents that are useless for training
 under any weighting (too short, degenerate word shapes, mostly
 non-alphabetic, dominated by one repeated line). Everything that
-survives gets a QualitySignalVector: one entry per ensemble classifier,
-the cluster's natural-frequency counts, and binary domain tags. The
-signals are never combined here; mixing them is a sampling-time
-decision. Heuristics and scoring run in the calling process, one
-retained document at a time. Every distinct word is hashed once,
-through one bounded word dict, and only the n-gram hashes found in
-`known`, the union of the classifiers' vocabularies, are scored. Where
-every classifier of an n-gram order set allows the word gate
+survives gets a plain signal dict: one "clf:<model_id>" entry per
+ensemble classifier, the cluster's three "freq:*" counts, and one
+binary "tag:<name>" entry per domain tag. The signals are never
+combined here; mixing them is a sampling-time decision. Heuristics and
+scoring run in the calling process, one retained document at a time.
+Every distinct word is hashed once, through one bounded word dict.
+Where every classifier of an n-gram order set allows the word gate
 (classifier.QualityClassifier.allows_word_gate: order 1 among its
 orders, vocabulary not cut at max_features), an n-gram of two or more
-words is hashed only if all its words are in `known`.
-The scores are the same floats as without any of these steps.
+words is hashed only if all its words are in `known`, the union of the
+classifiers' vocabularies. The scores are the same floats as without
+the gate.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
 with JSON-float values; readers join them to corpus.jsonl on doc_id.
@@ -23,13 +23,13 @@ with JSON-float values; readers join them to corpus.jsonl on doc_id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
 from .corpus import Corpus, Document
 from .dedup import DuplicateCluster
-from .errors import ConfigError, PipelineOrderError, UnknownSignalError
+from .errors import ConfigError, PipelineOrderError
 from .jsonl import read_jsonl, write_jsonl
 
 REQUIRED_TAGS = ("code", "math")
@@ -64,10 +64,16 @@ class TextStats:
 
 
 @dataclass
-class HeuristicReport:
-    verdict: str  # "keep" | "drop"
+class DropRecord:
+    """The heuristic rules `doc_id` fails, none if it is kept, and its
+    stats; drop_report.jsonl holds the rows of dropped documents."""
+
+    doc_id: str
     reasons: list[str]
     stats: TextStats
+
+    def to_record(self) -> dict:
+        return {"doc_id": self.doc_id, "reasons": self.reasons, "stats": self.stats.to_dict()}
 
 
 # The ASCII bytes that str.isalpha rejects: everything but A-Z and a-z.
@@ -100,8 +106,8 @@ def text_stats(text: str) -> TextStats:
 
 def heuristic_filter(
     doc: Document, thresholds: HeuristicThresholds = HeuristicThresholds()
-) -> HeuristicReport:
-    """Apply the drop rules; verdict is "drop" iff any rule fails."""
+) -> DropRecord:
+    """Apply the drop rules; the document is dropped iff `reasons` is not empty."""
     stats = text_stats(doc.text)
     reasons = []
     if stats.word_count < thresholds.min_words:
@@ -116,34 +122,7 @@ def heuristic_filter(
         reasons.append("alpha_ratio")
     if stats.max_line_repeat_ratio > thresholds.max_line_repeat_ratio:
         reasons.append("line_repeat")
-    return HeuristicReport(
-        verdict="drop" if reasons else "keep", reasons=reasons, stats=stats
-    )
-
-
-@dataclass
-class QualitySignalVector:
-    """Named signal map. Required names: one "clf:<model_id>" per ensemble
-    member, the three "freq:*" counts, and the binary domain tags."""
-
-    signals: dict[str, float] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> float:
-        try:
-            return self.signals[name]
-        except KeyError:
-            raise UnknownSignalError(f"signal '{name}' not present") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.signals
-
-    def validate(self, clf_ids: Sequence[str]) -> None:
-        required = {f"clf:{mid}" for mid in clf_ids}
-        required |= {"freq:occurrence", "freq:snapshot", "freq:domain"}
-        required |= {f"tag:{t}" for t in REQUIRED_TAGS}
-        missing = required - set(self.signals)
-        if missing:
-            raise UnknownSignalError(f"missing signals: {sorted(missing)}")
+    return DropRecord(doc.doc_id, reasons, stats)
 
 
 @dataclass(frozen=True)
@@ -153,7 +132,7 @@ class Annotation:
     doc_id: str
     url: str
     cluster_id: str
-    signals: QualitySignalVector
+    signals: dict[str, float]
 
     def to_record(self) -> dict:
         # JSON floats round-trip float64 exactly.
@@ -161,7 +140,7 @@ class Annotation:
             "doc_id": self.doc_id,
             "url": self.url,
             "cluster_id": self.cluster_id,
-            "extra": self.signals.signals,
+            "extra": self.signals,
         }
 
 
@@ -185,20 +164,8 @@ def read_annotations(path) -> list[Annotation]:
                 "row {doc_id, url, cluster_id, extra: {signal: float}}; "
                 "rerun the quality phase"
             )
-        rows.append(
-            Annotation(rec["doc_id"], rec["url"], rec["cluster_id"], QualitySignalVector(extra))
-        )
+        rows.append(Annotation(rec["doc_id"], rec["url"], rec["cluster_id"], extra))
     return rows
-
-
-@dataclass
-class DropRecord:
-    doc_id: str
-    reasons: list[str]
-    stats: TextStats
-
-    def to_record(self) -> dict:
-        return {"doc_id": self.doc_id, "reasons": self.reasons, "stats": self.stats.to_dict()}
 
 
 def annotate(
@@ -217,20 +184,15 @@ def annotate(
     cluster with retention filled in. Deterministic and idempotent; the
     result never contains a combined score.
 
-    Each kept text's n-gram hashes are cut to `known`, the union of all
-    the vocabularies, before scoring. score_hashes ignores hashes outside
-    its vocabulary and the cut keeps the order of the rest, so every
-    score is the one the full hash list gives, bit for bit. The cut costs
-    one set probe per hash and saves one dict probe per classifier for
-    each hash outside `known`, so it pays when most n-grams are in no
-    vocabulary and several classifiers score each text.
-
-    Scorers are grouped by their n-gram orders. In a group whose scorers
-    all allow the word gate, a window of two or more words is hashed only
-    if each of its words is in `known` (hashing.word_window_hashes): each
-    scorer's vocabulary holds the words of its own n-grams, so no window
-    that one of them knows is skipped. Every other group hashes each
-    window, then cuts.
+    Scorers are grouped by their n-gram orders, and each group's hashes
+    are taken once per kept text. In a group whose scorers all allow the
+    word gate, a window of two or more words is hashed only if each of its
+    words is in `known`, the union of all the vocabularies
+    (hashing.word_window_hashes): each scorer's vocabulary holds the words
+    of its own n-grams, so no window that one of them knows is skipped.
+    Every other group hashes each window. score_hashes ignores hashes
+    outside its vocabulary, so every score is the one the full hash list
+    gives, bit for bit.
     """
     domain_classifiers = domain_classifiers or {}
     cluster_by_doc: dict[str, DuplicateCluster] = {}
@@ -251,7 +213,6 @@ def annotate(
 
     tags = [*REQUIRED_TAGS, *(t for t in domain_classifiers if t not in REQUIRED_TAGS)]
     tag_classifiers = [(f"tag:{tag}", domain_classifiers.get(tag)) for tag in tags]
-    clf_ids = [clf.model_id for clf in classifiers]
     scorers = [*classifiers, *(clf for _, clf in tag_classifiers if clf is not None)]
     known = set().union(*(clf.vocabulary for clf in scorers))
     ungated = {clf.hyper.orders for clf in scorers if not clf.allows_word_gate}
@@ -269,10 +230,10 @@ def annotate(
                 raise PipelineOrderError(f"retained doc {doc_id} missing from corpus")
             report = heuristic_filter(doc, thresholds)
             if report.reasons:
-                drops.append(DropRecord(doc_id, report.reasons, report.stats))
+                drops.append(report)
                 continue
             hashes_by_orders = {
-                orders: [h for h in ngram_hashes(doc.text, orders, word_hashes, gate) if h in known]
+                orders: ngram_hashes(doc.text, orders, word_hashes, gate)
                 for orders, gate in gates.items()
             }
             signals = {
@@ -287,9 +248,7 @@ def annotate(
                     clf.score_hashes(hashes_by_orders[clf.hyper.orders]) >= tag_threshold
                 )
                 signals[name] = 1.0 if tagged else 0.0
-            vec = QualitySignalVector(signals)
-            vec.validate(clf_ids)
-            annotated.append(Annotation(doc_id, doc.url, cluster.cluster_id, vec))
+            annotated.append(Annotation(doc_id, doc.url, cluster.cluster_id, signals))
     annotated.sort(key=lambda row: row.doc_id)
     return annotated, drops
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from corpusprep.corpus import Corpus, Document, ingest_record
-from corpusprep.quality import Annotation, QualitySignalVector
+from corpusprep.quality import Annotation
 
 # -- synthetic text ------------------------------------------------------
 
@@ -128,8 +128,8 @@ def annotated_doc(
     """Minimal annotation row and its text document for sampling/curriculum
     unit tests; the document is its own singleton cluster."""
     url = f"https://unit.example/{doc_id}"
-    vec = QualitySignalVector({name: float(v) for name, v in signals.items()})
-    return Annotation(doc_id, url, doc_id, vec), Document(
+    floats = {name: float(v) for name, v in signals.items()}
+    return Annotation(doc_id, url, doc_id, floats), Document(
         doc_id=doc_id,
         url=url,
         crawl_time="2024-01-01T00:00:00Z",
