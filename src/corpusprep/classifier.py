@@ -44,7 +44,6 @@ from typing import Container, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document
 from .errors import ConfigError
 from .hashing import word_window_hashes
 from .jsonl import atomic_write
@@ -202,13 +201,9 @@ class QualityClassifier:
                    weights=weights, bias=bias, training_meta=meta)
 
 
-def _texts(docs: Iterable[Document | str]) -> list[str]:
-    return [d.text if isinstance(d, Document) else d for d in docs]
-
-
 def train_classifier(
-    positives: Iterable[Document | str],
-    negatives: Iterable[Document | str],
+    positives: Sequence[str],
+    negatives: Sequence[str],
     hyper: ClassifierHyper = ClassifierHyper(),
     model_id: str = DEFAULT_MODEL_ID,
     source: str = "",
@@ -222,16 +217,14 @@ def train_classifier(
     sha256 of the positives file, so no path reaches the model bytes.
     """
     hyper.validate()
-    pos_texts = _texts(positives)
-    neg_texts = _texts(negatives)
-    if not pos_texts or not neg_texts:
+    if not positives or not negatives:
         raise ConfigError("both classes need at least one document")
 
     word_hashes: dict[str, int] = {}
     sample_hashes = [
-        ngram_hashes(t, hyper.orders, word_hashes) for t in pos_texts + neg_texts
+        ngram_hashes(t, hyper.orders, word_hashes) for t in [*positives, *negatives]
     ]
-    labels = np.array([1.0] * len(pos_texts) + [0.0] * len(neg_texts))
+    labels = np.array([1.0] * len(positives) + [0.0] * len(negatives))
 
     # Vocabulary: most frequent n-grams first, hash value as tie-break.
     doc_freq: dict[int, int] = {}
@@ -276,8 +269,8 @@ def train_classifier(
             "source": source or model_id,
             "seed": hyper.seed,
             "epochs": hyper.epochs,
-            "positives": len(pos_texts),
-            "negatives": len(neg_texts),
+            "positives": len(positives),
+            "negatives": len(negatives),
             "train_accuracy": train_accuracy,
         },
     )

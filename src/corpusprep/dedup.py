@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -423,17 +423,15 @@ def retain_top_k(
     cluster: DuplicateCluster,
     corpus: Corpus,
     cfg: DedupConfig,
-    rank: Callable[[Document], tuple] | None = None,
 ) -> DuplicateCluster:
-    """Fill retained_ids with the top min(k, n) members under `rank`.
+    """Fill retained_ids with the top min(k, n) members under default_rank.
 
     retained_ids[0] is the canonical document.
     """
-    key = rank or default_rank
     docs = [corpus.get(i) for i in cluster.member_ids]
     if any(d is None for d in docs):
         raise ConfigError(f"cluster {cluster.cluster_id} references unknown docs")
-    ordered = sorted(docs, key=key)
+    ordered = sorted(docs, key=default_rank)
     retained = [d.doc_id for d in ordered[: min(cfg.top_k, len(ordered))]]
     return replace(cluster, retained_ids=retained)
 
