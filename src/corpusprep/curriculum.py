@@ -313,12 +313,13 @@ def emit_stage(
     """Draw, tokenize and shard one stage's token budget.
 
     Mixture groups come from the annotation rows' signals, token ids
-    from the corpus text. `dist` and `clusters` must already be
-    restricted to the stage's eligible set (see stage_eligible /
-    restrict_distribution / restrict_clusters). Each draw picks the
-    mixture group with the largest remaining token deficit, so the stage
-    overshoots its budget by at most one document while holding group
-    fractions on target.
+    from the corpus text. `dist` must already be restricted to the
+    stage's eligible set (see stage_eligible / restrict_distribution):
+    that renormalization sets its floats. `clusters` need not be: each
+    mixture group restricts them to its own documents, a subset of
+    `dist`. Each draw picks the mixture group with the largest remaining
+    token deficit, so the stage overshoots its budget by at most one
+    document while holding group fractions on target.
     """
     if not dist.probabilities:
         raise ConfigError(f"stage {stage.stage_id}: eligible set is empty")

@@ -453,7 +453,7 @@ class Pipeline:
             sampling_mod.restrict_distribution(merged, eligible),
             annotated,
             corpus,
-            sampling_mod.restrict_clusters(clusters, eligible),
+            clusters,
             self.tokenizer,
             self.config.master_seed,
             self.work_dir / "stages" / stage.stage_id,

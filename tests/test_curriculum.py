@@ -277,6 +277,30 @@ class TestEmitStage:
         frac = counted["code"] / sum(counted.values())
         assert 0.59 <= frac <= 0.61
 
+    def test_unrestricted_clusters_emit_the_same_bytes(self, tmp_path):
+        """Each mixture group restricts the clusters to its own eligible
+        documents, so restricting them to the eligible set first changes no
+        byte, even where drawn clusters hold ineligible retained variants."""
+        rows, corpus, _, dist = emission_fixture(n=90, seed=14)
+        ids = [d.doc_id for d in corpus]
+        clusters = [
+            DuplicateCluster(ids[i], ids[i : i + 3], ids[i : i + 3], FrequencySignals(3, 1, 1))
+            for i in range(0, len(ids), 3)
+        ]
+        plan = mixed_plan(20_000)
+        stage = plan.stages[1]
+        eligible = stage_eligible(rows, stage)
+        outputs = []
+        for name, given in (("restricted", restrict_clusters(clusters, eligible)), ("all", clusters)):
+            out = tmp_path / name
+            emit_stage(
+                stage, plan, restrict_distribution(dist, eligible), rows, corpus, given,
+                WhitespaceTokenizer(1000), 11, out, shard_tokens=5_000,
+            )
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) > 2  # the manifest and several shards
+        assert outputs[0] == outputs[1]
+
     def test_empty_eligible_set_rejected(self, tmp_path):
         rows, corpus, clusters, dist = emission_fixture(n=50)
         plan = mixed_plan(10_000)
