@@ -324,11 +324,10 @@ class Pipeline:
     # -- phases: each returns (artifacts written, sidecar report fields) --
 
     def _phase_ingest(self) -> tuple[list[Path], dict]:
-        paths = self.config.resolve_inputs()
-        corpus, report = ingest_files(paths)
+        corpus, report = ingest_files(self.config.resolve_inputs())
         out_corpus = self.work_dir / "corpus.jsonl"
         write_corpus(corpus, out_corpus)
-        return [out_corpus], {"inputs": paths, **report.to_dict()}
+        return [out_corpus], report.to_dict()
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = read_corpus(self.work_dir / "corpus.jsonl")
@@ -596,7 +595,10 @@ class Phase:
 
 
 PHASE_TABLE = (
-    Phase("ingest", Pipeline._phase_ingest, (), outside_files=PipelineConfig.resolve_inputs),
+    # Ingest version 1: its sidecar no longer lists the dump paths, which
+    # the key leaves out and a moved workspace would report stale.
+    Phase("ingest", Pipeline._phase_ingest, (), outside_files=PipelineConfig.resolve_inputs,
+          version=lambda: 1),
     Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
           version=dedup_mod.versions),
     Phase("quality", Pipeline._phase_quality, ("quality",),

@@ -215,8 +215,8 @@ class TestDeterminismAcrossWorkers:
 class TestPathIndependence:
     def test_science_artifacts_do_not_depend_on_the_workspace_path(self, tmp_path):
         """Criterion 08's workspace, built under two directory names with
-        absolute config paths. Only ingest_report.json may differ: it lists
-        the dumps. Every phase key, and so every other sidecar, is the same."""
+        absolute config paths. Every work file is the same: no sidecar lists
+        a path, and every phase key is path-free."""
         outputs = []
         for name in ("one", "two"):
             config_path, raw = make_pipeline_workspace(
@@ -224,10 +224,9 @@ class TestPathIndependence:
             )
             assert Path(raw["input"][0]).is_absolute()
             run_pipeline(PipelineConfig.from_file(config_path))
-            files = work_files(Path(raw["work_dir"]))
-            outputs.append({rel: d for rel, d in files.items() if rel != "ingest_report.json"})
-        for rel in ("corpus.jsonl", "clusters.jsonl", "classifiers/web.clf",
-                    "annotated.jsonl", "weights.jsonl", "quality_report.json"):
+            outputs.append(work_files(Path(raw["work_dir"])))
+        for rel in ("corpus.jsonl", "clusters.jsonl", "classifiers/web.clf", "annotated.jsonl",
+                    "weights.jsonl", "ingest_report.json", "quality_report.json"):
             assert rel in outputs[0]
         assert any(rel.startswith("stages/") for rel in outputs[0])
         assert any(rel.startswith("packed/") for rel in outputs[0])
@@ -388,6 +387,18 @@ class TestConfigHash:
         assert rerun["phases_executed"]["dedup"] is False
         assert rerun["phases_executed"]["quality"] is True
         assert rerun["phases"]["quality"]["training_version"] == 3
+
+    def test_ingest_sidecar_keyed_before_version_1_is_rewritten(self, tmp_path, monkeypatch):
+        """Ingest sidecars before version 1 listed the dump paths: a
+        workspace keyed at version 0 reruns ingest, and only ingest."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        ingest, *later = pipeline.PHASE_TABLE
+        monkeypatch.setattr(pipeline, "PHASE_TABLE", (replace(ingest, version=lambda: 0), *later))
+        run_pipeline(PipelineConfig.from_dict(raw))
+        monkeypatch.undo()
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"] == {"ingest": True, **{p.name: False for p in later}}
+        assert "inputs" not in rerun["phases"]["ingest"]
 
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
