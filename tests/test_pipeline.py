@@ -178,22 +178,7 @@ def test_edit_reruns_exactly_the_phases_that_read_it(tmp_path, edit, expected):
     assert work_files(Path(raw["work_dir"])) == work_files(tmp_path / "cold")
 
 
-class TestDeterminismAcrossWorkers:
-    def test_worker_count_invisible_in_outputs(self, tmp_path):
-        config_path, _ = make_pipeline_workspace(tmp_path, n_docs=220, total_tokens=25_000)
-        digests = []
-        reports = []
-        for workers in (1, 4):
-            config = PipelineConfig.from_file(
-                config_path,
-                overrides={"workers": workers, "work_dir": str(tmp_path / f"work{workers}")},
-            )
-            report = run_pipeline(config)
-            digests.append(work_files(config.work_dir))
-            reports.append(strip_timing(report))
-        assert digests[0] == digests[1]
-        assert reports[0] == reports[1]
-
+class TestWorkersKey:
     def test_workers_key_starts_no_process(self, tmp_path, monkeypatch):
         """Every phase runs in the calling process: with os.fork raising, a
         config carrying "workers": 2 runs and writes what one without it does."""
