@@ -595,8 +595,8 @@ class Phase:
 
 
 PHASE_TABLE = (
-    # Ingest version 1: its sidecar no longer lists the dump paths, which
-    # the key leaves out and a moved workspace would report stale.
+    # Ingest version 0 listed the dump paths in its sidecar, stale once a
+    # workspace moves; 1 lists none. The key holds the dumps' digests.
     Phase("ingest", Pipeline._phase_ingest, (), outside_files=PipelineConfig.resolve_inputs,
           version=lambda: 1),
     Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
