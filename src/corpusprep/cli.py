@@ -178,6 +178,7 @@ def cmd_curriculum_validate(args) -> int:
 def cmd_curriculum_emit(args) -> int:
     config = PipelineConfig.from_file(args.config)
     work = config.work_dir
+    # In the order of emit_stage's arguments.
     required = ["annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl"]
     missing = [n for n in required if not (work / n).is_file()]
     if missing:
@@ -187,14 +188,7 @@ def cmd_curriculum_emit(args) -> int:
     pipe = Pipeline(config)
     plan = cur_mod.ensure_valid_plan(config.plan)
     stage = plan.stage(args.stage)
-    _, manifest = pipe.emit_stage(
-        stage,
-        plan,
-        quality_mod.read_annotations(work / "annotated.jsonl"),
-        read_corpus(work / "corpus.jsonl"),
-        dedup_mod.read_clusters(work / "clusters.jsonl"),
-        pipe._merged_from_disk(),
-    )
+    _, manifest = pipe.emit_stage(stage, plan, *map(pipe._load, required))
     print(
         f"stage {stage.stage_id}: {manifest.total_tokens} tokens in "
         f"{len(manifest.shards)} shards -> {work / 'stages' / stage.stage_id}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import compress
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def word_window_hashes(
     if word_hashes is None:
         word_hashes = {}
     if known is not None:
-        singles = list(hash_words(words, word_hashes))
+        singles = hash_words(words, word_hashes)
         hits = list(compress(range(len(singles)), map(known.__contains__, singles)))
     out: list[int] = []
     for n in widths:
@@ -86,20 +86,27 @@ def word_window_hashes(
     return out
 
 
-def hash_words(words: Iterable[str], word_hashes: dict[str, int]) -> Iterator[int]:
+def hash_words(words: list[str], word_hashes: dict[str, int]) -> list[int]:
     """hash64 of each word, looked up in `word_hashes` ({word: hash64}).
 
     A miss fills the dict, after emptying it if it holds WORD_HASHES_MAX
     words, so a dict shared by many texts hashes each distinct word once
-    without growing with a large corpus's vocabulary.
+    without growing with a large corpus's vocabulary. A list with no miss
+    is looked up in one pass, with no Python step per word.
     """
+    try:
+        return list(map(word_hashes.__getitem__, words))
+    except KeyError:
+        pass
+    out = []
     for word in words:
         h = word_hashes.get(word)
         if h is None:
             if len(word_hashes) >= WORD_HASHES_MAX:
                 word_hashes.clear()
             h = word_hashes[word] = hash64(word.encode("utf-8"))
-        yield h
+        out.append(h)
+    return out
 
 
 def word_hash_array(

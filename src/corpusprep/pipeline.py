@@ -17,6 +17,14 @@ verifies, so an edit reruns only the phases that read what changed, and
 a rerun phase whose outputs come out byte-identical stops the reruns
 below it. Outputs are fully determined by (inputs, config, master_seed).
 Every phase runs in the calling process.
+
+Within one run, a phase hands what it wrote to the later phases in
+memory: once corpus.jsonl, clusters.jsonl, annotated.jsonl or
+weights.jsonl is written, the pipeline holds the object it was written
+from (for weights, the distribution its rows record), and a later phase
+loads it from there, parsing the file only when the phase that writes it
+was skipped. An object is held until no later phase reads its file, and
+never past the end of the run; no phase mutates what it loads.
 """
 
 from __future__ import annotations
@@ -261,6 +269,8 @@ class Pipeline:
         self.config = config
         self.work_dir = config.work_dir
         self.tokenizer = WhitespaceTokenizer(config.vocab_size)
+        # READERS file name -> the object this run wrote it from.
+        self._held: dict[str, Any] = {}
 
     # -- phase plumbing ------------------------------------------------
 
@@ -312,14 +322,32 @@ class Pipeline:
         self.work_dir.mkdir(parents=True, exist_ok=True)
         executed: dict[str, bool] = {}
         upstream: dict[str, str] = {}
-        for phase in PHASE_TABLE:
-            executed[phase.name], digests = self._run_phase(phase, upstream, force)
-            upstream.update(digests)
+        try:
+            for i, phase in enumerate(PHASE_TABLE):
+                executed[phase.name], digests = self._run_phase(phase, upstream, force)
+                upstream.update(digests)
+                later = [pattern for p in PHASE_TABLE[i + 1 :] for pattern in p.reads]
+                self._held = {
+                    name: obj for name, obj in self._held.items()
+                    if any(fnmatch(name, pattern) for pattern in later)
+                }
+        finally:
+            self._held.clear()
         # Each phase has just verified or hashed its outputs.
         report = _assemble_report(self.work_dir)
         report["phases_executed"] = executed
         write_json(self.work_dir / "report.json", report)
         return report
+
+    def _load(self, name: str) -> Any:
+        """The object in work-directory file `name`, a key of READERS: the
+        one this run wrote the file from, else the file parsed by its reader."""
+        if name in self._held:
+            return self._held[name]
+        return READERS[name](self, self.work_dir / name)
+
+    def _mixture_weights(self) -> dict[str, float]:
+        return {p.policy.signal_name: p.mixture_weight for p in self.config.policies}
 
     # -- phases: each returns (artifacts written, sidecar report fields) --
 
@@ -327,13 +355,15 @@ class Pipeline:
         corpus, report = ingest_files(self.config.resolve_inputs())
         out_corpus = self.work_dir / "corpus.jsonl"
         write_corpus(corpus, out_corpus)
+        self._held["corpus.jsonl"] = corpus
         return [out_corpus], report.to_dict()
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
-        corpus = read_corpus(self.work_dir / "corpus.jsonl")
+        corpus = self._load("corpus.jsonl")
         clusters = dedup_mod.run_dedup(corpus, self.config.dedup)
         out_clusters = self.work_dir / "clusters.jsonl"
         dedup_mod.write_clusters(clusters, out_clusters)
+        self._held["clusters.jsonl"] = clusters
 
         sizes: dict[int, int] = {}
         for c in clusters:
@@ -365,8 +395,8 @@ class Pipeline:
         return model, out_path
 
     def _phase_quality(self) -> tuple[list[Path], dict]:
-        corpus = read_corpus(self.work_dir / "corpus.jsonl")
-        clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
+        corpus = self._load("corpus.jsonl")
+        clusters = self._load("clusters.jsonl")
         clf_dir = self.work_dir / "classifiers"
         clf_dir.mkdir(parents=True, exist_ok=True)
         outputs: list[Path] = []
@@ -392,6 +422,7 @@ class Pipeline:
         )
         out_annotated = self.work_dir / "annotated.jsonl"
         quality_mod.write_annotations(annotated, out_annotated)
+        self._held["annotated.jsonl"] = annotated
         out_drops = self.work_dir / "drop_report.jsonl"
         quality_mod.write_drop_report(drops, out_drops)
 
@@ -414,7 +445,7 @@ class Pipeline:
         }
 
     def _phase_sampling(self) -> tuple[list[Path], dict]:
-        annotated = quality_mod.read_annotations(self.work_dir / "annotated.jsonl")
+        annotated = self._load("annotated.jsonl")
         maps = [
             sampling_mod.build_weight_map(annotated, p.policy)
             for p in self.config.policies
@@ -422,22 +453,17 @@ class Pipeline:
         lambdas = [p.mixture_weight for p in self.config.policies]
         merged = sampling_mod.merge_distributions(maps, lambdas)
         out_weights = self.work_dir / "weights.jsonl"
-        write_jsonl(out_weights, sampling_mod.weight_rows(annotated, maps, merged))
+        rows = sampling_mod.weight_rows(annotated, maps, merged)
+        write_jsonl(out_weights, rows)
+        # Not `merged`: the rows list every document, in another order, and
+        # the sampler's float sums follow that order.
+        self._held["weights.jsonl"] = sampling_mod.weights_distribution(
+            rows, self._mixture_weights()
+        )
         return [out_weights], {
             "documents": len(annotated),
             "mixture_weights": merged.mixture_weights,
         }
-
-    def _merged_from_disk(self) -> sampling_mod.MergedDistribution:
-        probabilities = {}
-        for rec in read_jsonl(self.work_dir / "weights.jsonl"):
-            probabilities[rec["doc_id"]] = rec["probability"]
-        lambdas = {
-            p.policy.signal_name: p.mixture_weight for p in self.config.policies
-        }
-        return sampling_mod.MergedDistribution(
-            probabilities=probabilities, mixture_weights=lambdas
-        )
 
     def emit_stage(
         self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan,
@@ -461,10 +487,10 @@ class Pipeline:
         return eligible, manifest
 
     def _phase_curriculum(self) -> tuple[list[Path], dict]:
-        annotated = quality_mod.read_annotations(self.work_dir / "annotated.jsonl")
-        corpus = read_corpus(self.work_dir / "corpus.jsonl")
-        clusters = dedup_mod.read_clusters(self.work_dir / "clusters.jsonl")
-        merged = self._merged_from_disk()
+        annotated = self._load("annotated.jsonl")
+        corpus = self._load("corpus.jsonl")
+        clusters = self._load("clusters.jsonl")
+        merged = self._load("weights.jsonl")
         plan = cur_mod.ensure_valid_plan(self.config.plan)
         budgets = cur_mod.stage_budgets(plan)
 
@@ -592,6 +618,16 @@ class Phase:
     @property
     def sidecar(self) -> str:
         return f"{self.name}_report.json"
+
+
+# The reader of each phase output that Pipeline._load parses: the file
+# name, then (pipeline, path) -> the object the file was written from.
+READERS: dict[str, Callable[[Pipeline, Path], Any]] = {
+    "corpus.jsonl": lambda pipe, path: read_corpus(path),
+    "clusters.jsonl": lambda pipe, path: dedup_mod.read_clusters(path),
+    "annotated.jsonl": lambda pipe, path: quality_mod.read_annotations(path),
+    "weights.jsonl": lambda pipe, path: sampling_mod.read_weights(path, pipe._mixture_weights()),
+}
 
 
 PHASE_TABLE = (

@@ -18,6 +18,7 @@ import numpy as np
 
 from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError
+from .jsonl import read_jsonl
 from .quality import Annotation
 
 TRANSFORMS = ("identity", "threshold", "log2_sublinear")
@@ -133,6 +134,22 @@ def weight_rows(
         }
         for row in annotated
     ]
+
+
+def weights_distribution(
+    rows: Iterable[dict], mixture_weights: dict[str, float]
+) -> MergedDistribution:
+    """The merged distribution that weights.jsonl rows record: each row's
+    probability by doc_id, in row order."""
+    return MergedDistribution(
+        probabilities={rec["doc_id"]: rec["probability"] for rec in rows},
+        mixture_weights=dict(mixture_weights),
+    )
+
+
+def read_weights(path, mixture_weights: dict[str, float]) -> MergedDistribution:
+    """weights_distribution of the rows of weights file `path`."""
+    return weights_distribution(read_jsonl(path), mixture_weights)
 
 
 def select_variant(cluster: DuplicateCluster, repetition_index: int) -> str:

@@ -126,6 +126,64 @@ class TestRun:
         assert rebuilt["config_hash"] == report["config_hash"]
 
 
+class TestInMemoryHandoff:
+    """Within a run, a phase hands what it wrote to later phases in memory."""
+
+    def test_cold_run_parses_none_of_its_outputs(self, tmp_path, monkeypatch):
+        """With the reader of each handed-off file raising, as the pipeline
+        binds it, a cold run on a fresh workspace still completes."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+
+        def refuse(path, *args):
+            raise AssertionError(f"a cold run parsed {path}")
+
+        monkeypatch.setattr(pipeline, "read_corpus", refuse)
+        monkeypatch.setattr(pipeline.dedup_mod, "read_clusters", refuse)
+        monkeypatch.setattr(pipeline.quality_mod, "read_annotations", refuse)
+        monkeypatch.setattr(pipeline.sampling_mod, "read_weights", refuse)
+        report = run_pipeline(PipelineConfig.from_dict(raw))
+        assert all(report["phases_executed"].values())
+        assert report["reconciliation"]["ok"]
+
+    def test_held_only_while_a_later_phase_reads_it(self, tmp_path, monkeypatch):
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        held_at = {}
+
+        def spy(phase):
+            def fn(pipe):
+                held_at[phase.name] = sorted(pipe._held)
+                return phase.fn(pipe)
+            return replace(phase, fn=fn)
+
+        monkeypatch.setattr(pipeline, "PHASE_TABLE", tuple(map(spy, pipeline.PHASE_TABLE)))
+        pipe = Pipeline(PipelineConfig.from_dict(raw))
+        pipe.run()
+        assert held_at == {
+            "ingest": [],
+            "dedup": ["corpus.jsonl"],
+            "quality": ["clusters.jsonl", "corpus.jsonl"],
+            "sampling": ["annotated.jsonl", "clusters.jsonl", "corpus.jsonl"],
+            "curriculum": ["annotated.jsonl", "clusters.jsonl", "corpus.jsonl", "weights.jsonl"],
+            "train_prep": [],
+        }
+        assert pipe._held == {}
+
+    @pytest.mark.parametrize("name", [phase.name for phase in pipeline.PHASE_TABLE[1:]])
+    def test_phase_fed_from_files_records_the_cold_digests(self, completed_run, tmp_path, name):
+        """Deleting one phase's marker after a cold run reruns that phase
+        alone, fed from the files, and it records the output digests that
+        the cold run's in-memory inputs gave."""
+        config, _ = completed_run
+        work = tmp_path / "work"
+        shutil.copytree(config.work_dir, work)
+        marker = work / f"{name}.done.json"
+        cold = read_json(marker)["outputs"]
+        marker.unlink()
+        rerun = Pipeline(replace(config, work_dir=work)).run()
+        assert rerun["phases_executed"] == {p.name: p.name == name for p in pipeline.PHASE_TABLE}
+        assert read_json(marker)["outputs"] == cold
+
+
 def _truncate_dump(raw: dict) -> None:
     dump = Path(raw["input"][0])
     lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
