@@ -1,28 +1,28 @@
 """Exact and fuzzy deduplication into duplicate clusters.
 
-Each distinct text is shingled into hashed word w-grams once, in the
-calling process. Shingling hashes each distinct word once with blake2b
+Every step works on sorted arrays of distinct uint64 shingle hashes, one
+per distinct text. shingle hashes each distinct word once with blake2b
 and composes every w-gram's hash from its word hashes with numpy, one pass
 per batch of texts (a Karp-Rabin polynomial, hashing.window_hashes), so
-blake2b runs per distinct word, not per window. Signing is one-permutation
-MinHash (Li, Owen and Zhang 2012): each shingle is mixed once and falls
-into one of num_perms bins, each bin keeps its minimum, and an empty bin
-copies the first non-empty bin in a fixed probe order (optimal
-densification, Shrivastava 2017). SHINGLE_HASH_VERSION and
+blake2b runs per distinct word, not per window. compute_signatures is
+one-permutation MinHash (Li, Owen and Zhang 2012): each shingle is mixed
+once and falls into one of num_perms bins, each bin keeps its minimum, and
+an empty bin copies the first non-empty bin in a fixed probe order
+(optimal densification, Shrivastava 2017). SHINGLE_HASH_VERSION and
 SIGNATURE_VERSION name the shingle hash and the signer in the dedup phase
 key.
-Documents with equal shingle sets form one group, whose smallest doc_id
-is its representative; only representatives are MinHash-signed and
-LSH-banded, since every member of a group has the representative's
-signature and its Jaccard to any other document. Banding yields buckets of representatives that agree
-on all rows of some band. The groups and the buckets are verified with
-exact Jaccard on the shingle sets, after exact duplicates (equal
-content_hash) are linked unconditionally; a pair already in one
-component is never verified, so the cost follows the number of distinct
-texts and joins, not the square of a duplicate block's size. Connected
-components become clusters. Within a cluster we keep the top-k variants
-for sample-time rotation and record natural-frequency counts
-(occurrences, snapshot spread, domain spread) as metadata.
+Documents with equal shingle arrays form one group, whose smallest doc_id
+is its representative; only representatives are signed and LSH-banded,
+since every member of a group has the representative's signature and its
+Jaccard to any other document. Banding yields buckets of representatives
+that agree on all rows of some band. The groups and the buckets are
+verified with exact Jaccard (Broder 1997), counted on two sorted arrays,
+after exact duplicates (equal content_hash) are linked unconditionally; a
+pair already in one component is never verified, so the cost follows the
+number of distinct texts and joins, not the square of a duplicate block's
+size. Connected components become clusters. Within a cluster we keep the
+top-k variants for sample-time rotation and record natural-frequency
+counts (occurrences, snapshot spread, domain spread) as metadata.
 
 Nothing here reweights the corpus: frequency is stored, not applied.
 Sampling decides what to do with it later.
@@ -42,15 +42,18 @@ from .hashing import mix64, text_hash64, window_hashes, word_hash_array
 from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
-# Version of the shingle hash (see shingle); part of the dedup phase key, so
-# a workspace deduplicated under another version reruns dedup.
+# Version of the hash that shingle gives each window in its sorted uint64
+# arrays (2: composed from the window's word hashes, hashing.window_hashes);
+# part of the dedup phase key, so a workspace deduplicated under another
+# version reruns dedup.
 SHINGLE_HASH_VERSION = 2
-# Version of the signer (see minhash_signature), likewise part of the dedup
-# phase key: 1 took 128 seeded permutations, 2 is one-permutation hashing
-# with optimal densification.
+# Version of the signer, compute_signatures, which maps each shingle array
+# to num_perms uint64 components; likewise part of the dedup phase key: 1
+# took 128 seeded permutations, 2 is one-permutation hashing with optimal
+# densification.
 SIGNATURE_VERSION = 2
-# Texts per batch: _shingle_rows holds their word and window hashes at
-# once, and _signatures their bins.
+# Texts per batch: shingle holds their word and window hashes at once, and
+# compute_signatures their bins.
 SHINGLE_BATCH = 1024
 _U64_MASK = (1 << 64) - 1
 
@@ -83,27 +86,6 @@ class DedupConfig:
             raise ConfigError("jaccard_threshold must be in (0, 1]")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-
-
-@dataclass(frozen=True)
-class ShingleSet:
-    """Hashed word w-grams of one document."""
-
-    shingles: frozenset[int]
-    width: int
-
-    def __len__(self) -> int:
-        return len(self.shingles)
-
-
-@dataclass
-class MinHashSignature:
-    values: np.ndarray  # uint64, one component per bin (minhash_signature)
-    perm_seed: int
-
-    @property
-    def num_perms(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -150,27 +132,19 @@ class DuplicateCluster:
         )
 
 
-def shingle(text: str, width: int) -> ShingleSet:
-    """Hash every consecutive width-word window (lowercased, whitespace split).
+def shingle(texts: Sequence[str], width: int) -> list[np.ndarray]:
+    """Sorted distinct shingle hashes of each text, as uint64 arrays.
 
-    A window's hash is composed from the hash64 of its words
-    (hashing.window_hashes). Texts with fewer than `width` words yield a
-    single shingle, text_hash64 of all their words.
+    A shingle is a width-word window (lowercased, whitespace split), hashed
+    from the hash64 of its words (hashing.window_hashes). The words of each
+    batch of SHINGLE_BATCH texts are hashed into one array, through one
+    word dict for all of `texts`, and every window of it is hashed in one
+    pass; a text's shingles are the windows that start and end inside it.
+    A text of fewer than `width` words has the one shingle text_hash64(text),
+    so no array is empty.
     """
     if width < 1:
         raise ConfigError("shingle width must be >= 1")
-    return ShingleSet(shingles=frozenset(_shingle_rows([text], width)[0].tolist()), width=width)
-
-
-def _shingle_rows(texts: Sequence[str], width: int) -> list[np.ndarray]:
-    """Sorted distinct shingle hashes of each text, as uint64 arrays.
-
-    The words of each batch of SHINGLE_BATCH texts are hashed into one
-    array, through one word dict for all of `texts`, and every width-word
-    window of it is hashed in one pass; a text's shingles are the windows
-    that start and end inside it. A text of fewer than `width` words has
-    the one shingle text_hash64(text).
-    """
     word_hashes: dict[str, int] = {}
     rows = []
     for first in range(0, len(texts), SHINGLE_BATCH):
@@ -188,27 +162,10 @@ def _shingle_rows(texts: Sequence[str], width: int) -> list[np.ndarray]:
     return rows
 
 
-def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
-    union = len(a.shingles | b.shingles)
-    if union == 0:
-        return 0.0
-    return len(a.shingles & b.shingles) / union
-
-
-def minhash_signature(s: ShingleSet, cfg: DedupConfig) -> MinHashSignature:
-    """One-permutation MinHash of the shingle set, with optimal densification.
-
-    Each shingle x hashes once, to h = mix64(x ^ perm_seed), and falls into
-    bin h % num_perms; a bin's component is the least h in it. An empty bin
-    takes the component of the first non-empty bin in its probe order (see
-    _probe_order), so sets that fill the same bins borrow from the same
-    bins. The fraction of equal components between two signatures
-    estimates their exact Jaccard.
-    """
-    if not s.shingles:
-        raise ValueError("cannot sign an empty shingle set")
-    x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    return MinHashSignature(values=_signatures([x], cfg)[0], perm_seed=cfg.perm_seed)
+def exact_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard of two non-empty sorted arrays of distinct shingle hashes."""
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    return inter / (a.size + b.size - inter)
 
 
 @lru_cache(maxsize=8)
@@ -222,9 +179,17 @@ def _probe_order(perm_seed: int, num_perms: int) -> np.ndarray:
     return order
 
 
-def _signatures(rows: Sequence[np.ndarray], cfg: DedupConfig) -> list[np.ndarray]:
-    """minhash_signature values of each non-empty uint64 shingle array,
-    SHINGLE_BATCH rows at a time."""
+def compute_signatures(rows: Sequence[np.ndarray], cfg: DedupConfig) -> list[np.ndarray]:
+    """One-permutation MinHash of each non-empty uint64 shingle array, with
+    optimal densification, SHINGLE_BATCH arrays at a time.
+
+    Each shingle x hashes once, to h = mix64(x ^ perm_seed), and falls into
+    bin h % num_perms; a bin's component is the least h in it. An empty bin
+    takes the component of the first non-empty bin in its probe order (see
+    _probe_order), so sets that fill the same bins borrow from the same
+    bins. The fraction of equal components between two signatures
+    estimates their exact Jaccard.
+    """
     k = cfg.num_perms
     seed = np.uint64(cfg.perm_seed & _U64_MASK)
     probe = _probe_order(cfg.perm_seed, k)
@@ -256,35 +221,8 @@ def _signatures(rows: Sequence[np.ndarray], cfg: DedupConfig) -> list[np.ndarray
     return out
 
 
-def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
-    if a.num_perms != b.num_perms or a.perm_seed != b.perm_seed:
-        raise ConfigError("signatures built under different configs")
-    return float(np.mean(a.values == b.values))
-
-
-def _shingle_sets(corpus: Corpus, cfg: DedupConfig) -> dict[str, ShingleSet]:
-    """Shingle set per doc_id, shingling each distinct text once."""
-    by_text: dict[str, ShingleSet] = {}
-    out = {}
-    for d in corpus:
-        s = by_text.get(d.text)
-        if s is None:
-            s = by_text[d.text] = shingle(d.text, cfg.shingle_width)
-        out[d.doc_id] = s
-    return out
-
-
-def compute_signatures(corpus: Corpus, cfg: DedupConfig) -> dict[str, MinHashSignature]:
-    """Signature per document."""
-    rows = _shingle_rows([d.text for d in corpus], cfg.shingle_width)
-    return {
-        d.doc_id: MinHashSignature(values, cfg.perm_seed)
-        for d, values in zip(corpus, _signatures(rows, cfg))
-    }
-
-
 def lsh_candidate_pairs(
-    signatures: Mapping[str, MinHashSignature], cfg: DedupConfig
+    signatures: Mapping[str, np.ndarray], cfg: DedupConfig
 ) -> list[tuple[str, ...]]:
     """Buckets of documents whose signatures agree on all rows of some band.
 
@@ -295,12 +233,12 @@ def lsh_candidate_pairs(
     bucket is that pair.
     """
     for sig in signatures.values():
-        if sig.num_perms != cfg.num_perms or sig.perm_seed != cfg.perm_seed:
+        if sig.shape != (cfg.num_perms,):
             raise ConfigError("signature does not match dedup config")
     doc_ids = sorted(signatures)
     if len(doc_ids) < 2:
         return []
-    matrix = np.stack([signatures[i].values for i in doc_ids])
+    matrix = np.stack([signatures[i] for i in doc_ids])
     # One opaque key per document and band, so a band sorts like a 1-D array.
     band_key = np.dtype((np.void, cfg.rows * matrix.itemsize))
     buckets: set[tuple[str, ...]] = set()
@@ -342,16 +280,16 @@ def build_clusters(
     corpus: Corpus,
     candidate_groups: Iterable[Sequence[str]],
     cfg: DedupConfig,
-    shingle_sets: Mapping[str, ShingleSet] | None = None,
+    rows: Mapping[str, np.ndarray],
 ) -> list[DuplicateCluster]:
     """Link exact duplicates, verify candidates with exact Jaccard, take components.
 
     A candidate group is any collection of doc ids; a pair is a group of
-    two. Two members are linked when their exact Jaccard reaches the
-    threshold. A pair already in one component is not verified, since
-    linking it could change no component, and a rejected pair is not
-    verified again, so the components equal those of verifying every
-    pair of every group, in any order.
+    two. Two members are linked when the exact Jaccard of their shingle
+    arrays, `rows` by doc id, reaches the threshold. A pair already in one
+    component is not verified, since linking it could change no component,
+    and a rejected pair is not verified again, so the components equal
+    those of verifying every pair of every group, in any order.
 
     Every document lands in exactly one cluster; unpaired documents
     become singletons. retained_ids is left empty (see retain_top_k).
@@ -374,8 +312,6 @@ def build_clusters(
         for other in ids[1:]:
             uf.union(ids[0], other)
 
-    if shingle_sets is None and groups:
-        shingle_sets = _shingle_sets(corpus, cfg)
     rejected: set[tuple[str, str]] = set()
     for g in groups:
         # Each union joins two components that both hold members of g.
@@ -386,7 +322,7 @@ def build_clusters(
             for b in g[i + 1 :]:
                 if (a, b) in rejected or uf.find(a) == uf.find(b):
                     continue
-                if exact_jaccard(shingle_sets[a], shingle_sets[b]) >= cfg.jaccard_threshold:
+                if exact_jaccard(rows[a], rows[b]) >= cfg.jaccard_threshold:
                     uf.union(a, b)
                     roots -= 1
                     if roots == 1:
@@ -444,31 +380,22 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
     """
     cfg.validate()
     texts = list(dict.fromkeys(d.text for d in corpus))
-    row_of = dict(zip(texts, _shingle_rows(texts, cfg.shingle_width)))
-    # Equal shingle sets (equal sorted hash arrays) mean equal signatures and
-    # Jaccard 1.0 to each other and equal Jaccard to everyone else, so one
-    # member per group stands in.
+    row_of = dict(zip(texts, shingle(texts, cfg.shingle_width)))
+    # Equal shingle arrays mean equal signatures and Jaccard 1.0 to each
+    # other and equal Jaccard to everyone else, so one member per group
+    # stands in.
     by_set: dict[bytes, list[str]] = {}
     for d in corpus:
         by_set.setdefault(row_of[d.text].tobytes(), []).append(d.doc_id)
     groups = list(by_set.values())
     del by_set  # its keys copy every shingle array; free them before signing
-    representatives = [corpus.get(min(ids)) for ids in groups]
-    rows = _signatures([row_of[d.text] for d in representatives], cfg)
-    signatures = {
-        d.doc_id: MinHashSignature(values, cfg.perm_seed) for d, values in zip(representatives, rows)
-    }
+    representatives = [min(ids) for ids in groups]
+    signed = compute_signatures([row_of[corpus.get(i).text] for i in representatives], cfg)
+    signatures = dict(zip(representatives, signed))
     candidates = [ids for ids in groups if len(ids) > 1]
     candidates += lsh_candidate_pairs(signatures, cfg)
-    # Only candidates are verified, so only they need shingle sets.
-    by_text: dict[str, ShingleSet] = {}
-    shingle_sets = {}
-    for doc_id in {i for ids in candidates for i in ids}:
-        text = corpus.get(doc_id).text
-        if text not in by_text:
-            by_text[text] = ShingleSet(frozenset(row_of[text].tolist()), cfg.shingle_width)
-        shingle_sets[doc_id] = by_text[text]
-    clusters = build_clusters(corpus, candidates, cfg, shingle_sets=shingle_sets)
+    rows = {i: row_of[corpus.get(i).text] for ids in candidates for i in ids}
+    clusters = build_clusters(corpus, candidates, cfg, rows)
     return [retain_top_k(c, corpus, cfg) for c in clusters]
 
 

@@ -163,7 +163,7 @@ def mix64(values: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array.
 
     A bijection on [0, 2^64): xor-ing with a seed and mixing yields the
-    seeded permutation of one-permutation MinHash (dedup.minhash_signature)
+    seeded permutation of one-permutation MinHash (dedup.compute_signatures)
     and its probe orders. Arithmetic wraps mod 2^64.
     """
     z = values.astype(np.uint64, copy=True)

@@ -269,7 +269,8 @@ class Pipeline:
         self.config = config
         self.work_dir = config.work_dir
         self.tokenizer = WhitespaceTokenizer(config.vocab_size)
-        # READERS file name -> the object this run wrote it from.
+        # READERS file name -> the object this run wrote it from, or parsed
+        # from it when the phase that writes it was skipped.
         self._held: dict[str, Any] = {}
 
     # -- phase plumbing ------------------------------------------------
@@ -341,10 +342,11 @@ class Pipeline:
 
     def _load(self, name: str) -> Any:
         """The object in work-directory file `name`, a key of READERS: the
-        one this run wrote the file from, else the file parsed by its reader."""
-        if name in self._held:
-            return self._held[name]
-        return READERS[name](self, self.work_dir / name)
+        one this run wrote the file from, else the file parsed by its
+        reader, held for the later phases that read it too."""
+        if name not in self._held:
+            self._held[name] = READERS[name](self, self.work_dir / name)
+        return self._held[name]
 
     def _mixture_weights(self) -> dict[str, float]:
         return {p.policy.signal_name: p.mixture_weight for p in self.config.policies}

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusprep.classifier import ngram_hashes
@@ -19,15 +21,11 @@ from corpusprep.dedup import (
     DedupConfig,
     DuplicateCluster,
     FrequencySignals,
-    MinHashSignature,
-    ShingleSet,
     UnionFind,
     build_clusters,
     compute_signatures,
-    estimated_jaccard,
     exact_jaccard,
     lsh_candidate_pairs,
-    minhash_signature,
     read_clusters,
     retain_top_k,
     run_dedup,
@@ -52,6 +50,15 @@ CFG = DedupConfig()
 
 def doc_from(text: str, idx: int, **kwargs):
     return ingest_record(json.dumps(make_record(text, idx, **kwargs)))
+
+
+def rows_by_id(corpus: Corpus, width: int) -> dict[str, np.ndarray]:
+    return dict(zip((d.doc_id for d in corpus), shingle([d.text for d in corpus], width)))
+
+
+def as_row(values) -> np.ndarray:
+    """A set of ints as a shingle array: sorted, distinct, uint64."""
+    return np.array(sorted(values), dtype=np.uint64)
 
 
 _U64 = (1 << 64) - 1
@@ -85,6 +92,15 @@ def reference_shingles(text: str, width: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def reference_probes(k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Entry j: all bins b in ascending order of mix64((j * k + b) ^ seed)."""
+    return tuple(
+        tuple(sorted(range(k), key=lambda b: reference_mix64((j * k + b) ^ seed)))
+        for j in range(k)
+    )
+
+
 def reference_signature(shingles: frozenset[int], cfg: DedupConfig) -> list[int]:
     """One text at a time: shingle x hashes to h = mix64(x ^ perm_seed) in
     bin h % num_perms, and each bin keeps its least h. Empty bin j then
@@ -99,42 +115,46 @@ def reference_signature(shingles: frozenset[int], cfg: DedupConfig) -> list[int]
     out = []
     for j, value in enumerate(bins):
         if value is None:
-            probes = sorted(range(k), key=lambda b: reference_mix64((j * k + b) ^ seed))
-            value = next(bins[b] for b in probes if bins[b] is not None)
+            value = next(bins[b] for b in reference_probes(k, seed)[j] if bins[b] is not None)
         out.append(value)
     return out
 
 
 class TestShingle:
     def test_window_count(self):
-        assert len(shingle("a b c", 2)) == 2
+        assert len(shingle(["a b c"], 2)[0]) == 2
 
     def test_identical_windows_collapse(self):
-        assert len(shingle("a a a a", 2)) == 1
+        assert len(shingle(["a a a a"], 2)[0]) == 1
 
     def test_short_text_single_shingle(self):
-        assert len(shingle("a b", 5)) == 1
+        assert len(shingle(["a b"], 5)[0]) == 1
         # The one shingle is the window of all of the text's words.
-        assert shingle("A  b\tC", 5).shingles == frozenset(ngram_hashes("a b c", (3,)))
+        assert shingle(["A  b\tC"], 5)[0].tolist() == sorted(set(ngram_hashes("a b c", (3,))))
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_empty_text_has_one_shingle(self, width):
+        """The shingler never makes an empty row, so every row can be signed."""
+        [row] = shingle([""], width)
+        assert row.dtype == np.uint64 and row.shape == (1,)
 
     def test_matches_string_oracle_cardinality(self):
         rng = np.random.default_rng(3)
-        from conftest import make_text, make_vocab
-
         vocab = make_vocab(rng, 500)
         for _ in range(20):
             text = make_text(rng, vocab, int(rng.integers(3, 80)))
             for w in (2, 5, 9):
-                assert len(shingle(text, w)) == len(oracle_shingles(text, w))
+                assert len(shingle([text], w)[0]) == len(oracle_shingles(text, w))
 
     def test_case_insensitive(self):
-        assert shingle("A b C", 2).shingles == shingle("a B c", 2).shingles
+        upper, lower = shingle(["A b C", "a B c"], 2)
+        assert upper.tolist() == lower.tolist()
 
     @given(st.integers(1, 6), st.lists(_WORDS, min_size=0, max_size=40), _SEPS)
     @settings(max_examples=200, deadline=None)
     def test_shingles_match_the_scalar_reference(self, width, words, sep):
         text = sep.join(words)
-        assert shingle(text, width).shingles == reference_shingles(text, width)
+        assert shingle([text], width)[0].tolist() == sorted(reference_shingles(text, width))
 
     @given(
         st.integers(1, 6),
@@ -146,54 +166,57 @@ class TestShingle:
     def test_chunk_rows_equal_one_text_per_call(self, width, texts, cuts, batch):
         """Windows never cross texts: rows of any split of a text list into
         chunks, shingled in batches of any size, equal the rows of each
-        text alone, and its shingle set."""
+        text alone, and its reference shingles."""
         cfg = DedupConfig(shingle_width=width, num_perms=8, bands=1, rows=8)
         bounds = [0, *sorted(c for c in cuts if c < len(texts)), len(texts)]
         with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
-            rows = [
-                row for a, b in zip(bounds, bounds[1:])
-                for row in dedup._shingle_rows(texts[a:b], width)
-            ]
-            minima = dedup._signatures(rows, cfg)
+            rows = [row for a, b in zip(bounds, bounds[1:]) for row in shingle(texts[a:b], width)]
+            minima = compute_signatures(rows, cfg)
         assert len(rows) == len(minima) == len(texts)
         for text, hashes, values in zip(texts, rows, minima):
-            [alone] = dedup._shingle_rows([text], width)
-            [alone_minima] = dedup._signatures([alone], cfg)
-            assert hashes.tolist() == alone.tolist() == sorted(shingle(text, width).shingles)
+            [alone] = shingle([text], width)
+            [alone_minima] = compute_signatures([alone], cfg)
+            assert hashes.tolist() == alone.tolist() == sorted(reference_shingles(text, width))
             assert values.tolist() == alone_minima.tolist()
+
+
+_HASHES = st.one_of(st.integers(0, 8), st.integers(2**63, _U64), st.integers(0, _U64))
+
+
+class TestExactJaccard:
+    @given(st.sets(_HASHES, min_size=1, max_size=40), st.sets(_HASHES, min_size=1, max_size=40))
+    @example({7}, {7})
+    @example({0, 1, 2}, {0, 1, 2})
+    @example({0, 1}, {2, 3})
+    @example({2**63}, {_U64})
+    @example({2**63, _U64}, {2**63 + 1, _U64})
+    @settings(max_examples=200, deadline=None)
+    def test_equals_python_set_jaccard(self, a, b):
+        """On sorted distinct uint64 arrays, the array count gives the same
+        float as Python set arithmetic."""
+        assert exact_jaccard(as_row(a), as_row(b)) == len(a & b) / len(a | b)
 
 
 class TestMinHash:
     def test_identical_sets_estimate_one(self):
-        s = shingle("the quick brown fox jumps over the lazy dog again", 3)
-        a, b = minhash_signature(s, CFG), minhash_signature(s, CFG)
-        assert estimated_jaccard(a, b) == 1.0
+        [row] = shingle(["the quick brown fox jumps over the lazy dog again"], 3)
+        a, b = compute_signatures([row, row], CFG)
+        assert np.mean(a == b) == 1.0
 
     def test_disjoint_sets_estimate_near_zero(self):
         rng = np.random.default_rng(11)
-        from corpusprep.dedup import ShingleSet
-
-        a = ShingleSet(frozenset(int(x) for x in rng.integers(0, 2**63, 300)), 5)
-        b = ShingleSet(frozenset(int(x) + 2**63 for x in rng.integers(0, 2**62, 300)), 5)
-        est = estimated_jaccard(minhash_signature(a, CFG), minhash_signature(b, CFG))
-        assert est <= 0.05
-
-    def test_empty_set_rejected(self):
-        from corpusprep.dedup import ShingleSet
-
-        with pytest.raises(ValueError):
-            minhash_signature(ShingleSet(frozenset(), 5), CFG)
+        a = np.unique(rng.integers(0, 2**63, 300)).astype(np.uint64)
+        b = np.unique(rng.integers(0, 2**62, 300)).astype(np.uint64) + np.uint64(2**63)
+        sa, sb = compute_signatures([a, b], CFG)
+        assert np.mean(sa == sb) <= 0.05
 
     def test_deterministic(self):
-        s = shingle("alpha beta gamma delta epsilon zeta eta theta", 2)
-        a, b = minhash_signature(s, CFG), minhash_signature(s, CFG)
-        assert np.array_equal(a.values, b.values)
+        rows = shingle(["alpha beta gamma delta epsilon zeta eta theta"], 2)
+        assert np.array_equal(compute_signatures(rows, CFG)[0], compute_signatures(rows, CFG)[0])
 
     def test_estimate_tracks_exact_jaccard_200_pairs(self):
         """|estimate - exact| <= 0.15 for >= 95% of 200 random set pairs."""
         rng = np.random.default_rng(2024)
-        from corpusprep.dedup import ShingleSet
-
         within = 0
         for _ in range(200):
             n_shared = int(rng.integers(0, 150))
@@ -207,11 +230,8 @@ class TestMinHash:
             sa = set(int(x) for x in shared) | set(int(x) for x in only_a)
             sb = set(int(x) for x in shared) | set(int(x) for x in only_b)
             exact = oracle_jaccard(sa, sb)
-            est = estimated_jaccard(
-                minhash_signature(ShingleSet(frozenset(sa), 5), CFG),
-                minhash_signature(ShingleSet(frozenset(sb), 5), CFG),
-            )
-            within += abs(est - exact) <= 0.15
+            a, b = compute_signatures([as_row(sa), as_row(sb)], CFG)
+            within += abs(float(np.mean(a == b)) - exact) <= 0.15
         assert within / 200 >= 0.95
 
     @pytest.mark.parametrize("batch", [1, 3, dedup.SHINGLE_BATCH])
@@ -225,21 +245,21 @@ class TestMinHash:
             frozenset(int(x) for x in rng.integers(0, 2**64, size=n, dtype=np.uint64))
             for n in (1, 2, k - 1, k, 10 * k, 1, 7)
         ]
-        rows = [np.array(sorted(s), dtype=np.uint64) for s in sets]
+        rows = [as_row(s) for s in sets]
         with mock.patch.object(dedup, "SHINGLE_BATCH", batch):
-            signed = dedup._signatures(rows, cfg)
+            signed = compute_signatures(rows, cfg)
         assert len(signed) == len(sets)
-        for s, values in zip(sets, signed):
+        for s, row, values in zip(sets, rows, signed):
             assert values.tolist() == reference_signature(s, cfg)
-            assert minhash_signature(ShingleSet(s, 5), cfg).values.tolist() == values.tolist()
+            assert compute_signatures([row], cfg)[0].tolist() == values.tolist()
 
     def test_signature_pinned(self):
         """Fixed bits for one fixed set, so no library upgrade can change
         dedup's output unnoticed. Its 5 shingles fill bins 4 to 7; bins 0 to
         3 borrow from bins 6, 7, 5 and 5."""
         cfg = DedupConfig(num_perms=8, bands=2, rows=4)
-        s = shingle("the quick brown fox jumps over the lazy dog", 5)
-        assert minhash_signature(s, cfg).values.tolist() == [
+        rows = shingle(["the quick brown fox jumps over the lazy dog"], 5)
+        assert compute_signatures(rows, cfg)[0].tolist() == [
             17266356209418166950,
             4201321962987394287,
             3178477075982746253,
@@ -250,38 +270,33 @@ class TestMinHash:
             4201321962987394287,
         ]
 
-    def test_mismatched_configs_rejected(self):
-        s = shingle("one two three four five six", 2)
-        a = minhash_signature(s, CFG)
-        b = minhash_signature(s, DedupConfig(perm_seed=99))
-        with pytest.raises(ConfigError):
-            estimated_jaccard(a, b)
-
 
 class TestLsh:
     def test_identical_signatures_pair(self):
-        s = shingle("same text everywhere in both documents exactly alike", 3)
-        sigs = {"a": minhash_signature(s, CFG), "b": minhash_signature(s, CFG)}
-        assert lsh_candidate_pairs(sigs, CFG) == [("a", "b")]
+        rows = shingle(["same text everywhere in both documents exactly alike"], 3)
+        [sig] = compute_signatures(rows, CFG)
+        assert lsh_candidate_pairs({"a": sig, "b": sig}, CFG) == [("a", "b")]
 
     def test_everywhere_different_no_pair(self):
         sigs = {
-            "a": MinHashSignature(np.arange(128, dtype=np.uint64), CFG.perm_seed),
-            "b": MinHashSignature(np.arange(1000, 1128, dtype=np.uint64), CFG.perm_seed),
+            "a": np.arange(128, dtype=np.uint64),
+            "b": np.arange(1000, 1128, dtype=np.uint64),
         }
         assert lsh_candidate_pairs(sigs, CFG) == []
 
     def test_mismatched_config_error(self):
         sigs = {
-            "a": MinHashSignature(np.arange(128, dtype=np.uint64), CFG.perm_seed),
-            "b": MinHashSignature(np.arange(64, dtype=np.uint64), CFG.perm_seed),
+            "a": np.arange(128, dtype=np.uint64),
+            "b": np.arange(64, dtype=np.uint64),
         }
         with pytest.raises(ConfigError):
             lsh_candidate_pairs(sigs, CFG)
 
     def test_output_sorted(self, small_planted):
         corpus, _, _, _ = small_planted
-        buckets = lsh_candidate_pairs(compute_signatures(corpus, CFG), CFG)
+        rows = rows_by_id(corpus, CFG.shingle_width)
+        sigs = dict(zip(rows, compute_signatures(list(rows.values()), CFG)))
+        buckets = lsh_candidate_pairs(sigs, CFG)
         assert buckets, "planted duplicates must share a band"
         assert buckets == sorted(buckets)
         assert len(set(buckets)) == len(buckets)
@@ -290,9 +305,9 @@ class TestLsh:
             assert all(a < b for a, b in zip(bucket, bucket[1:]))
 
     def test_identical_signatures_one_bucket(self):
-        s = shingle("same text everywhere in all three documents exactly alike", 3)
-        sigs = {i: minhash_signature(s, CFG) for i in ("c", "a", "b")}
-        assert lsh_candidate_pairs(sigs, CFG) == [("a", "b", "c")]
+        rows = shingle(["same text everywhere in all three documents exactly alike"], 3)
+        [sig] = compute_signatures(rows, CFG)
+        assert lsh_candidate_pairs({i: sig for i in ("c", "a", "b")}, CFG) == [("a", "b", "c")]
 
 
 class TestBuildClusters:
@@ -302,7 +317,7 @@ class TestBuildClusters:
             for i in range(3)
         ]
         corpus = Corpus(docs)
-        clusters = build_clusters(corpus, [], CFG)
+        clusters = build_clusters(corpus, [], CFG, {})
         assert len(clusters) == 1
         assert clusters[0].signals.occurrence_count == 3
 
@@ -314,14 +329,14 @@ class TestBuildClusters:
             doc_from("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9 w10 w11 w12 w13 w14 w15", 903),
         ]
         c = Corpus(rng_docs)
-        sh = {d.doc_id: shingle(d.text, 2) for d in c}
+        sh = rows_by_id(c, 2)
         a, b, cc = [d.doc_id for d in c.documents]
         pairs = [(a, b), (b, cc), (a, cc)]
         usable = [
             p for p in pairs if exact_jaccard(sh[p[0]], sh[p[1]]) >= 0.8
         ]
         assert len(usable) >= 2  # chain exists
-        clusters = build_clusters(c, pairs, DedupConfig(shingle_width=2), shingle_sets=sh)
+        clusters = build_clusters(c, pairs, DedupConfig(shingle_width=2), sh)
         assert len(clusters) == 1
         assert set(clusters[0].member_ids) == {a, b, cc}
 
@@ -335,7 +350,8 @@ class TestBuildClusters:
         corpus = Corpus(docs)
         group = sorted(d.doc_id for d in docs)
         assert group[0] == docs[0].doc_id  # the unrelated text is verified first
-        clusters = build_clusters(corpus, [group], DedupConfig(shingle_width=2))
+        cfg = DedupConfig(shingle_width=2)
+        clusters = build_clusters(corpus, [group], cfg, rows_by_id(corpus, 2))
         assert sorted(len(c.member_ids) for c in clusters) == [1, 2]
         joined = next(c for c in clusters if len(c.member_ids) == 2)
         assert set(joined.member_ids) == {docs[1].doc_id, docs[2].doc_id}
@@ -347,7 +363,7 @@ class TestBuildClusters:
             doc_from(text, 1, snapshot="S1", domain="d2.example"),
             doc_from(text, 2, snapshot="S2", domain="d2.example"),
         ]
-        clusters = build_clusters(Corpus(docs), [], CFG)
+        clusters = build_clusters(Corpus(docs), [], CFG, {})
         assert len(clusters) == 1
         # Distinct-count oracle by hand: 3 members, snapshots {S1,S2}, domains {d1,d2}.
         assert clusters[0].signals == FrequencySignals(3, 2, 2)
@@ -383,7 +399,7 @@ class TestRetainTopK:
         docs = [doc_from(t, 800 + i) for i, t in enumerate(texts)]
         corpus = Corpus(docs)
         clusters = build_clusters(
-            corpus, [], DedupConfig(jaccard_threshold=0.01, shingle_width=1)
+            corpus, [], DedupConfig(jaccard_threshold=0.01, shingle_width=1), {}
         )
         return corpus, clusters
 
@@ -391,7 +407,7 @@ class TestRetainTopK:
         text = "one two three four five six seven eight"
         docs = [doc_from(text, 810 + i, domain=f"m{i}.example") for i in range(5)]
         corpus = Corpus(docs)
-        clusters = build_clusters(corpus, [], CFG)
+        clusters = build_clusters(corpus, [], CFG, {})
         assert len(clusters) == 1
         filled = retain_top_k(clusters[0], corpus, DedupConfig(top_k=3))
         assert len(filled.retained_ids) == 3
@@ -406,7 +422,7 @@ class TestRetainTopK:
         text = "same size text here"
         docs = [doc_from(text, 820, domain="a.example"), doc_from(text, 821, domain="b.example")]
         corpus = Corpus(docs)
-        clusters = build_clusters(corpus, [], CFG)
+        clusters = build_clusters(corpus, [], CFG, {})
         filled = retain_top_k(clusters[0], corpus, DedupConfig(top_k=2))
         assert filled.retained_ids == sorted(filled.member_ids)
 
@@ -431,7 +447,7 @@ class TestRetainTopK:
             corpus,
             [(docs[0].doc_id, docs[1].doc_id)],
             DedupConfig(jaccard_threshold=0.5, shingle_width=2),
-            shingle_sets={d.doc_id: shingle(d.text, 2) for d in docs},
+            rows_by_id(corpus, 2),
         )
         assert len(clusters) == 1
         filled = retain_top_k(clusters[0], corpus, CFG)
@@ -519,22 +535,24 @@ class TestEndToEndDedup:
 
 
 def reference_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
-    """Dedup as first written: every document signed and banded through a
-    dict, every candidate pair verified, then the content_hash union."""
-    sets = {d.doc_id: shingle(d.text, cfg.shingle_width) for d in corpus}
-    sigs = {i: minhash_signature(s, cfg).values for i, s in sets.items()}
+    """Dedup as first written, on Python sets and the plain per-text
+    reference shingler and signer: every document signed and banded
+    through a dict, every candidate pair verified with set arithmetic,
+    then the content_hash union."""
+    sets = {d.doc_id: reference_shingles(d.text, cfg.shingle_width) for d in corpus}
+    sigs = {i: reference_signature(s, cfg) for i, s in sets.items()}
     pairs: set[tuple[str, str]] = set()
     for start in range(0, cfg.num_perms, cfg.rows):
-        buckets: dict[bytes, list[str]] = {}
+        buckets: dict[tuple[int, ...], list[str]] = {}
         for i in sorted(sigs):
-            buckets.setdefault(sigs[i][start : start + cfg.rows].tobytes(), []).append(i)
+            buckets.setdefault(tuple(sigs[i][start : start + cfg.rows]), []).append(i)
         for members in buckets.values():
             pairs.update(itertools.combinations(members, 2))
     uf = UnionFind()
     for d in corpus:
         uf.find(d.doc_id)
     for a, b in sorted(pairs):
-        if exact_jaccard(sets[a], sets[b]) >= cfg.jaccard_threshold:
+        if len(sets[a] & sets[b]) / len(sets[a] | sets[b]) >= cfg.jaccard_threshold:
             uf.union(a, b)
     by_hash: dict[str, list[str]] = {}
     for d in corpus:
@@ -659,7 +677,29 @@ class TestHashCount:
         assert 0 < calls <= len(words) + len(short)
 
 
-class TestWorkerCounts:
+class TestPipelinePath:
+    def test_run_dedup_calls_the_public_shingler_and_signer(self, monkeypatch, small_planted):
+        """bench/tracer.py times dedup.shingle and dedup.compute_signatures
+        as two dedup layers, which read 0.0 if run_dedup stops calling them."""
+        corpus, _, _, _ = small_planted
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(dedup, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("shingle", "compute_signatures"):
+            monkeypatch.setattr(dedup, name, counting(name))
+        run_dedup(corpus, CFG)
+        assert calls["shingle"] >= 1 and calls["compute_signatures"] >= 1
+
+
+class TestEdgeCasesAgainstReference:
     """Edge cases: one text copied 500 times, and pairs of documents
     (identical, near, unrelated, shorter than the shingle width) against
     the brute-force reference."""

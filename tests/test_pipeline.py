@@ -168,6 +168,32 @@ class TestInMemoryHandoff:
         }
         assert pipe._held == {}
 
+    def test_rerun_parses_each_file_once(self, tmp_path, monkeypatch):
+        """After a lambda edit, quality is skipped and both sampling and
+        curriculum read annotated.jsonl: the rerun parses it once and hands
+        it on in memory, like every other file it parses."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        _swap_lambdas(raw)
+        parsed = []
+
+        def counting(real):
+            def reader(path, *args):
+                parsed.append(Path(path).name)
+                return real(path, *args)
+            return reader
+
+        monkeypatch.setattr(pipeline, "read_corpus", counting(pipeline.read_corpus))
+        for module, name in (
+            (pipeline.dedup_mod, "read_clusters"),
+            (pipeline.quality_mod, "read_annotations"),
+            (pipeline.sampling_mod, "read_weights"),
+        ):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert [p for p, ran in rerun["phases_executed"].items() if ran] == list(LATER_PHASES)
+        assert sorted(parsed) == ["annotated.jsonl", "clusters.jsonl", "corpus.jsonl"]
+
     @pytest.mark.parametrize("name", [phase.name for phase in pipeline.PHASE_TABLE[1:]])
     def test_phase_fed_from_files_records_the_cold_digests(self, completed_run, tmp_path, name):
         """Deleting one phase's marker after a cold run reruns that phase
