@@ -24,7 +24,7 @@ from urllib.parse import urlsplit
 
 from .errors import RejectedRecord
 from .hashing import hash64_hex, hash128_hex
-from .jsonl import dumps, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
 
@@ -251,7 +251,3 @@ def write_corpus(corpus: Corpus, path: str | Path) -> int:
 
 def read_corpus(path: str | Path) -> Corpus:
     return Corpus([Document.from_record(rec) for rec in read_jsonl(path)])
-
-
-def serialize_corpus(corpus: Corpus) -> bytes:
-    return "".join(dumps(d.to_record()) + "\n" for d in corpus).encode("utf-8")

@@ -25,13 +25,8 @@ from .errors import ConfigError, UnknownSignalError, ValidationError
 from .hashing import derive_seed, sha256_file
 from .jsonl import read_json, write_json, write_jsonl
 from .quality import Annotation
-from .sampling import (
-    ClusterSampler,
-    MergedDistribution,
-    restrict_clusters,
-    restrict_distribution,
-)
-from .tokenizer import Tokenizer
+from .sampling import ClusterSampler, restrict_clusters, restrict_distribution
+from .tokenizer import WhitespaceTokenizer
 
 GATE_MAX_CLF = "clf:max"  # max over ensemble scores, the default gate
 OTHER_GROUP = "other"
@@ -66,16 +61,6 @@ class StageSpec:
             **{k: str(rec[k]) for k in ("description", "gating_signal") if k in rec},
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "stage_id": self.stage_id,
-            "token_share": str(self.token_share),
-            "quality_threshold": self.quality_threshold,
-            "mixture": {k: str(v) for k, v in self.mixture.items()},
-            "description": self.description,
-            "gating_signal": self.gating_signal,
-        }
-
 
 @dataclass
 class StagePlan:
@@ -91,12 +76,6 @@ class StagePlan:
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad stage plan: {type(exc).__name__} {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": [s.to_dict() for s in self.stages],
-            "total_token_budget": self.total_token_budget,
-        }
 
     def stage(self, stage_id: str) -> StageSpec:
         for s in self.stages:
@@ -301,11 +280,11 @@ class _ShardWriter:
 def emit_stage(
     stage: StageSpec,
     plan: StagePlan,
-    dist: MergedDistribution,
+    dist: dict[str, float],
     annotated: Iterable[Annotation],
     corpus: Corpus,
     clusters: Sequence[DuplicateCluster],
-    tokenizer: Tokenizer,
+    tokenizer: WhitespaceTokenizer,
     master_seed: int,
     out_dir: str | Path,
     shard_tokens: int = DEFAULT_SHARD_TOKENS,
@@ -321,7 +300,7 @@ def emit_stage(
     token deficit, so the stage overshoots its budget by at most one
     document while holding group fractions on target.
     """
-    if not dist.probabilities:
+    if not dist:
         raise ConfigError(f"stage {stage.stage_id}: eligible set is empty")
     budget = stage_budgets(plan)[stage.stage_id]
     out_dir = Path(out_dir)
@@ -330,7 +309,7 @@ def emit_stage(
     groups = list(stage.mixture.keys())
     docs_by_group: dict[str, set[str]] = {g: set() for g in groups}
     signals = {row.doc_id: row.signals for row in annotated}
-    for doc_id in dist.probabilities:
+    for doc_id in dist:
         if doc_id not in signals or doc_id not in corpus:
             raise ConfigError(f"distribution covers unannotated or missing doc {doc_id}")
         g = mixture_group(signals[doc_id], stage.mixture)

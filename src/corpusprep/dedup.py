@@ -88,36 +88,23 @@ class DedupConfig:
             raise ConfigError("top_k must be >= 1")
 
 
-@dataclass(frozen=True)
-class FrequencySignals:
-    occurrence_count: int
-    snapshot_count: int
-    domain_count: int
-
-    @classmethod
-    def from_documents(cls, docs: Sequence[Document]) -> "FrequencySignals":
-        return cls(
-            occurrence_count=len(docs),
-            snapshot_count=len({d.snapshot_id for d in docs}),
-            domain_count=len({d.domain for d in docs}),
-        )
-
-
 @dataclass
 class DuplicateCluster:
     cluster_id: str  # smallest member doc_id
     member_ids: list[str]  # sorted ascending
     retained_ids: list[str]  # rank order; [0] is canonical; empty until retention
-    signals: FrequencySignals
+    occurrence_count: int  # members
+    snapshot_count: int  # distinct member snapshot_ids
+    domain_count: int  # distinct member domains
 
     def to_record(self) -> dict:
         return {
             "cluster_id": self.cluster_id,
             "member_ids": self.member_ids,
             "retained_ids": self.retained_ids,
-            "occurrence_count": self.signals.occurrence_count,
-            "snapshot_count": self.signals.snapshot_count,
-            "domain_count": self.signals.domain_count,
+            "occurrence_count": self.occurrence_count,
+            "snapshot_count": self.snapshot_count,
+            "domain_count": self.domain_count,
         }
 
     @classmethod
@@ -126,9 +113,9 @@ class DuplicateCluster:
             cluster_id=rec["cluster_id"],
             member_ids=list(rec["member_ids"]),
             retained_ids=list(rec["retained_ids"]),
-            signals=FrequencySignals(
-                rec["occurrence_count"], rec["snapshot_count"], rec["domain_count"]
-            ),
+            occurrence_count=rec["occurrence_count"],
+            snapshot_count=rec["snapshot_count"],
+            domain_count=rec["domain_count"],
         )
 
 
@@ -343,7 +330,9 @@ def build_clusters(
                 cluster_id=member_ids[0],
                 member_ids=member_ids,
                 retained_ids=[],
-                signals=FrequencySignals.from_documents(docs),
+                occurrence_count=len(docs),
+                snapshot_count=len({d.snapshot_id for d in docs}),
+                domain_count=len({d.domain for d in docs}),
             )
         )
     return clusters

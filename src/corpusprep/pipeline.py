@@ -345,11 +345,8 @@ class Pipeline:
         one this run wrote the file from, else the file parsed by its
         reader, held for the later phases that read it too."""
         if name not in self._held:
-            self._held[name] = READERS[name](self, self.work_dir / name)
+            self._held[name] = READERS[name](self.work_dir / name)
         return self._held[name]
-
-    def _mixture_weights(self) -> dict[str, float]:
-        return {p.policy.signal_name: p.mixture_weight for p in self.config.policies}
 
     # -- phases: each returns (artifacts written, sidecar report fields) --
 
@@ -459,18 +456,18 @@ class Pipeline:
         write_jsonl(out_weights, rows)
         # Not `merged`: the rows list every document, in another order, and
         # the sampler's float sums follow that order.
-        self._held["weights.jsonl"] = sampling_mod.weights_distribution(
-            rows, self._mixture_weights()
-        )
+        self._held["weights.jsonl"] = sampling_mod.weights_distribution(rows)
         return [out_weights], {
             "documents": len(annotated),
-            "mixture_weights": merged.mixture_weights,
+            "mixture_weights": {
+                p.policy.signal_name: p.mixture_weight for p in self.config.policies
+            },
         }
 
     def emit_stage(
         self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan,
         annotated: list[quality_mod.Annotation], corpus: Corpus,
-        clusters: list[dedup_mod.DuplicateCluster], merged: sampling_mod.MergedDistribution,
+        clusters: list[dedup_mod.DuplicateCluster], merged: dict[str, float],
     ) -> tuple[set[str], cur_mod.ShardManifest]:
         """Emit one stage's shards under stages/<id>; returns (eligible ids, manifest)."""
         eligible = cur_mod.stage_eligible(annotated, stage)
@@ -623,12 +620,13 @@ class Phase:
 
 
 # The reader of each phase output that Pipeline._load parses: the file
-# name, then (pipeline, path) -> the object the file was written from.
-READERS: dict[str, Callable[[Pipeline, Path], Any]] = {
-    "corpus.jsonl": lambda pipe, path: read_corpus(path),
-    "clusters.jsonl": lambda pipe, path: dedup_mod.read_clusters(path),
-    "annotated.jsonl": lambda pipe, path: quality_mod.read_annotations(path),
-    "weights.jsonl": lambda pipe, path: sampling_mod.read_weights(path, pipe._mixture_weights()),
+# name, then path -> the object the file was written from. Each looks its
+# reader up when called, so a patched reader takes effect.
+READERS: dict[str, Callable[[Path], Any]] = {
+    "corpus.jsonl": lambda path: read_corpus(path),
+    "clusters.jsonl": lambda path: dedup_mod.read_clusters(path),
+    "annotated.jsonl": lambda path: quality_mod.read_annotations(path),
+    "weights.jsonl": lambda path: sampling_mod.read_weights(path),
 }
 
 

@@ -240,9 +240,9 @@ def annotate(
                 f"clf:{clf.model_id}": clf.score_hashes(hashes_by_orders[clf.hyper.orders])
                 for clf in classifiers
             }
-            signals["freq:occurrence"] = float(cluster.signals.occurrence_count)
-            signals["freq:snapshot"] = float(cluster.signals.snapshot_count)
-            signals["freq:domain"] = float(cluster.signals.domain_count)
+            signals["freq:occurrence"] = float(cluster.occurrence_count)
+            signals["freq:snapshot"] = float(cluster.snapshot_count)
+            signals["freq:domain"] = float(cluster.domain_count)
             for name, clf in tag_classifiers:
                 tagged = clf is not None and (
                     clf.score_hashes(hashes_by_orders[clf.hyper.orders]) >= tag_threshold

@@ -66,12 +66,6 @@ class WeightMap:
                 )
 
 
-@dataclass
-class MergedDistribution:
-    probabilities: dict[str, float]
-    mixture_weights: dict[str, float]
-
-
 def build_weight_map(annotated: Iterable[Annotation], policy: UpsamplePolicy) -> WeightMap:
     """Weight per document from its named signal; covers every annotated doc."""
     policy.validate()
@@ -89,8 +83,9 @@ def build_weight_map(annotated: Iterable[Annotation], policy: UpsamplePolicy) ->
 
 def merge_distributions(
     maps: Sequence[WeightMap], mixture_weights: Sequence[float]
-) -> MergedDistribution:
-    """Convex mixture of the per-signal normalized distributions.
+) -> dict[str, float]:
+    """Convex mixture of the per-signal normalized distributions, as
+    doc_id -> probability.
 
     p(d) = sum_s lambda_s * p_s(d); signal s contributes at most
     lambda_s of the total mass.
@@ -116,40 +111,32 @@ def merge_distributions(
             if w == 0.0:
                 continue
             probabilities[doc_id] = probabilities.get(doc_id, 0.0) + lam * (w / total)
-    return MergedDistribution(
-        probabilities=probabilities,
-        mixture_weights=dict(zip(names, lambdas)),
-    )
+    return probabilities
 
 
 def weight_rows(
-    annotated: Iterable[Annotation], maps: Sequence[WeightMap], merged: MergedDistribution
+    annotated: Iterable[Annotation], maps: Sequence[WeightMap], merged: dict[str, float]
 ) -> list[dict]:
     """One weights.jsonl row per document: per-signal weights and merged probability."""
     return [
         {
             "doc_id": row.doc_id,
             "weights": {m.signal_name: m.weights[row.doc_id] for m in maps},
-            "probability": merged.probabilities.get(row.doc_id, 0.0),
+            "probability": merged.get(row.doc_id, 0.0),
         }
         for row in annotated
     ]
 
 
-def weights_distribution(
-    rows: Iterable[dict], mixture_weights: dict[str, float]
-) -> MergedDistribution:
+def weights_distribution(rows: Iterable[dict]) -> dict[str, float]:
     """The merged distribution that weights.jsonl rows record: each row's
     probability by doc_id, in row order."""
-    return MergedDistribution(
-        probabilities={rec["doc_id"]: rec["probability"] for rec in rows},
-        mixture_weights=dict(mixture_weights),
-    )
+    return {rec["doc_id"]: rec["probability"] for rec in rows}
 
 
-def read_weights(path, mixture_weights: dict[str, float]) -> MergedDistribution:
+def read_weights(path) -> dict[str, float]:
     """weights_distribution of the rows of weights file `path`."""
-    return weights_distribution(read_jsonl(path), mixture_weights)
+    return weights_distribution(read_jsonl(path))
 
 
 def select_variant(cluster: DuplicateCluster, repetition_index: int) -> str:
@@ -178,7 +165,7 @@ class ClusterSampler:
 
     @classmethod
     def from_distribution(
-        cls, dist: MergedDistribution, clusters: Sequence[DuplicateCluster]
+        cls, dist: dict[str, float], clusters: Sequence[DuplicateCluster]
     ) -> "ClusterSampler":
         cluster_by_doc: dict[str, DuplicateCluster] = {}
         for c in clusters:
@@ -186,7 +173,7 @@ class ClusterSampler:
                 cluster_by_doc[doc_id] = c
         mass: dict[str, float] = {}
         keep: dict[str, DuplicateCluster] = {}
-        for doc_id, p in dist.probabilities.items():
+        for doc_id, p in dist.items():
             c = cluster_by_doc.get(doc_id)
             if c is None:
                 raise ConfigError(f"distribution covers unclustered doc {doc_id}")
@@ -210,7 +197,7 @@ class ClusterSampler:
 
 
 def draw(
-    dist: MergedDistribution,
+    dist: dict[str, float],
     clusters: Sequence[DuplicateCluster],
     seed: int,
     n: int,
@@ -223,19 +210,14 @@ def draw(
     return [sampler.draw_one(rng) for _ in range(n)]
 
 
-def restrict_distribution(
-    dist: MergedDistribution, doc_ids: Iterable[str]
-) -> MergedDistribution:
+def restrict_distribution(dist: dict[str, float], doc_ids: Iterable[str]) -> dict[str, float]:
     """Renormalized restriction of a merged distribution to a doc subset."""
     allowed = set(doc_ids)
-    kept = {d: p for d, p in dist.probabilities.items() if d in allowed and p > 0}
+    kept = {d: p for d, p in dist.items() if d in allowed and p > 0}
     total = math.fsum(kept.values())
     if total <= 0:
         raise ConfigError("restriction removed all probability mass")
-    return MergedDistribution(
-        probabilities={d: p / total for d, p in kept.items()},
-        mixture_weights=dict(dist.mixture_weights),
-    )
+    return {d: p / total for d, p in kept.items()}
 
 
 def restrict_clusters(

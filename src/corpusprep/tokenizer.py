@@ -1,26 +1,14 @@
-"""Pluggable tokenizer interface with a desk-scale whitespace default.
+"""Desk-scale whitespace tokenizer.
 
-Anything with encode(), a pad_id and a name works. The default maps
-each whitespace-separated word to a stable hashed id, which is enough
-to exercise token budgeting, packing and masking deterministically;
-a production BPE tokenizer plugs in behind the same protocol.
+It maps each whitespace-separated word to a stable hashed id, which is
+enough to exercise token budgeting, packing and masking deterministically.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from .hashing import hash_words
 
 DEFAULT_VOCAB_SIZE = 102_400
-
-
-@runtime_checkable
-class Tokenizer(Protocol):
-    name: str
-    pad_id: int
-
-    def encode(self, text: str) -> list[int]: ...
 
 
 class WhitespaceTokenizer:
@@ -30,7 +18,6 @@ class WhitespaceTokenizer:
     def __init__(self, vocab_size: int = DEFAULT_VOCAB_SIZE):
         self.vocab_size = vocab_size
         self.pad_id = 0
-        self.name = f"whitespace-{vocab_size}"
         self._word_hashes: dict[str, int] = {}
 
     def encode(self, text: str) -> list[int]:

@@ -26,7 +26,6 @@ from corpusprep.curriculum import (
 from corpusprep.dedup import (
     DedupConfig,
     DuplicateCluster,
-    FrequencySignals,
     compute_signatures,
     run_dedup,
 )
@@ -35,7 +34,6 @@ from corpusprep.packing import CrossDocMask, pack_documents
 from corpusprep.pipeline import PipelineConfig, run_pipeline, strip_timing
 from corpusprep.rope import rope_config, rope_rotate
 from corpusprep.sampling import (
-    MergedDistribution,
     WeightMap,
     merge_distributions,
     restrict_clusters,
@@ -140,9 +138,9 @@ def test_criterion_03_frequency_signals(dedup_corpus):
     corpus, _, clusters, _ = dedup_corpus
     for c in clusters:
         docs = [corpus.get(i) for i in c.member_ids]
-        assert c.signals.occurrence_count == len(docs)
-        assert c.signals.snapshot_count == len({d.snapshot_id for d in docs})
-        assert c.signals.domain_count == len({d.domain for d in docs})
+        assert c.occurrence_count == len(docs)
+        assert c.snapshot_count == len({d.snapshot_id for d in docs})
+        assert c.domain_count == len({d.domain for d in docs})
 
 
 @criterion(4, "top-k retention size and ordering match the sort oracle exactly")
@@ -173,14 +171,14 @@ def test_criterion_05_merge_math():
         lam = [float(x) for x in lam / lam.sum()]
         lam[-1] = 1.0 - math.fsum(lam[:-1])
         merged = merge_distributions(maps, lam)
-        assert abs(math.fsum(merged.probabilities.values()) - 1.0) <= 1e-9
+        assert abs(math.fsum(merged.values()) - 1.0) <= 1e-9
 
     merged = merge_distributions(
         [WeightMap("a", {"d1": 1.0, "d2": 1.0}), WeightMap("b", {"d1": 1.0})],
         [0.5, 0.5],
     )
-    assert merged.probabilities["d1"] == 0.75
-    assert merged.probabilities["d2"] == 0.25
+    assert merged["d1"] == 0.75
+    assert merged["d2"] == 0.25
 
 
 @criterion(6, "dominance bound: deleting a signal moves any probability by <= its lambda")
@@ -206,7 +204,7 @@ def test_criterion_06_dominance_bound():
             reduced = merge_distributions(rest, rest_lam)
             for d in docs:
                 delta = abs(
-                    merged.probabilities.get(d, 0.0) - reduced.probabilities.get(d, 0.0)
+                    merged.get(d, 0.0) - reduced.get(d, 0.0)
                 )
                 assert delta <= lam[drop] + 1e-12
 
@@ -234,11 +232,11 @@ def eight_million_token_fixture():
     rows = [row for row, _ in pairs]
     corpus = Corpus([doc for _, doc in pairs])
     clusters = [
-        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
+        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], 1, 1, 1)
         for d in corpus
     ]
     n = len(pairs)
-    dist = MergedDistribution({d.doc_id: 1.0 / n for d in corpus}, {"clf:u": 1.0})
+    dist = {d.doc_id: 1.0 / n for d in corpus}
     return rows, corpus, clusters, dist
 
 

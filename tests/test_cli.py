@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from corpusprep.classifier import ClassifierHyper, QualityClassifier
-from corpusprep.cli import main
+from corpusprep.cli import build_parser, main
 from corpusprep.corpus import read_corpus
 from corpusprep.dedup import DedupConfig
 from corpusprep.jsonl import read_json, read_jsonl
@@ -462,3 +464,30 @@ def test_no_command_takes_a_workers_flag(phase_files, monkeypatch, capsys, argv)
     assert exit_.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (phase_files / "out.jsonl").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argv after `corpusprep` of each command line in the bash block
+    under README's `## CLI`, with continuations joined, comments cut and
+    optional `[...]` groups dropped."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = re.sub(r"\[[^\]]*\]", "", line.split("#", 1)[0]).strip()
+        if line.startswith("corpusprep "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = readme_cli_commands()
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: corpusprep {shlex.join(argv)}")

@@ -20,14 +20,10 @@ from corpusprep.curriculum import (
     stage_eligible,
     validate_plan,
 )
-from corpusprep.dedup import DuplicateCluster, FrequencySignals
+from corpusprep.dedup import DuplicateCluster
 from corpusprep.errors import ConfigError, UnknownSignalError, ValidationError
 from corpusprep.quality import Annotation
-from corpusprep.sampling import (
-    MergedDistribution,
-    restrict_clusters,
-    restrict_distribution,
-)
+from corpusprep.sampling import restrict_clusters, restrict_distribution
 from corpusprep.tokenizer import WhitespaceTokenizer
 
 from conftest import annotated_doc
@@ -103,10 +99,26 @@ class TestValidatePlan:
         assert "shares_not_one" in codes
         assert "thresholds_decreasing" in codes
 
-    def test_plan_round_trips_through_dict(self):
-        plan = paper_shaped_plan(12345)
-        back = StagePlan.from_dict(plan.to_dict())
-        assert back == plan
+    def test_plan_from_dict_matches_paper_plan(self):
+        # Fraction strings and decimal strings both parse to exact shares.
+        rec = {
+            "total_token_budget": 12345,
+            "stages": [
+                {"stage_id": "i", "token_share": "3/20", "quality_threshold": 0.0,
+                 "mixture": {"code": "7/10", "other": "0.3"},
+                 "description": "code-heavy warmup"},
+                {"stage_id": "ii", "token_share": "0.45", "quality_threshold": 0.0,
+                 "mixture": {"code": "0.3", "other": "7/10"},
+                 "description": "diverse mixture"},
+                {"stage_id": "iii", "token_share": "3/10", "quality_threshold": 0.5,
+                 "mixture": {"code": "3/10", "other": "0.7"},
+                 "description": "gradual shift to quality"},
+                {"stage_id": "iv", "token_share": "0.10", "quality_threshold": 0.9,
+                 "mixture": {"code": "0.3", "other": "0.7"},
+                 "description": "highest-quality anneal"},
+            ],
+        }
+        assert StagePlan.from_dict(rec) == paper_shaped_plan(12345)
 
 
 class TestStageBudgets:
@@ -199,11 +211,10 @@ class TestStageEligible:
 def emission_fixture(n=400, seed=5):
     rows, corpus = uniform_scores_corpus(n, seed=seed)
     clusters = [
-        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
+        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], 1, 1, 1)
         for d in corpus
     ]
-    probs = {d.doc_id: 1.0 / n for d in corpus}
-    dist = MergedDistribution(probs, {"clf:u": 1.0})
+    dist = {d.doc_id: 1.0 / n for d in corpus}
     return rows, corpus, clusters, dist
 
 
@@ -284,7 +295,7 @@ class TestEmitStage:
         rows, corpus, _, dist = emission_fixture(n=90, seed=14)
         ids = [d.doc_id for d in corpus]
         clusters = [
-            DuplicateCluster(ids[i], ids[i : i + 3], ids[i : i + 3], FrequencySignals(3, 1, 1))
+            DuplicateCluster(ids[i], ids[i : i + 3], ids[i : i + 3], 3, 1, 1)
             for i in range(0, len(ids), 3)
         ]
         plan = mixed_plan(20_000)

@@ -20,7 +20,6 @@ from corpusprep import dedup, hashing
 from corpusprep.dedup import (
     DedupConfig,
     DuplicateCluster,
-    FrequencySignals,
     UnionFind,
     build_clusters,
     compute_signatures,
@@ -319,7 +318,7 @@ class TestBuildClusters:
         corpus = Corpus(docs)
         clusters = build_clusters(corpus, [], CFG, {})
         assert len(clusters) == 1
-        assert clusters[0].signals.occurrence_count == 3
+        assert clusters[0].occurrence_count == 3
 
     def test_transitive_chain_single_cluster(self):
         # Three docs where each adjacent pair clears tau: one component.
@@ -366,12 +365,13 @@ class TestBuildClusters:
         clusters = build_clusters(Corpus(docs), [], CFG, {})
         assert len(clusters) == 1
         # Distinct-count oracle by hand: 3 members, snapshots {S1,S2}, domains {d1,d2}.
-        assert clusters[0].signals == FrequencySignals(3, 2, 2)
+        c = clusters[0]
+        assert (c.occurrence_count, c.snapshot_count, c.domain_count) == (3, 2, 2)
 
     def test_partition_property(self, small_planted):
         corpus, _, _, _ = small_planted
         clusters = run_dedup(corpus, CFG)
-        total = sum(c.signals.occurrence_count for c in clusters)
+        total = sum(c.occurrence_count for c in clusters)
         assert total == len(corpus)
         all_members = [m for c in clusters for m in c.member_ids]
         assert len(all_members) == len(set(all_members)) == len(corpus)
@@ -381,9 +381,9 @@ class TestBuildClusters:
         clusters = run_dedup(corpus, CFG)
         for c in clusters:
             docs = [corpus.get(i) for i in c.member_ids]
-            assert c.signals.occurrence_count == len(docs)
-            assert c.signals.snapshot_count == len({d.snapshot_id for d in docs})
-            assert c.signals.domain_count == len({d.domain for d in docs})
+            assert c.occurrence_count == len(docs)
+            assert c.snapshot_count == len({d.snapshot_id for d in docs})
+            assert c.domain_count == len({d.domain for d in docs})
 
     def test_cluster_ids_sorted_and_min_member(self, small_planted):
         corpus, _, _, _ = small_planted
@@ -567,7 +567,10 @@ def reference_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
     for root in sorted(components):
         ids = sorted(components[root])
         docs = [corpus.get(i) for i in ids]
-        cluster = DuplicateCluster(ids[0], ids, [], FrequencySignals.from_documents(docs))
+        cluster = DuplicateCluster(
+            ids[0], ids, [], len(docs),
+            len({d.snapshot_id for d in docs}), len({d.domain for d in docs}),
+        )
         clusters.append(retain_top_k(cluster, corpus, cfg))
     return clusters
 

@@ -262,6 +262,19 @@ def test_edit_reruns_exactly_the_phases_that_read_it(tmp_path, edit, expected):
     assert work_files(Path(raw["work_dir"])) == work_files(tmp_path / "cold")
 
 
+def test_sampling_report_records_the_configured_lambdas(tmp_path):
+    """sampling_report.json's mixture_weights is {signal: lambda} of the
+    config, after a cold run and after a rerun with the lambdas swapped."""
+    _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+    for edit in (lambda raw: None, _swap_lambdas):
+        edit(raw)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        sidecar = read_json(Path(raw["work_dir"]) / "sampling_report.json")
+        assert sidecar["mixture_weights"] == {
+            p["signal"]: p["lambda"] for p in raw["sampling"]["policies"]
+        }
+
+
 class TestWorkersKey:
     def test_workers_key_starts_no_process(self, tmp_path, monkeypatch):
         """Every phase runs in the calling process: with os.fork raising, a

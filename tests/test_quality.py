@@ -24,7 +24,7 @@ from corpusprep.classifier import (
     train_classifier,
 )
 from corpusprep.corpus import Corpus, Document, ingest_record
-from corpusprep.dedup import DedupConfig, DuplicateCluster, FrequencySignals, run_dedup
+from corpusprep.dedup import DedupConfig, DuplicateCluster, run_dedup
 from corpusprep.errors import ConfigError, PipelineOrderError
 from corpusprep.quality import (
     Annotation,
@@ -290,9 +290,9 @@ class TestAnnotate:
             c = by_doc[row.doc_id]
             assert row.cluster_id == c.cluster_id
             vec = row.signals
-            assert vec["freq:occurrence"] == float(c.signals.occurrence_count)
-            assert vec["freq:snapshot"] == float(c.signals.snapshot_count)
-            assert vec["freq:domain"] == float(c.signals.domain_count)
+            assert vec["freq:occurrence"] == float(c.occurrence_count)
+            assert vec["freq:snapshot"] == float(c.snapshot_count)
+            assert vec["freq:domain"] == float(c.domain_count)
 
     def test_tag_thresholding(self):
         corpus, clusters, ensemble, domain = annotated_fixture()
@@ -469,7 +469,7 @@ def annotate_texts(texts, classifiers, tags, tag_threshold=0.5):
     `tags` (0.0 where it is None)."""
     docs = [unit_doc(i, text) for i, text in enumerate(texts)]
     clusters = [
-        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], FrequencySignals(1, 1, 1))
+        DuplicateCluster(d.doc_id, [d.doc_id], [d.doc_id], 1, 1, 1)
         for d in docs
     ]
     names = [REQUIRED_TAGS[i] if i < len(REQUIRED_TAGS) else f"extra{i}" for i in range(len(tags))]

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusprep.dedup import DuplicateCluster, FrequencySignals
+from corpusprep.dedup import DuplicateCluster
 from corpusprep.errors import ConfigError, UnknownSignalError
 from corpusprep.sampling import (
-    MergedDistribution,
     UpsamplePolicy,
     WeightMap,
     build_weight_map,
@@ -31,7 +30,7 @@ def singleton_cluster(doc_id: str) -> DuplicateCluster:
         cluster_id=doc_id,
         member_ids=[doc_id],
         retained_ids=[doc_id],
-        signals=FrequencySignals(1, 1, 1),
+        occurrence_count=1, snapshot_count=1, domain_count=1,
     )
 
 
@@ -95,20 +94,20 @@ class TestMergeDistributions:
         a = WeightMap("s1", {"d1": 1.0, "d2": 1.0})
         b = WeightMap("s2", {"d1": 1.0})
         merged = merge_distributions([a, b], [0.5, 0.5])
-        assert merged.probabilities["d1"] == 0.75
-        assert merged.probabilities["d2"] == 0.25
+        assert merged["d1"] == 0.75
+        assert merged["d2"] == 0.25
 
     def test_identical_maps_identity(self):
         a = WeightMap("s1", {"d1": 2.0, "d2": 6.0})
         b = WeightMap("s2", {"d1": 2.0, "d2": 6.0})
         merged = merge_distributions([a, b], [0.5, 0.5])
-        assert merged.probabilities["d1"] == pytest.approx(0.25, abs=1e-12)
-        assert merged.probabilities["d2"] == pytest.approx(0.75, abs=1e-12)
+        assert merged["d1"] == pytest.approx(0.25, abs=1e-12)
+        assert merged["d2"] == pytest.approx(0.75, abs=1e-12)
 
     def test_single_map_is_normalization(self):
         a = WeightMap("s1", {"d1": 3.0, "d2": 1.0})
         merged = merge_distributions([a], [1.0])
-        assert merged.probabilities == {"d1": 0.75, "d2": 0.25}
+        assert merged == {"d1": 0.75, "d2": 0.25}
 
     def test_all_zero_map_names_signal(self):
         a = WeightMap("s1", {"d1": 0.0})
@@ -137,7 +136,7 @@ class TestMergeDistributions:
             lam = [float(x) for x in lam]
             lam[-1] = 1.0 - math.fsum(lam[:-1])
             merged = merge_distributions(maps, lam)
-            assert abs(math.fsum(merged.probabilities.values()) - 1.0) <= 1e-9
+            assert abs(math.fsum(merged.values()) - 1.0) <= 1e-9
 
     @given(
         st.lists(
@@ -156,7 +155,7 @@ class TestMergeDistributions:
         lam = [1.0 / len(maps)] * len(maps)
         lam[-1] = 1.0 - math.fsum(lam[:-1])
         merged = merge_distributions(maps, lam)
-        assert abs(math.fsum(merged.probabilities.values()) - 1.0) <= 1e-9
+        assert abs(math.fsum(merged.values()) - 1.0) <= 1e-9
 
     def test_dominance_bound_removing_one_signal(self):
         """Deleting signal s (renormalizing the rest) moves any doc's
@@ -182,8 +181,8 @@ class TestMergeDistributions:
                 reduced = merge_distributions(rest, rest_lam)
                 for d in docs:
                     delta = abs(
-                        merged.probabilities.get(d, 0.0)
-                        - reduced.probabilities.get(d, 0.0)
+                        merged.get(d, 0.0)
+                        - reduced.get(d, 0.0)
                     )
                     assert delta <= lam[drop] + 1e-12
 
@@ -192,7 +191,7 @@ class TestMergeDistributions:
         b = WeightMap("s2", {"d1": 1.0, "d2": 1.0})
         merged = merge_distributions([a, b], [0.3, 0.7])
         # Even with s1 all-in on d1, d1 cannot exceed lambda_1 + its share of s2.
-        assert merged.probabilities["d1"] <= 0.3 + 0.7 * 0.5 + 1e-12
+        assert merged["d1"] <= 0.3 + 0.7 * 0.5 + 1e-12
 
 
 class TestSelectVariant:
@@ -201,7 +200,7 @@ class TestSelectVariant:
             cluster_id=retained[0],
             member_ids=sorted(retained),
             retained_ids=list(retained),
-            signals=FrequencySignals(len(retained), 1, 1),
+            occurrence_count=len(retained), snapshot_count=1, domain_count=1,
         )
 
     def test_round_robin(self):
@@ -230,28 +229,28 @@ class TestDraw:
             cluster_id="a",
             member_ids=["a", "b", "c"],
             retained_ids=["a", "b", "c"],
-            signals=FrequencySignals(3, 1, 1),
+            occurrence_count=3, snapshot_count=1, domain_count=1,
         )
-        dist = MergedDistribution({"a": 1.0}, {"s": 1.0})
+        dist = {"a": 1.0}
         out = draw(dist, [c], seed=1, n=6)
         assert out == ["a", "b", "c", "a", "b", "c"]
 
     def test_same_seed_same_sequence(self):
         docs = [f"d{i}" for i in range(10)]
-        dist = MergedDistribution({d: 0.1 for d in docs}, {"s": 1.0})
+        dist = {d: 0.1 for d in docs}
         clusters = [singleton_cluster(d) for d in docs]
         assert draw(dist, clusters, seed=9, n=200) == draw(dist, clusters, seed=9, n=200)
 
     def test_different_seed_differs(self):
         docs = [f"d{i}" for i in range(10)]
-        dist = MergedDistribution({d: 0.1 for d in docs}, {"s": 1.0})
+        dist = {d: 0.1 for d in docs}
         clusters = [singleton_cluster(d) for d in docs]
         assert draw(dist, clusters, seed=1, n=200) != draw(dist, clusters, seed=2, n=200)
 
     def test_uniform_empirical_frequencies_within_3_sigma(self):
         m, n = 20, 1_000_000
         docs = [f"d{i:02d}" for i in range(m)]
-        dist = MergedDistribution({d: 1.0 / m for d in docs}, {"s": 1.0})
+        dist = {d: 1.0 / m for d in docs}
         clusters = [singleton_cluster(d) for d in docs]
         out = draw(dist, clusters, seed=31, n=n)
         sigma = math.sqrt((1 / m) * (1 - 1 / m) / n)
@@ -269,7 +268,7 @@ class TestDraw:
         probs = rng.random(m) + 0.05
         probs = probs / probs.sum()
         docs = [f"d{i:03d}" for i in range(m)]
-        dist = MergedDistribution(dict(zip(docs, probs)), {"s": 1.0})
+        dist = dict(zip(docs, probs))
         clusters = [singleton_cluster(d) for d in docs]
         out = draw(dist, clusters, seed=47, n=n)
         counts = np.zeros(m)
@@ -280,26 +279,26 @@ class TestDraw:
         assert result.pvalue >= 0.001
 
     def test_draw_count_validated(self):
-        dist = MergedDistribution({"d": 1.0}, {"s": 1.0})
+        dist = {"d": 1.0}
         with pytest.raises(ConfigError):
             draw(dist, [singleton_cluster("d")], seed=0, n=0)
 
 
 class TestRestriction:
     def test_restrict_distribution_renormalizes(self):
-        dist = MergedDistribution({"a": 0.5, "b": 0.3, "c": 0.2}, {"s": 1.0})
+        dist = {"a": 0.5, "b": 0.3, "c": 0.2}
         r = restrict_distribution(dist, {"a", "b"})
-        assert math.fsum(r.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
-        assert r.probabilities["a"] == pytest.approx(0.625)
-        assert "c" not in r.probabilities
+        assert math.fsum(r.values()) == pytest.approx(1.0, abs=1e-12)
+        assert r["a"] == pytest.approx(0.625)
+        assert "c" not in r
 
     def test_restrict_clusters_filters_variants(self):
-        c = DuplicateCluster("a", ["a", "b", "c"], ["a", "b", "c"], FrequencySignals(3, 1, 1))
+        c = DuplicateCluster("a", ["a", "b", "c"], ["a", "b", "c"], 3, 1, 1)
         out = restrict_clusters([c], {"b", "c"})
         assert out[0].retained_ids == ["b", "c"]
 
     def test_restrict_clusters_drops_empty(self):
-        c = DuplicateCluster("a", ["a"], ["a"], FrequencySignals(1, 1, 1))
+        c = DuplicateCluster("a", ["a"], ["a"], 1, 1, 1)
         assert restrict_clusters([c], {"zzz"}) == []
 
     @staticmethod
@@ -310,7 +309,10 @@ class TestRestriction:
         for c in clusters:
             retained = [i for i in c.retained_ids if i in allowed]
             if retained:
-                out.append(DuplicateCluster(c.cluster_id, list(c.member_ids), retained, c.signals))
+                out.append(DuplicateCluster(
+                    c.cluster_id, list(c.member_ids), retained,
+                    c.occurrence_count, c.snapshot_count, c.domain_count,
+                ))
         return out
 
     @given(
@@ -324,8 +326,7 @@ class TestRestriction:
             members = [f"d{next_id + j:02d}" for j in range(size)]
             next_id += size
             clusters.append(
-                DuplicateCluster(members[0], members, members[:keep][::-1],
-                                 FrequencySignals(size, 1, 1))
+                DuplicateCluster(members[0], members, members[:keep][::-1], size, 1, 1)
             )
         allowed = {f"d{i:02d}" for i in allowed_ints}
         out = restrict_clusters(clusters, allowed)
@@ -336,6 +337,6 @@ class TestRestriction:
                 assert c is original
 
     def test_restrict_to_nothing_rejected(self):
-        dist = MergedDistribution({"a": 1.0}, {"s": 1.0})
+        dist = {"a": 1.0}
         with pytest.raises(ConfigError):
             restrict_distribution(dist, set())
