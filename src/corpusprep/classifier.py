@@ -65,7 +65,7 @@ class ClassifierHyper:
     lr: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.orders or any(n < 1 for n in self.orders):
             raise ConfigError("n-gram orders must be positive")
         if self.max_features < 1:
@@ -216,7 +216,6 @@ def train_classifier(
     training_meta (default: model_id); the pipeline and the CLI pass the
     sha256 of the positives file, so no path reaches the model bytes.
     """
-    hyper.validate()
     if not positives or not negatives:
         raise ConfigError("both classes need at least one document")
 

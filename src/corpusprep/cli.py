@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     CorpusPrepError,
     IntegrityError,
-    PhaseError,
     ValidationError,
 )
 from .hashing import sha256_file
@@ -73,7 +72,6 @@ def cmd_ingest(args) -> int:
 def cmd_dedup(args) -> int:
     raw = read_config(args.config) if args.config else {}
     cfg = config_section(dedup_mod.DedupConfig, raw.get("dedup", raw), "dedup")
-    cfg.validate()
     corpus = _read_corpus_shards(args.inputs)
     clusters = dedup_mod.run_dedup(corpus, cfg)
     dedup_mod.write_clusters(clusters, args.out)
@@ -186,9 +184,8 @@ def cmd_curriculum_emit(args) -> int:
             f"curriculum emit needs earlier phases; missing: {missing}", missing
         )
     pipe = Pipeline(config)
-    plan = cur_mod.ensure_valid_plan(config.plan)
-    stage = plan.stage(args.stage)
-    _, manifest = pipe.emit_stage(stage, plan, *map(pipe._load, required))
+    stage = config.plan.stage(args.stage)
+    _, manifest = pipe.emit_stage(stage, config.plan, *map(pipe._load, required))
     print(
         f"stage {stage.stage_id}: {manifest.total_tokens} tokens in "
         f"{len(manifest.shards)} shards -> {work / 'stages' / stage.stage_id}"
@@ -212,7 +209,6 @@ def cmd_prep_pack(args) -> int:
 
 def cmd_prep_schedule(args) -> int:
     spec = config_section(LrScheduleSpec, read_config(args.spec), "lr_schedule")
-    spec.validate()
     if args.dump_csv:
         rows = dump_csv(spec, args.dump_csv, stride=args.stride)
         print(f"wrote {rows} rows -> {args.dump_csv}")
@@ -362,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    except PhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorpusPrepError as exc:
+    except CorpusPrepError as exc:  # PhaseError and every other runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,8 @@ _BLANK_RUN = re.compile(r"\n{4,}")
 
 @dataclass
 class Document:
-    """One curated text unit with essential metadata."""
+    """One curated text unit with essential metadata; a corpus.jsonl row
+    holds exactly these fields, under their own names."""
 
     doc_id: str
     url: str
@@ -43,31 +44,6 @@ class Document:
     domain: str
     content_hash: str  # 128-bit hash of normalized text, 32 hex chars
     text: str
-
-    def to_record(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "url": self.url,
-            "crawl_time": self.crawl_time,
-            "language": self.language,
-            "snapshot_id": self.snapshot_id,
-            "domain": self.domain,
-            "content_hash": self.content_hash,
-            "text": self.text,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "Document":
-        return cls(
-            doc_id=rec["doc_id"],
-            url=rec["url"],
-            crawl_time=rec["crawl_time"],
-            language=rec["language"],
-            snapshot_id=rec["snapshot_id"],
-            domain=rec["domain"],
-            content_hash=rec["content_hash"],
-            text=rec["text"],
-        )
 
 
 @dataclass
@@ -241,13 +217,14 @@ def ingest_files(paths: Sequence[str | Path]) -> tuple[Corpus, IngestReport]:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> int:
-    """Serialize documents only; the input paths go to the sidecar report.
+    """One row per document, its fields by name; the input paths go to the
+    sidecar report.
 
     Keeping volatile fields out of the shard file is what makes repeat
     ingests byte-identical.
     """
-    return write_jsonl(path, (d.to_record() for d in corpus))
+    return write_jsonl(path, map(vars, corpus))
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    return Corpus([Document.from_record(rec) for rec in read_jsonl(path)])
+    return Corpus([Document(**rec) for rec in read_jsonl(path)])

@@ -12,7 +12,7 @@ re-running one stage never perturbs another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -216,6 +216,8 @@ def mixture_group(signals: Mapping[str, float], mixture: Mapping[str, Fraction])
 
 @dataclass
 class ShardManifest:
+    """A stage's manifest.json: these fields, under their own names."""
+
     stage_id: str
     shards: list[dict]  # {"file", "tokens", "sha256"}
     total_tokens: int
@@ -223,29 +225,6 @@ class ShardManifest:
     group_tokens: dict[str, int] = field(default_factory=dict)
     drawn_docs: int = 0
     max_doc_tokens: int = 0  # bound on budget overshoot
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_id": self.stage_id,
-            "shards": self.shards,
-            "total_tokens": self.total_tokens,
-            "seed": self.seed,
-            "group_tokens": dict(sorted(self.group_tokens.items())),
-            "drawn_docs": self.drawn_docs,
-            "max_doc_tokens": self.max_doc_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "ShardManifest":
-        return cls(
-            stage_id=rec["stage_id"],
-            shards=list(rec["shards"]),
-            total_tokens=rec["total_tokens"],
-            seed=rec["seed"],
-            group_tokens=dict(rec.get("group_tokens", {})),
-            drawn_docs=rec.get("drawn_docs", 0),
-            max_doc_tokens=rec.get("max_doc_tokens", 0),
-        )
 
 
 class _ShardWriter:
@@ -363,7 +342,7 @@ def emit_stage(
         drawn_docs=drawn,
         max_doc_tokens=max_doc_tokens,
     )
-    write_json(out_dir / "manifest.json", manifest.to_dict())
+    write_json(out_dir / "manifest.json", asdict(manifest))
     # A smaller budget writes fewer shards; drop those of an earlier emit
     # so the directory holds exactly what the manifest lists.
     listed = {s["file"] for s in manifest.shards}
@@ -374,4 +353,4 @@ def emit_stage(
 
 
 def read_manifest(path: str | Path) -> ShardManifest:
-    return ShardManifest.from_dict(read_json(path))
+    return ShardManifest(**read_json(path))

@@ -74,7 +74,7 @@ class DedupConfig:
     top_k: int = 3
     perm_seed: int = DEFAULT_PERM_SEED
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.shingle_width < 1:
             raise ConfigError("shingle_width must be >= 1")
         if self.bands * self.rows != self.num_perms:
@@ -90,33 +90,14 @@ class DedupConfig:
 
 @dataclass
 class DuplicateCluster:
+    """One clusters.jsonl row: these fields, under their own names."""
+
     cluster_id: str  # smallest member doc_id
     member_ids: list[str]  # sorted ascending
     retained_ids: list[str]  # rank order; [0] is canonical; empty until retention
     occurrence_count: int  # members
     snapshot_count: int  # distinct member snapshot_ids
     domain_count: int  # distinct member domains
-
-    def to_record(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "member_ids": self.member_ids,
-            "retained_ids": self.retained_ids,
-            "occurrence_count": self.occurrence_count,
-            "snapshot_count": self.snapshot_count,
-            "domain_count": self.domain_count,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "DuplicateCluster":
-        return cls(
-            cluster_id=rec["cluster_id"],
-            member_ids=list(rec["member_ids"]),
-            retained_ids=list(rec["retained_ids"]),
-            occurrence_count=rec["occurrence_count"],
-            snapshot_count=rec["snapshot_count"],
-            domain_count=rec["domain_count"],
-        )
 
 
 def shingle(texts: Sequence[str], width: int) -> list[np.ndarray]:
@@ -281,7 +262,6 @@ def build_clusters(
     Every document lands in exactly one cluster; unpaired documents
     become singletons. retained_ids is left empty (see retain_top_k).
     """
-    cfg.validate()
     groups = sorted({tuple(sorted(set(g))) for g in candidate_groups})
     for g in groups:
         if any(i not in corpus for i in g):
@@ -367,7 +347,6 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
 
     Returns clusters sorted by cluster_id with retention filled.
     """
-    cfg.validate()
     texts = list(dict.fromkeys(d.text for d in corpus))
     row_of = dict(zip(texts, shingle(texts, cfg.shingle_width)))
     # Equal shingle arrays mean equal signatures and Jaccard 1.0 to each
@@ -389,8 +368,8 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
 
 
 def write_clusters(clusters: Sequence[DuplicateCluster], path) -> int:
-    return write_jsonl(path, (c.to_record() for c in clusters))
+    return write_jsonl(path, map(vars, clusters))
 
 
 def read_clusters(path) -> list[DuplicateCluster]:
-    return [DuplicateCluster.from_record(rec) for rec in read_jsonl(path)]
+    return [DuplicateCluster(**rec) for rec in read_jsonl(path)]

@@ -1,7 +1,9 @@
 """Exception types shared across pipeline phases.
 
-CLI exit codes map onto these: ConfigError/ValidationError -> 1,
-PhaseError -> 2, IntegrityError -> 3.
+CLI exit codes map onto these: 0 on success, ConfigError and
+ValidationError -> 1, IntegrityError -> 3, and PhaseError or any other
+CorpusPrepError -> 2. A pipeline phase that fails for any cause raises
+PhaseError, so a config error found inside a phase exits 2.
 """
 
 from __future__ import annotations

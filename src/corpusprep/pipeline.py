@@ -144,7 +144,6 @@ class PolicySpec:
         policy = config_section(
             sampling_mod.UpsamplePolicy, rec, section, {"signal_name": "signal"}
         )
-        policy.validate()
         return config_section(cls, rec, section, {"mixture_weight": "lambda"}, policy=policy)
 
 
@@ -210,15 +209,13 @@ class PipelineConfig:
             raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(raw)
 
-    def validate(self) -> None:
-        """Validate every sub-config before any phase runs."""
+    def __post_init__(self):
+        """The checks that span sections, so a bad config stops before any
+        phase runs; each section checked its own ranges when built."""
         if not self.input_paths:
             raise ConfigError("config needs at least one input path")
-        self.dedup.validate()
         if not self.classifiers:
             raise ConfigError("at least one quality classifier is required")
-        for spec in self.classifiers + self.domain_classifiers:
-            spec.hyper.validate()
         if not self.policies:
             raise ConfigError("at least one sampling policy is required")
         lambdas = [p.mixture_weight for p in self.policies]
@@ -226,10 +223,27 @@ class PipelineConfig:
             raise ConfigError(f"sampling lambdas must sum to 1, got {sum(lambdas)}")
         cur_mod.ensure_valid_plan(self.plan)
         rope_config(self.rope_stage)
-        if self.lr_schedule is not None:
-            self.lr_schedule.validate()
         if self.sequence_length < 1 or self.shard_tokens < 1:
             raise ConfigError("sequence_length and shard_tokens must be >= 1")
+        # Each classifier writes classifiers/<model_id>.clf and one signal.
+        model_ids = [s.model_id for s in self.classifiers + self.domain_classifiers]
+        tags = [s.tag or s.model_id for s in self.domain_classifiers]
+        for what, names in (("model_id", model_ids), ("domain tag", tags)):
+            repeats = sorted({n for n in names if names.count(n) > 1})
+            if repeats:
+                raise ConfigError(f"quality classifiers repeat a {what}: {repeats}")
+        written = quality_mod.signal_names([s.model_id for s in self.classifiers], tags)
+        needed = [("sampling policy", p.policy.signal_name) for p in self.policies]
+        for s in self.plan.stages:
+            if s.gating_signal != cur_mod.GATE_MAX_CLF:
+                needed.append((f"stage {s.stage_id} gating_signal", s.gating_signal))
+            needed += [
+                (f"stage {s.stage_id} mixture group '{g}'", f"tag:{g}")
+                for g in s.mixture if g != cur_mod.OTHER_GROUP
+            ]
+        unknown = [f"{what} reads '{name}'" for what, name in needed if name not in written]
+        if unknown:
+            raise ConfigError(f"{'; '.join(unknown)}; the quality phase writes only {written}")
 
     def resolve_inputs(self) -> list[str]:
         paths: list[str] = []
@@ -265,7 +279,6 @@ def strip_timing(obj: Any) -> Any:
 
 class Pipeline:
     def __init__(self, config: PipelineConfig):
-        config.validate()
         self.config = config
         self.work_dir = config.work_dir
         self.tokenizer = WhitespaceTokenizer(config.vocab_size)
@@ -490,7 +503,7 @@ class Pipeline:
         corpus = self._load("corpus.jsonl")
         clusters = self._load("clusters.jsonl")
         merged = self._load("weights.jsonl")
-        plan = cur_mod.ensure_valid_plan(self.config.plan)
+        plan = self.config.plan
         budgets = cur_mod.stage_budgets(plan)
 
         outputs: list[Path] = []

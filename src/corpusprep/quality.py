@@ -23,8 +23,8 @@ with JSON-float values; readers join them to corpus.jsonl on doc_id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
 from .corpus import Corpus, Document
@@ -54,26 +54,16 @@ class TextStats:
     alpha_ratio: float
     max_line_repeat_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "word_count": self.word_count,
-            "mean_word_length": self.mean_word_length,
-            "alpha_ratio": self.alpha_ratio,
-            "max_line_repeat_ratio": self.max_line_repeat_ratio,
-        }
-
 
 @dataclass
 class DropRecord:
     """The heuristic rules `doc_id` fails, none if it is kept, and its
-    stats; drop_report.jsonl holds the rows of dropped documents."""
+    stats; drop_report.jsonl holds the dropped documents' records, each
+    as these fields with `stats` nested."""
 
     doc_id: str
     reasons: list[str]
     stats: TextStats
-
-    def to_record(self) -> dict:
-        return {"doc_id": self.doc_id, "reasons": self.reasons, "stats": self.stats.to_dict()}
 
 
 # The ASCII bytes that str.isalpha rejects: everything but A-Z and a-z.
@@ -168,6 +158,19 @@ def read_annotations(path) -> list[Annotation]:
     return rows
 
 
+def signal_names(model_ids: Sequence[str], domain_tags: Iterable[str]) -> list[str]:
+    """The signals of each row annotate writes for ensemble members
+    `model_ids` and domain classifiers `domain_tags`, in its order:
+    clf:<model_id> per member, the three freq:* counts, then tag:<tag> for
+    each of REQUIRED_TAGS and each further domain tag."""
+    tags = [*REQUIRED_TAGS, *(t for t in domain_tags if t not in REQUIRED_TAGS)]
+    return [
+        *(f"clf:{m}" for m in model_ids),
+        "freq:occurrence", "freq:snapshot", "freq:domain",
+        *(f"tag:{t}" for t in tags),
+    ]
+
+
 def annotate(
     corpus: Corpus,
     clusters: Sequence[DuplicateCluster],
@@ -211,8 +214,11 @@ def annotate(
             f"(first: {missing[0]})"
         )
 
-    tags = [*REQUIRED_TAGS, *(t for t in domain_classifiers if t not in REQUIRED_TAGS)]
-    tag_classifiers = [(f"tag:{tag}", domain_classifiers.get(tag)) for tag in tags]
+    names = signal_names([clf.model_id for clf in classifiers], domain_classifiers)
+    tag_classifiers = [
+        (name, domain_classifiers.get(name.removeprefix("tag:")))
+        for name in names if name.startswith("tag:")
+    ]
     scorers = [*classifiers, *(clf for _, clf in tag_classifiers if clf is not None)]
     known = set().union(*(clf.vocabulary for clf in scorers))
     ungated = {clf.hyper.orders for clf in scorers if not clf.allows_word_gate}
@@ -254,4 +260,4 @@ def annotate(
 
 
 def write_drop_report(drops: Sequence[DropRecord], path) -> int:
-    return write_jsonl(path, (d.to_record() for d in drops))
+    return write_jsonl(path, map(asdict, drops))

@@ -33,7 +33,7 @@ class RopeConfig:
     theta: float
     head_dim: int = DEFAULT_HEAD_DIM
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.head_dim < 2 or self.head_dim % 2 != 0:
             raise ConfigError("head_dim must be a positive even number")
         if self.sequence_length < 1 or self.theta <= 0:
@@ -48,14 +48,11 @@ def rope_config(stage: str, head_dim: int = DEFAULT_HEAD_DIM) -> RopeConfig:
         raise ConfigError(
             f"unknown rope stage '{stage}' (expected one of {sorted(ROPE_STAGES)})"
         ) from None
-    cfg = RopeConfig(stage=stage, sequence_length=seq_len, theta=theta, head_dim=head_dim)
-    cfg.validate()
-    return cfg
+    return RopeConfig(stage=stage, sequence_length=seq_len, theta=theta, head_dim=head_dim)
 
 
 def angular_frequencies(cfg: RopeConfig) -> np.ndarray:
     """omega_i = theta^(-2i/d) for each value pair i < d/2."""
-    cfg.validate()
     i = np.arange(cfg.head_dim // 2, dtype=np.float64)
     return cfg.theta ** (-2.0 * i / cfg.head_dim)
 
@@ -67,8 +64,6 @@ def rope_rotate(v: np.ndarray | list, position: int, cfg: RopeConfig) -> np.ndar
         raise ConfigError(
             f"vector length {vec.shape} does not match head_dim {cfg.head_dim}"
         )
-    if cfg.head_dim % 2 != 0:
-        raise ConfigError("head_dim must be even")
     if position < 0:
         raise ConfigError("position must be >= 0")
     angles = position * angular_frequencies(cfg)

@@ -32,7 +32,7 @@ class UpsamplePolicy:
     boost: float = 1.0  # threshold transform: weight at/above the boundary
     cap: int = 6  # log2_sublinear: maximum weight
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform '{self.transform}'")
         if self.transform == "threshold" and self.boost < 0:
@@ -68,7 +68,6 @@ class WeightMap:
 
 def build_weight_map(annotated: Iterable[Annotation], policy: UpsamplePolicy) -> WeightMap:
     """Weight per document from its named signal; covers every annotated doc."""
-    policy.validate()
     weights: dict[str, float] = {}
     for row in annotated:
         if policy.signal_name not in row.signals:

@@ -28,7 +28,7 @@ class LrScheduleSpec:
     end_step: int  # E: floor -> final_lr over (S, E]
     final_lr: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         w, c, s, e = self.warmup_end, self.constant_end, self.slow_decay_end, self.end_step
         if not (0 < w <= c <= s <= e):
             raise ConfigError(f"phase boundaries must satisfy 0 < W <= C <= S <= E, got {w},{c},{s},{e}")
@@ -68,7 +68,6 @@ def dump_csv(spec: LrScheduleSpec, path: str | Path, stride: int = 1) -> int:
     """Write step,lr rows every `stride` steps (end step always included)."""
     if stride < 1:
         raise ConfigError("stride must be >= 1")
-    spec.validate()
     steps = list(range(0, spec.end_step + 1, stride))
     if steps[-1] != spec.end_step:
         steps.append(spec.end_step)

@@ -313,7 +313,6 @@ def test_criterion_09_lr_schedule():
         end_step=90_000,
         final_lr=6e-6,
     )
-    spec.validate()
     xp = [0, spec.warmup_end, spec.constant_end, spec.slow_decay_end, spec.end_step]
     fp = [0.0, spec.peak_lr, spec.peak_lr, spec.slow_decay_floor, spec.final_lr]
     rng = np.random.default_rng(99009)

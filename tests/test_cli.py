@@ -6,6 +6,7 @@ import copy
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from corpusprep.classifier import ClassifierHyper, QualityClassifier
 from corpusprep.cli import build_parser, main
 from corpusprep.corpus import read_corpus
 from corpusprep.dedup import DedupConfig
+from corpusprep.errors import ConfigError
 from corpusprep.jsonl import read_json, read_jsonl
-from corpusprep.pipeline import PolicySpec, config_section
+from corpusprep.pipeline import PipelineConfig, PolicySpec, config_section
 from corpusprep.quality import HeuristicThresholds
+from corpusprep.rope import rope_config
 from corpusprep.sampling import UpsamplePolicy
 from corpusprep.schedule import LrScheduleSpec
 
@@ -434,6 +437,26 @@ def test_config_section_casts_like_the_field_parsers(cls, rec, expected):
     assert got == expected and repr(got) == repr(expected)  # repr tells 5 from 5.0
 
 
+# A valid instance of each frozen config type and one out-of-range field value.
+OUT_OF_RANGE = {
+    "dedup": (DedupConfig(), "bands", 7),
+    "hyper": (ClassifierHyper(), "epochs", 0),
+    "policy": (UpsamplePolicy("clf:web"), "transform", "cubic"),
+    "lr_schedule": (LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 350, 0.0), "warmup_end", 0),
+    "rope": (rope_config("pretrain"), "head_dim", 63),
+}
+
+
+@pytest.mark.parametrize("valid,name,bad", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_frozen_config_rejects_out_of_range_value(valid, name, bad):
+    """Each config type checks its ranges when built, so no invalid
+    instance exists, also through dataclasses.replace."""
+    with pytest.raises(ConfigError):
+        type(valid)(**{**vars(valid), name: bad})
+    with pytest.raises(ConfigError):
+        replace(valid, **{name: bad})
+
+
 def test_policy_spec_maps_signal_and_lambda():
     got = PolicySpec.from_dict(
         {"signal": "clf:web", "transform": "threshold", "threshold": "0.9", "boost": 5, "lambda": "0.6"},
@@ -491,3 +514,13 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README CLI line does not parse: corpusprep {shlex.join(argv)}")
+
+
+def test_readme_config_example_builds():
+    """The JSON example under README's `## Configuration` is a config that
+    passes every check PipelineConfig makes when it is built."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = PipelineConfig.from_dict(json.loads(block))
+    assert [s.model_id for s in config.classifiers] == ["web"]
+    assert [p.policy.signal_name for p in config.policies] == ["freq:occurrence", "clf:web"]

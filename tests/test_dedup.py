@@ -519,7 +519,7 @@ class TestEndToEndDedup:
         path = tmp_path / "clusters.jsonl"
         write_clusters(clusters, path)
         loaded = read_clusters(path)
-        assert [c.to_record() for c in loaded] == [c.to_record() for c in clusters]
+        assert loaded == clusters
 
     def test_retained_estimated_jaccard_or_chain(self, small_planted):
         """Canonical-to-variant similarity >= tau or connected via a tau-chain;
@@ -726,6 +726,4 @@ class TestEdgeCasesAgainstReference:
     )
     def test_two_documents(self, texts):
         corpus = Corpus([doc_from(t, i) for i, t in enumerate(texts)])
-        assert [c.to_record() for c in run_dedup(corpus, CFG)] == [
-            c.to_record() for c in reference_dedup(corpus, CFG)
-        ]
+        assert run_dedup(corpus, CFG) == reference_dedup(corpus, CFG)

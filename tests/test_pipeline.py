@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 from corpusprep import classifier, dedup, pipeline
+from corpusprep.cli import main
+from corpusprep.corpus import Document, read_corpus
+from corpusprep.curriculum import ShardManifest, read_manifest
 from corpusprep.errors import ConfigError, IntegrityError, ValidationError
 from corpusprep.hashing import hash128_hex, sha256_file
 from corpusprep.jsonl import dumps, read_json, read_jsonl, write_json
@@ -22,6 +25,7 @@ from corpusprep.pipeline import (
     run_pipeline,
     strip_timing,
 )
+from corpusprep.quality import DropRecord, TextStats, heuristic_filter
 
 from conftest import make_pipeline_workspace
 
@@ -88,6 +92,35 @@ class TestRun:
             assert set(rec) == {"doc_id", "url", "cluster_id", "extra"}
             assert "text" not in rec
             assert rec["extra"] and all(type(v) is float for v in rec["extra"].values())
+
+    def test_records_are_their_dataclass_fields(self, completed_run):
+        """Each row of corpus.jsonl, clusters.jsonl and drop_report.jsonl and
+        each stage manifest.json has exactly its dataclass's field names as
+        keys, and reads back to an instance with the row's values."""
+        config, _ = completed_run
+        work = config.work_dir
+
+        def names(cls) -> set[str]:
+            return {f.name for f in fields(cls)}
+
+        corpus = read_corpus(work / "corpus.jsonl")
+        manifests = [work / "stages" / s.stage_id / "manifest.json" for s in config.plan.stages]
+        cases = [
+            (Document, list(read_jsonl(work / "corpus.jsonl")), corpus.documents),
+            (dedup.DuplicateCluster, list(read_jsonl(work / "clusters.jsonl")),
+             dedup.read_clusters(work / "clusters.jsonl")),
+            (ShardManifest, [read_json(p) for p in manifests], [read_manifest(p) for p in manifests]),
+        ]
+        for cls, rows, loaded in cases:
+            assert rows and all(set(rec) == names(cls) for rec in rows), cls.__name__
+            assert [asdict(x) for x in loaded] == rows
+
+        drops = list(read_jsonl(work / "drop_report.jsonl"))
+        assert drops
+        for rec in drops:
+            assert set(rec) == names(DropRecord) and set(rec["stats"]) == names(TextStats)
+            read = DropRecord(**{**rec, "stats": TextStats(**rec["stats"])})
+            assert read == heuristic_filter(corpus.get(rec["doc_id"]), config.heuristics)
 
     @pytest.mark.parametrize("index", range(len(pipeline.PHASE_TABLE)),
                              ids=[phase.name for phase in pipeline.PHASE_TABLE])
@@ -349,6 +382,27 @@ class TestValidation:
         config = PipelineConfig.from_file(bad_path)
         with pytest.raises(ConfigError, match="not readable"):
             Pipeline(config).run()
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["sampling"]["policies"][1].update(signal="clf:nope"),
+        lambda raw: raw["curriculum"]["stages"][0].update(gating_signal="clf:nope"),
+        lambda raw: raw["curriculum"]["stages"][2].update(mixture={"prose": "0.3", "other": "0.7"}),
+        lambda raw: raw["quality"]["classifiers"].append(
+            dict(raw["quality"]["classifiers"][0], hyper={"seed": 7})),
+        lambda raw: raw["quality"]["domain_classifiers"][1].update(model_id="web"),
+        lambda raw: raw["quality"]["domain_classifiers"][1].update(tag="code"),
+    ], ids=["policy-signal", "gating-signal", "mixture-group", "repeated-model-id",
+            "model-id-across-lists", "repeated-domain-tag"])
+    def test_unknown_signal_or_repeated_id_exits_1_before_ingest(self, tmp_path, capsys, edit):
+        """A signal no classifier writes, or two classifiers that would write
+        one signal or model file, is a config error found before any phase."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=60)
+        edit(raw)
+        bad_path = tmp_path / "bad_refs.json"
+        bad_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(bad_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (Path(raw["work_dir"]) / "ingest.done.json").exists()
 
     def test_phase_error_names_failing_phase(self, tmp_path):
         from corpusprep.errors import PhaseError

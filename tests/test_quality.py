@@ -33,6 +33,7 @@ from corpusprep.quality import (
     annotate,
     heuristic_filter,
     read_annotations,
+    signal_names,
     text_stats,
     write_annotations,
 )
@@ -273,6 +274,16 @@ def annotated_fixture(tag_scores=False):
 
 
 class TestAnnotate:
+    @pytest.mark.parametrize("tags", [(), ("code",), ("prose", "code", "math")])
+    def test_signal_names_are_the_row_keys_in_order(self, tags):
+        corpus, clusters, ensemble, domain = annotated_fixture()
+        pool = {**domain, "prose": domain["math"]}
+        chosen = {tag: pool[tag] for tag in tags}
+        annotated, _ = annotate(corpus, clusters, ensemble, chosen)
+        names = signal_names([clf.model_id for clf in ensemble], chosen)
+        assert annotated
+        assert all(list(row.signals) == names for row in annotated)
+
     def test_signal_names_exactly_required_set(self):
         corpus, clusters, ensemble, domain = annotated_fixture()
         annotated, drops = annotate(corpus, clusters, ensemble, domain)
@@ -322,7 +333,7 @@ class TestAnnotate:
         a1, d1 = annotate(corpus, clusters, ensemble, domain)
         a2, d2 = annotate(corpus, clusters, ensemble, domain)
         assert [d.to_record() for d in a1] == [d.to_record() for d in a2]
-        assert [d.to_record() for d in d1] == [d.to_record() for d in d2]
+        assert d1 == d2
 
     def test_no_composite_score_written(self):
         corpus, clusters, ensemble, domain = annotated_fixture()

@@ -69,8 +69,8 @@ class TestRotation:
             rope_rotate(np.zeros(32), 1, self.cfg(64))
 
     def test_odd_dim_rejected(self):
-        cfg = RopeConfig(stage="pretrain", sequence_length=4096, theta=1e4, head_dim=63)
         with pytest.raises(ConfigError):
+            cfg = RopeConfig(stage="pretrain", sequence_length=4096, theta=1e4, head_dim=63)
             rope_rotate(np.zeros(63), 1, cfg)
 
     def test_negative_position_rejected(self):

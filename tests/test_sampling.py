@@ -64,7 +64,7 @@ class TestTransforms:
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ConfigError):
-            UpsamplePolicy("x", "cubic").validate()
+            UpsamplePolicy("x", "cubic")
 
 
 class TestBuildWeightMap:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,6 @@ class TestLrAt:
             end_step=100_000,
             final_lr=3e-6,
         )
-        spec.validate()
         xp = [0, spec.warmup_end, spec.constant_end, spec.slow_decay_end, spec.end_step]
         fp = [0.0, spec.peak_lr, spec.peak_lr, spec.slow_decay_floor, spec.final_lr]
         rng = np.random.default_rng(0)
@@ -85,28 +85,28 @@ class TestLrAt:
 class TestValidation:
     def test_bad_ordering(self):
         with pytest.raises(ConfigError):
-            LrScheduleSpec(1e-3, 200, 100, 300, 5e-4, 350, 0.0).validate()
+            LrScheduleSpec(1e-3, 200, 100, 300, 5e-4, 350, 0.0)
 
     def test_zero_warmup_rejected(self):
         with pytest.raises(ConfigError):
-            LrScheduleSpec(1e-3, 0, 100, 200, 5e-4, 300, 0.0).validate()
+            LrScheduleSpec(1e-3, 0, 100, 200, 5e-4, 300, 0.0)
 
     def test_fast_decay_must_be_steeper(self):
         # Slow phase drops 5e-4 over 100 steps; fast drops 1e-4 over 1000.
         with pytest.raises(ConfigError):
-            LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 1300, 4e-4).validate()
+            LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 1300, 4e-4)
 
     def test_rates_must_decay(self):
         with pytest.raises(ConfigError):
-            LrScheduleSpec(1e-3, 100, 200, 300, 2e-3, 350, 0.0).validate()
+            LrScheduleSpec(1e-3, 100, 200, 300, 2e-3, 350, 0.0)
 
     def test_valid_spec_passes(self):
-        SPEC.validate()
+        replace(SPEC)
 
     def test_degenerate_phases_require_matching_rates(self):
-        LrScheduleSpec(1e-3, 100, 100, 100, 1e-3, 200, 0.0).validate()
+        LrScheduleSpec(1e-3, 100, 100, 100, 1e-3, 200, 0.0)
         with pytest.raises(ConfigError):
-            LrScheduleSpec(1e-3, 100, 100, 100, 5e-4, 200, 0.0).validate()
+            LrScheduleSpec(1e-3, 100, 100, 100, 5e-4, 200, 0.0)
 
 
 class TestDumpCsv:
