@@ -18,24 +18,21 @@ from . import dedup as dedup_mod
 from . import quality as quality_mod
 from . import sampling as sampling_mod
 from .corpus import Corpus, ingest_files, read_corpus, write_corpus
-from .errors import (
-    ConfigError,
-    CorpusPrepError,
-    IntegrityError,
-    ValidationError,
-)
-from .hashing import sha256_file
-from .jsonl import read_jsonl, write_json, write_jsonl
-from .packing import pack_documents, write_packed
+from .errors import ConfigError, CorpusPrepError, IntegrityError, ValidationError
+from .jsonl import write_json, write_jsonl
+from .packing import pack_shards
 from .pipeline import (
+    ClassifierSpec,
     Pipeline,
     PipelineConfig,
     PolicySpec,
     build_report,
     config_list,
     config_section,
+    obtain_classifier,
+    quality_settings,
     read_config,
-    training_texts,
+    verify_outputs,
 )
 from .rope import DEFAULT_HEAD_DIM, rope_config
 from .schedule import LrScheduleSpec, dump_csv, lr_at
@@ -50,10 +47,7 @@ def _need_files(*paths: str | None) -> None:
 
 def _read_corpus_shards(paths: list[str]) -> Corpus:
     _need_files(*paths)
-    docs = []
-    for path in paths:
-        docs.extend(read_corpus(path).documents)
-    return Corpus(docs)
+    return Corpus([doc for path in paths for doc in read_corpus(path)])
 
 
 def cmd_ingest(args) -> int:
@@ -83,15 +77,9 @@ def cmd_dedup(args) -> int:
 def cmd_quality_train(args) -> int:
     flags = {k: v for k, v in vars(args).items() if v is not None}  # unset flags take the defaults
     hyper = config_section(clf_mod.ClassifierHyper, flags, "quality train")
+    spec = ClassifierSpec(args.model_id, positives=args.positives, negatives=args.negatives, hyper=hyper)
     _need_files(args.positives, args.negatives)
-    model = clf_mod.train_classifier(
-        training_texts(args.positives),
-        training_texts(args.negatives),
-        hyper=hyper,
-        model_id=args.model_id,
-        source=sha256_file(args.positives),
-    )
-    model.save(args.out)
+    model = obtain_classifier(spec, args.out)
     acc = model.training_meta["train_accuracy"]
     print(f"trained {model.model_id} (train accuracy {acc:.3f}) -> {args.out}")
     return 0
@@ -113,6 +101,8 @@ def cmd_quality_score(args) -> int:
 
 
 def cmd_quality_annotate(args) -> int:
+    raw = read_config(args.config) if args.config else {}
+    thresholds, tag_threshold = quality_settings(raw.get("quality", raw))
     domain_paths = {}
     for item in args.domain or []:
         tag, _, path = item.partition("=")
@@ -125,7 +115,7 @@ def cmd_quality_annotate(args) -> int:
     ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
     domain = {tag: clf_mod.QualityClassifier.load(p) for tag, p in domain_paths.items()}
     annotated, drops = quality_mod.annotate(
-        corpus, clusters, ensemble, domain, tag_threshold=args.tag_threshold
+        corpus, clusters, ensemble, domain, thresholds=thresholds, tag_threshold=tag_threshold
     )
     quality_mod.write_annotations(annotated, args.out)
     if args.drops:
@@ -137,16 +127,14 @@ def cmd_quality_annotate(args) -> int:
 def cmd_sample(args) -> int:
     raw = read_config(args.config)
     specs = config_list(PolicySpec, raw.get("sampling", raw), "sampling", "policies")
-    if not specs:
-        raise ConfigError("config has no sampling policies")
     _need_files(*args.inputs, args.clusters)
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
         key=lambda row: row.doc_id,
     )
-    maps = [sampling_mod.build_weight_map(annotated, s.policy) for s in specs]
-    merged = sampling_mod.merge_distributions(maps, [s.mixture_weight for s in specs])
-    rows = sampling_mod.weight_rows(annotated, maps, merged)
+    rows, merged = sampling_mod.weight_rows(
+        annotated, [s.policy for s in specs], [s.mixture_weight for s in specs]
+    )
     write_jsonl(args.out, rows)
     print(f"wrote weights for {len(rows)} docs -> {args.out}")
     if args.draw:
@@ -178,11 +166,7 @@ def cmd_curriculum_emit(args) -> int:
     work = config.work_dir
     # In the order of emit_stage's arguments.
     required = ["annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl"]
-    missing = [n for n in required if not (work / n).is_file()]
-    if missing:
-        raise IntegrityError(
-            f"curriculum emit needs earlier phases; missing: {missing}", missing
-        )
+    verify_outputs(work, required)
     pipe = Pipeline(config)
     stage = config.plan.stage(args.stage)
     _, manifest = pipe.emit_stage(stage, config.plan, *map(pipe._load, required))
@@ -195,14 +179,9 @@ def cmd_curriculum_emit(args) -> int:
 
 def cmd_prep_pack(args) -> int:
     _need_files(*args.inputs)
-    stream = []
-    for path in args.inputs:
-        for rec in read_jsonl(path):
-            stream.append((rec["doc_id"], rec["token_ids"]))
-    sequences = pack_documents(stream, args.length, args.pad_id)
-    write_packed(args.out, sequences, args.length, args.pad_id)
+    sequences = pack_shards(args.inputs, args.out, args.length, args.pad_id)
     non_pad = sum(s.pad_from for s in sequences)
-    print(f"packed {len(stream)} docs into {len(sequences)} sequences "
+    print(f"packed {len(args.inputs)} shards into {len(sequences)} sequences "
           f"({non_pad} non-pad tokens) -> {args.out}")
     return 0
 
@@ -280,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quality_score)
 
     p = qsub.add_parser("annotate")
+    p.add_argument("--config")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--clusters", required=True)
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--domain", nargs="*", help="tag=path pairs")
-    p.add_argument("--tag-threshold", type=float, default=quality_mod.DEFAULT_TAG_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--drops")
     p.set_defaults(fn=cmd_quality_annotate)

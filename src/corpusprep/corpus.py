@@ -24,7 +24,7 @@ from urllib.parse import urlsplit
 
 from .errors import RejectedRecord
 from .hashing import hash64_hex, hash128_hex
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
 
@@ -227,4 +227,4 @@ def write_corpus(corpus: Corpus, path: str | Path) -> int:
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    return Corpus([Document(**rec) for rec in read_jsonl(path)])
+    return Corpus(read_records(Document, path))

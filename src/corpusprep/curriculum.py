@@ -23,7 +23,7 @@ from .corpus import Corpus
 from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError, ValidationError
 from .hashing import derive_seed, sha256_file
-from .jsonl import read_json, write_json, write_jsonl
+from .jsonl import read_json, read_records, write_json, write_jsonl
 from .quality import Annotation
 from .sampling import ClusterSampler, restrict_clusters, restrict_distribution
 from .tokenizer import WhitespaceTokenizer
@@ -353,4 +353,4 @@ def emit_stage(
 
 
 def read_manifest(path: str | Path) -> ShardManifest:
-    return ShardManifest(**read_json(path))
+    return read_records(ShardManifest, path, [read_json(path)])[0]

@@ -39,7 +39,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .errors import ConfigError
 from .hashing import mix64, text_hash64, window_hashes, word_hash_array
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
 # Version of the hash that shingle gives each window in its sorted uint64
@@ -372,4 +372,4 @@ def write_clusters(clusters: Sequence[DuplicateCluster], path) -> int:
 
 
 def read_clusters(path) -> list[DuplicateCluster]:
-    return [DuplicateCluster(**rec) for rec in read_jsonl(path)]
+    return read_records(DuplicateCluster, path)

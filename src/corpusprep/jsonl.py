@@ -10,9 +10,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, TypeVar
 
+from .errors import ConfigError
+
+T = TypeVar("T")
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
@@ -57,6 +61,18 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def read_records(cls: type[T], path: str | Path, rows: Iterable[Any] | None = None) -> list[T]:
+    """A `cls` from each row of JSONL file `path`, or of `rows` read from it;
+    a row that is not an object of exactly its fields raises ConfigError."""
+    names = {f.name for f in fields(cls)}
+    records = []
+    for n, rec in enumerate(read_jsonl(path) if rows is None else rows, start=1):
+        if not (isinstance(rec, dict) and rec.keys() == names):
+            raise ConfigError(f"{path}: row {n} is not an object of the fields {sorted(names)}")
+        records.append(cls(**rec))
+    return records
 
 
 def write_json(path: str | Path, obj: Any) -> None:

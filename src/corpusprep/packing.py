@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, read_jsonl
 
 PACK_MAGIC = b"CPPK"
 PACK_VERSION = 1
@@ -182,6 +182,17 @@ def write_packed(
         parts.append(np.asarray(seq.token_ids, dtype="<u4").tobytes())
     with atomic_write(path, "wb") as fh:
         fh.write(b"".join(parts))
+
+
+def pack_shards(
+    shards: Iterable[str | Path], out: str | Path, seq_len: int, pad_id: int
+) -> list[PackedSequence]:
+    """Pack the (doc_id, token_ids) rows of the shard files `shards`, in
+    order, and write the sequences to `out`."""
+    docs = [(rec["doc_id"], rec["token_ids"]) for path in shards for rec in read_jsonl(path)]
+    sequences = pack_documents(docs, seq_len, pad_id)
+    write_packed(out, sequences, seq_len, pad_id)
+    return sequences
 
 
 def read_packed(path: str | Path) -> tuple[int, int, list[PackedSequence]]:

@@ -35,7 +35,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, TypeVar, get_args, get_origin, get_type_hints
 
 from . import classifier as clf_mod
 from . import curriculum as cur_mod
@@ -46,7 +46,7 @@ from .corpus import Corpus, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
 from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
-from .packing import pack_documents, write_packed
+from .packing import pack_shards
 from .rope import rope_config
 from .schedule import LrScheduleSpec, dump_csv
 from .tokenizer import DEFAULT_VOCAB_SIZE, WhitespaceTokenizer
@@ -100,6 +100,20 @@ def _cast(hint: Any, value: Any) -> Any:
     if get_origin(hint) is tuple:  # tuple[X, ...]
         return tuple(map(get_args(hint)[0], value))
     return hint(value)
+
+
+def quality_settings(rec: Any) -> tuple[quality_mod.HeuristicThresholds, float]:
+    """The heuristics and tag_threshold of config section `quality`;
+    ConfigError if either does not cast."""
+    if not isinstance(rec, dict):
+        raise ConfigError("config quality must be a JSON object")
+    heuristics = config_section(
+        quality_mod.HeuristicThresholds, rec.get("heuristics", {}), "quality.heuristics"
+    )
+    try:
+        return heuristics, float(rec.get("tag_threshold", quality_mod.DEFAULT_TAG_THRESHOLD))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config quality.tag_threshold: {exc}") from exc
 
 
 def config_list(cls: type[T], rec: Any, section: str, key: str) -> list[T]:
@@ -177,16 +191,15 @@ class PipelineConfig:
                 plan = cur_mod.paper_shaped_plan(int(cur.get("total_token_budget", 8_000_000)))
             tp = raw.get("train_prep", {})
             lr_rec = tp.get("lr_schedule")
+            heuristics, tag_threshold = quality_settings(q)
             return cls(
                 raw=raw,
                 input_paths=list(raw.get("input", [])),
                 work_dir=Path(raw.get("work_dir", "work")),
                 master_seed=int(raw.get("master_seed", 0)),
                 dedup=config_section(dedup_mod.DedupConfig, raw.get("dedup", {}), "dedup"),
-                heuristics=config_section(
-                    quality_mod.HeuristicThresholds, q.get("heuristics", {}), "quality.heuristics"
-                ),
-                tag_threshold=float(q.get("tag_threshold", quality_mod.DEFAULT_TAG_THRESHOLD)),
+                heuristics=heuristics,
+                tag_threshold=tag_threshold,
                 classifiers=config_list(ClassifierSpec, q, "quality", "classifiers"),
                 domain_classifiers=config_list(ClassifierSpec, q, "quality", "domain_classifiers"),
                 policies=config_list(PolicySpec, raw.get("sampling", {}), "sampling", "policies"),
@@ -222,9 +235,11 @@ class PipelineConfig:
         if abs(sum(lambdas) - 1.0) > 1e-9:
             raise ConfigError(f"sampling lambdas must sum to 1, got {sum(lambdas)}")
         cur_mod.ensure_valid_plan(self.plan)
-        rope_config(self.rope_stage)
-        if self.sequence_length < 1 or self.shard_tokens < 1:
-            raise ConfigError("sequence_length and shard_tokens must be >= 1")
+        rope_length = rope_config(self.rope_stage).sequence_length
+        if not 1 <= self.sequence_length <= rope_length:
+            raise ConfigError(f"sequence_length must be in [1, {rope_length}] for rope_stage {self.rope_stage!r}")
+        if self.shard_tokens < 1 or not 1 <= self.vocab_size <= 2**32 - 1:  # token ids are u32
+            raise ConfigError("shard_tokens must be >= 1 and vocab_size in [1, 2**32 - 1]")
         # Each classifier writes classifiers/<model_id>.clf and one signal.
         model_ids = [s.model_id for s in self.classifiers + self.domain_classifiers]
         tags = [s.tag or s.model_id for s in self.domain_classifiers]
@@ -266,6 +281,20 @@ def training_texts(path: str) -> list[str]:
     if not texts:
         raise ConfigError(f"no text records in training source {path}")
     return texts
+
+
+def obtain_classifier(spec: ClassifierSpec, out: str | Path) -> clf_mod.QualityClassifier:
+    """The model `spec` names, saved to `out`: loaded from spec.path, or
+    trained on its sources and named by the sha256 of its positives."""
+    if spec.path:
+        model = clf_mod.QualityClassifier.load(spec.path)
+    else:
+        model = clf_mod.train_classifier(
+            training_texts(spec.positives), training_texts(spec.negatives),
+            spec.hyper, spec.model_id, source=sha256_file(spec.positives),
+        )
+    model.save(out)
+    return model
 
 
 def strip_timing(obj: Any) -> Any:
@@ -391,39 +420,16 @@ class Pipeline:
             "cluster_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
         }
 
-    def _obtain_classifier(self, spec: ClassifierSpec, out_dir: Path) -> tuple[clf_mod.QualityClassifier, Path]:
-        if spec.path:
-            model = clf_mod.QualityClassifier.load(spec.path)
-        else:
-            model = clf_mod.train_classifier(
-                training_texts(spec.positives),
-                training_texts(spec.negatives),
-                hyper=spec.hyper,
-                model_id=spec.model_id,
-                source=sha256_file(spec.positives),
-            )
-        out_path = out_dir / f"{spec.model_id}.clf"
-        model.save(out_path)
-        return model, out_path
-
     def _phase_quality(self) -> tuple[list[Path], dict]:
         corpus = self._load("corpus.jsonl")
         clusters = self._load("clusters.jsonl")
         clf_dir = self.work_dir / "classifiers"
         clf_dir.mkdir(parents=True, exist_ok=True)
-        outputs: list[Path] = []
-
-        ensemble = []
-        for spec in self.config.classifiers:
-            model, path = self._obtain_classifier(spec, clf_dir)
-            ensemble.append(model)
-            outputs.append(path)
-        domain = {}
-        for spec in self.config.domain_classifiers:
-            model, path = self._obtain_classifier(spec, clf_dir)
-            domain[spec.tag or spec.model_id] = model
-            outputs.append(path)
-
+        specs = self.config.classifiers + self.config.domain_classifiers
+        outputs = [clf_dir / f"{spec.model_id}.clf" for spec in specs]
+        models = [obtain_classifier(spec, out) for spec, out in zip(specs, outputs)]
+        n = len(self.config.classifiers)
+        ensemble, domain = models[:n], dict(zip([s.tag or s.model_id for s in specs[n:]], models[n:]))
         annotated, drops = quality_mod.annotate(
             corpus,
             clusters,
@@ -458,14 +464,11 @@ class Pipeline:
 
     def _phase_sampling(self) -> tuple[list[Path], dict]:
         annotated = self._load("annotated.jsonl")
-        maps = [
-            sampling_mod.build_weight_map(annotated, p.policy)
-            for p in self.config.policies
-        ]
-        lambdas = [p.mixture_weight for p in self.config.policies]
-        merged = sampling_mod.merge_distributions(maps, lambdas)
+        policies = self.config.policies
+        rows, _ = sampling_mod.weight_rows(
+            annotated, [p.policy for p in policies], [p.mixture_weight for p in policies]
+        )
         out_weights = self.work_dir / "weights.jsonl"
-        rows = sampling_mod.weight_rows(annotated, maps, merged)
         write_jsonl(out_weights, rows)
         # Not `merged`: the rows list every document, in another order, and
         # the sampler's float sums follow that order.
@@ -539,13 +542,9 @@ class Pipeline:
         for stage in self.config.plan.stages:
             stage_dir = self.work_dir / "stages" / stage.stage_id
             manifest = cur_mod.read_manifest(stage_dir / "manifest.json")
-            stream = []
-            for shard in manifest.shards:
-                for rec in read_jsonl(stage_dir / shard["file"]):
-                    stream.append((rec["doc_id"], rec["token_ids"]))
-            sequences = pack_documents(stream, seq_len, pad_id)
             out_bin = packed_dir / f"stage_{stage.stage_id}.bin"
-            write_packed(out_bin, sequences, seq_len, pad_id)
+            shards = [stage_dir / shard["file"] for shard in manifest.shards]
+            sequences = pack_shards(shards, out_bin, seq_len, pad_id)
             outputs.append(out_bin)
             non_pad = sum(s.pad_from for s in sequences)
             packed_summary[stage.stage_id] = {
@@ -687,31 +686,39 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> dict:
 # -- report -------------------------------------------------------------
 
 
-def _bad_outputs(work_dir: Path, outputs: dict[str, str]) -> list[str]:
-    """Names of recorded outputs that are missing or fail their sha256."""
+def _bad_outputs(work_dir: Path, outputs: dict[str, str | None]) -> list[str]:
+    """Names of outputs that are missing, unrecorded (digest None) or fail their sha256."""
     bad = []
     for rel, digest in outputs.items():
         path = work_dir / rel
         if not path.is_file():
             bad.append(f"{rel} (missing)")
+        elif digest is None:
+            bad.append(f"{rel} (unrecorded)")
         elif sha256_file(path) != digest:
             bad.append(f"{rel} (checksum mismatch)")
     return bad
 
 
+def verify_outputs(work_dir: str | Path, names: Iterable[str] | None = None) -> None:
+    """IntegrityError unless each work-relative file in `names` (default: every
+    recorded output) is recorded in a done-marker and has the recorded sha256."""
+    work_dir = Path(work_dir)
+    recorded = {
+        rel: digest for marker in _markers(work_dir).values()
+        for rel, digest in marker.get("outputs", {}).items()
+    }
+    names = recorded if names is None else names
+    bad = _bad_outputs(work_dir, {rel: recorded.get(rel) for rel in names})
+    if bad:
+        raise IntegrityError(f"artifacts failed verification: {', '.join(bad)}", bad)
+
+
 def build_report(work_dir: str | Path) -> dict:
     """Verify every output the done-markers record, then reassemble the
     pipeline report from on-disk artifacts only."""
-    work_dir = Path(work_dir)
-    corrupted = [
-        bad for marker in _markers(work_dir).values()
-        for bad in _bad_outputs(work_dir, marker.get("outputs", {}))
-    ]
-    if corrupted:
-        raise IntegrityError(
-            f"artifacts failed verification: {', '.join(corrupted)}", corrupted
-        )
-    return _assemble_report(work_dir)
+    verify_outputs(work_dir)
+    return _assemble_report(Path(work_dir))
 
 
 def _markers(work_dir: Path) -> dict[str, dict]:

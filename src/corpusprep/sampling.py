@@ -114,10 +114,14 @@ def merge_distributions(
 
 
 def weight_rows(
-    annotated: Iterable[Annotation], maps: Sequence[WeightMap], merged: dict[str, float]
-) -> list[dict]:
-    """One weights.jsonl row per document: per-signal weights and merged probability."""
-    return [
+    annotated: Sequence[Annotation], policies: Sequence[UpsamplePolicy], lambdas: Sequence[float]
+) -> tuple[list[dict], dict[str, float]]:
+    """(rows, merged): one weights.jsonl row per document, with its weight
+    under each policy and its probability in `merged`, the policies' maps
+    mixed by `lambdas`."""
+    maps = [build_weight_map(annotated, policy) for policy in policies]
+    merged = merge_distributions(maps, lambdas)
+    rows = [
         {
             "doc_id": row.doc_id,
             "weights": {m.signal_name: m.weights[row.doc_id] for m in maps},
@@ -125,6 +129,7 @@ def weight_rows(
         }
         for row in annotated
     ]
+    return rows, merged
 
 
 def weights_distribution(rows: Iterable[dict]) -> dict[str, float]:

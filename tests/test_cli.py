@@ -16,7 +16,7 @@ from corpusprep.cli import build_parser, main
 from corpusprep.corpus import read_corpus
 from corpusprep.dedup import DedupConfig
 from corpusprep.errors import ConfigError
-from corpusprep.jsonl import read_json, read_jsonl
+from corpusprep.jsonl import read_json, read_jsonl, write_jsonl
 from corpusprep.pipeline import PipelineConfig, PolicySpec, config_section
 from corpusprep.quality import HeuristicThresholds
 from corpusprep.rope import rope_config
@@ -200,6 +200,25 @@ class TestCurriculumCommands:
         config_path, raw = make_pipeline_workspace(tmp_path / "fresh", n_docs=60)
         assert main(["curriculum", "emit", "--config", str(config_path), "--stage", "i"]) == 3
 
+    @pytest.mark.parametrize("edit", ["uniform-weights", "no-sampling-marker"])
+    def test_emit_checks_its_inputs_against_the_markers(self, tmp_path, capsys, edit):
+        """A work file that no done-marker records, or that no longer has
+        its recorded digest, stops emit with exit 3 before it writes."""
+        config_path, raw = make_pipeline_workspace(tmp_path, n_docs=100, total_tokens=10_000)
+        assert main(["run", "--config", config_path]) == 0
+        work = Path(raw["work_dir"])
+        if edit == "uniform-weights":
+            rows = list(read_jsonl(work / "weights.jsonl"))
+            write_jsonl(work / "weights.jsonl", [dict(r, probability=1 / len(rows)) for r in rows])
+        else:
+            (work / "sampling.done.json").unlink()
+        stage = work / "stages" / "iv"
+        before = {p.name: p.read_bytes() for p in stage.iterdir()}
+        capsys.readouterr()
+        assert main(["curriculum", "emit", "--config", config_path, "--stage", "iv"]) == 3
+        assert "weights.jsonl" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in stage.iterdir()} == before
+
 
 class TestPrepCommands:
     def test_pack(self, tmp_path):
@@ -295,6 +314,34 @@ class TestRunReport:
         assert out.read_bytes() == (Path(raw["work_dir"]) / "classifiers" / "web.clf").read_bytes()
 
 
+def test_per_phase_chain_reproduces_the_run(tmp_path):
+    """ingest, dedup, quality annotate (on the run's own classifiers) and
+    sample, each given the run's config, write the bytes run writes, also
+    for non-default heuristics and tag_threshold."""
+    config_path, raw = make_pipeline_workspace(tmp_path, n_docs=300)
+    raw["quality"].update(heuristics={"min_words": 120, "max_mean_word_length": 7.0}, tag_threshold=0.3)
+    Path(config_path).write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", config_path]) == 0
+    work, chain = Path(raw["work_dir"]), tmp_path / "chain"
+    clf = work / "classifiers"
+    chain.mkdir()
+    for argv in (
+        ["ingest", "--in", *raw["input"], "--out", chain / "corpus.jsonl"],
+        ["dedup", "--config", config_path, "--in", chain / "corpus.jsonl",
+         "--out", chain / "clusters.jsonl"],
+        ["quality", "annotate", "--config", config_path, "--in", chain / "corpus.jsonl",
+         "--clusters", chain / "clusters.jsonl", "--models", clf / "web.clf",
+         "--domain", f"code={clf / 'code.clf'}", f"math={clf / 'math.clf'}",
+         "--out", chain / "annotated.jsonl", "--drops", chain / "drop_report.jsonl"],
+        ["sample", "--config", config_path, "--in", chain / "annotated.jsonl",
+         "--out", chain / "weights.jsonl"],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+    assert any("min_words" in row["reasons"] for row in read_jsonl(work / "drop_report.jsonl"))
+    for name in ("corpus.jsonl", "clusters.jsonl", "annotated.jsonl", "drop_report.jsonl", "weights.jsonl"):
+        assert (chain / name).read_bytes() == (work / name).read_bytes(), name
+
+
 # -- missing input files ------------------------------------------------------------
 
 MISSING = "absent.jsonl"
@@ -358,6 +405,8 @@ CONFIG_COMMANDS = {
     "run": (["run", "--config"], ()),
     "dedup": (["dedup", "--in", "corpus.jsonl", "--out", "clusters.jsonl", "--config"], ("dedup",)),
     "sample": (["sample", "--in", "annotated.jsonl", "--out", "weights.jsonl", "--config"], ("sampling",)),
+    "quality-annotate": (["quality", "annotate", "--in", "corpus.jsonl", "--clusters", "clusters.jsonl",
+                          "--models", "web.clf", "--out", "annotated.jsonl", "--config"], ("quality",)),
     "curriculum-emit": (["curriculum", "emit", "--stage", "i", "--config"], ()),
     "curriculum-validate": (["curriculum", "validate", "--plan"], ("curriculum",)),
     "prep-schedule": (["prep", "schedule", "--spec"], ("train_prep", "lr_schedule")),
@@ -369,6 +418,8 @@ BROKEN_KEYS = [
     ("dedup", "non-numeric", ("bands",), "x"),
     ("sample", "missing-key", ("policies", 0, "signal"), DELETE),
     ("sample", "non-numeric", ("policies", 0, "lambda"), "x"),
+    ("quality-annotate", "non-numeric", ("heuristics",), {"min_words": "x"}),
+    ("quality-annotate", "non-numeric-tag-threshold", ("tag_threshold",), "x"),
     ("curriculum-emit", "missing-key", ("curriculum", "stages", 0, "token_share"), DELETE),
     ("curriculum-emit", "non-numeric", ("quality", "heuristics"), {"min_words": "x"}),
     ("curriculum-validate", "missing-key", ("stages", 0, "token_share"), DELETE),

@@ -1,9 +1,18 @@
-"""Atomic artifact writes: a write that fails partway leaves the old file."""
+"""Atomic artifact writes: a write that fails partway leaves the old file.
+Record rows: a row without exactly its dataclass fields is a config error."""
 
 from __future__ import annotations
 
+import json
+import re
+from dataclasses import asdict
+
 import pytest
 
+from corpusprep.corpus import Document, read_corpus
+from corpusprep.curriculum import ShardManifest, read_manifest
+from corpusprep.dedup import DuplicateCluster, read_clusters
+from corpusprep.errors import ConfigError
 from corpusprep.jsonl import atomic_write, write_jsonl
 
 
@@ -30,3 +39,28 @@ def test_failed_write_keeps_old_bytes(tmp_path, write):
         write(path)
     assert path.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [path]  # no .partial left behind
+
+
+# Each reader of dataclass rows and one valid row it reads.
+RECORD_READERS = {
+    "corpus": (read_corpus, asdict(Document(
+        "d1", "https://a.example/1", "2024-01-01T00:00:00Z", "en", "S0", "a.example", "0" * 32, "t"))),
+    "clusters": (read_clusters, asdict(DuplicateCluster("d1", ["d1"], ["d1"], 1, 1, 1))),
+    "manifest": (read_manifest, asdict(ShardManifest("i", [], 0, 0))),
+}
+BAD_ROWS = {
+    "missing-key": lambda row: dict(list(row.items())[1:]),
+    "extra-key": lambda row: {**row, "unknown": 1},
+    "not-an-object": lambda row: list(row),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+@pytest.mark.parametrize("reader,row", RECORD_READERS.values(), ids=RECORD_READERS.keys())
+def test_row_without_its_fields_raises_config_error(tmp_path, reader, row, bad):
+    """The error names the file and the row; manifest.json holds one row."""
+    rows = [bad(row)] if reader is read_manifest else [row, bad(row)]
+    path = tmp_path / "rows.json"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: row {len(rows)} "):
+        reader(path)

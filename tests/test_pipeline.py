@@ -404,6 +404,22 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (Path(raw["work_dir"]) / "ingest.done.json").exists()
 
+    @pytest.mark.parametrize("train_prep", [
+        {"vocab_size": 0},
+        {"vocab_size": 2**40},
+        {"sequence_length": 8192, "rope_stage": "pretrain"},
+    ], ids=["vocab-size-0", "vocab-size-over-u32", "longer-than-rope-stage"])
+    def test_train_prep_out_of_range_exits_1_before_ingest(self, tmp_path, capsys, train_prep):
+        """Token ids are packed as u32 and the packed sequences must fit the
+        RoPE stage, so both are config errors found before any phase."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=60)
+        raw["train_prep"].update(train_prep)
+        bad_path = tmp_path / "bad_train_prep.json"
+        bad_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(bad_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (Path(raw["work_dir"]) / "ingest.done.json").exists()
+
     def test_phase_error_names_failing_phase(self, tmp_path):
         from corpusprep.errors import PhaseError
 
