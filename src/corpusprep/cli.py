@@ -25,12 +25,11 @@ from .pipeline import (
     ClassifierSpec,
     Pipeline,
     PipelineConfig,
-    PolicySpec,
+    QualityConfig,
+    SamplingConfig,
     build_report,
-    config_list,
     config_section,
     obtain_classifier,
-    quality_settings,
     read_config,
     verify_outputs,
 )
@@ -102,7 +101,7 @@ def cmd_quality_score(args) -> int:
 
 def cmd_quality_annotate(args) -> int:
     raw = read_config(args.config) if args.config else {}
-    thresholds, tag_threshold = quality_settings(raw.get("quality", raw))
+    cfg = config_section(QualityConfig, raw.get("quality", raw), "quality")
     domain_paths = {}
     for item in args.domain or []:
         tag, _, path = item.partition("=")
@@ -115,7 +114,7 @@ def cmd_quality_annotate(args) -> int:
     ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
     domain = {tag: clf_mod.QualityClassifier.load(p) for tag, p in domain_paths.items()}
     annotated, drops = quality_mod.annotate(
-        corpus, clusters, ensemble, domain, thresholds=thresholds, tag_threshold=tag_threshold
+        corpus, clusters, ensemble, domain, thresholds=cfg.heuristics, tag_threshold=cfg.tag_threshold
     )
     quality_mod.write_annotations(annotated, args.out)
     if args.drops:
@@ -126,7 +125,7 @@ def cmd_quality_annotate(args) -> int:
 
 def cmd_sample(args) -> int:
     raw = read_config(args.config)
-    specs = config_list(PolicySpec, raw.get("sampling", raw), "sampling", "policies")
+    specs = config_section(SamplingConfig, raw.get("sampling", raw), "sampling").policies
     _need_files(*args.inputs, args.clusters)
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
@@ -150,7 +149,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_curriculum_validate(args) -> int:
-    plan = cur_mod.StagePlan.from_dict(read_config(args.plan))
+    plan = config_section(cur_mod.StagePlan, read_config(args.plan), "curriculum")
     violations = cur_mod.validate_plan(plan)
     if violations:
         for code, msg in violations:
@@ -168,8 +167,8 @@ def cmd_curriculum_emit(args) -> int:
     required = ["annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl"]
     verify_outputs(work, required)
     pipe = Pipeline(config)
-    stage = config.plan.stage(args.stage)
-    _, manifest = pipe.emit_stage(stage, config.plan, *map(pipe._load, required))
+    stage = config.curriculum.stage(args.stage)
+    _, manifest = pipe.emit_stage(stage, config.curriculum, *map(pipe._load, required))
     print(
         f"stage {stage.stage_id}: {manifest.total_tokens} tokens in "
         f"{len(manifest.shards)} shards -> {work / 'stages' / stage.stage_id}"

@@ -33,14 +33,6 @@ OTHER_GROUP = "other"
 DEFAULT_SHARD_TOKENS = 1_000_000
 
 
-def _fraction(value) -> Fraction:
-    # Fraction(str(0.15)) is exactly 3/20; Fraction(0.15) would keep the
-    # binary-float artifact and break exact share sums.
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class StageSpec:
     stage_id: str
@@ -50,32 +42,15 @@ class StageSpec:
     description: str = ""
     gating_signal: str = GATE_MAX_CLF
 
-    @classmethod
-    def from_dict(cls, rec: Mapping) -> "StageSpec":
-        return cls(
-            stage_id=str(rec["stage_id"]),
-            token_share=_fraction(rec["token_share"]),
-            quality_threshold=float(rec["quality_threshold"]),
-            mixture={k: _fraction(v) for k, v in rec["mixture"].items()},
-            # absent optional keys keep their field defaults
-            **{k: str(rec[k]) for k in ("description", "gating_signal") if k in rec},
-        )
-
 
 @dataclass
 class StagePlan:
-    stages: list[StageSpec]
-    total_token_budget: int
+    """The config's `curriculum` section; without `stages`, the stages of
+    paper_shaped_plan."""
 
-    @classmethod
-    def from_dict(cls, rec: Mapping) -> "StagePlan":
-        try:
-            return cls(
-                stages=[StageSpec.from_dict(s) for s in rec["stages"]],
-                total_token_budget=int(rec["total_token_budget"]),
-            )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad stage plan: {type(exc).__name__} {exc}") from exc
+    stages: list[StageSpec] = field(default_factory=lambda: paper_shaped_plan(0).stages)
+    total_token_budget: int = 8_000_000
+    shard_tokens: int = DEFAULT_SHARD_TOKENS  # tokens per emitted shard file
 
     def stage(self, stage_id: str) -> StageSpec:
         for s in self.stages:
@@ -98,9 +73,9 @@ def paper_shaped_plan(total_token_budget: int) -> StagePlan:
         stages=[
             StageSpec(
                 stage_id=sid,
-                token_share=_fraction(share),
+                token_share=Fraction(share),
                 quality_threshold=thr,
-                mixture={k: _fraction(v) for k, v in mix.items()},
+                mixture={k: Fraction(v) for k, v in mix.items()},
                 description=desc,
             )
             for sid, share, thr, mix, desc in stages
@@ -227,18 +202,26 @@ class ShardManifest:
     max_doc_tokens: int = 0  # bound on budget overshoot
 
 
+@dataclass
+class ShardRow:
+    """One stage shard row: these fields, under their own names."""
+
+    doc_id: str
+    token_ids: list[int]
+
+
 class _ShardWriter:
-    """Accumulates (doc_id, token_ids) records into fixed-capacity shard files."""
+    """Accumulates ShardRow records into fixed-capacity shard files."""
 
     def __init__(self, out_dir: Path, shard_tokens: int):
         self.out_dir = out_dir
         self.shard_tokens = shard_tokens
-        self.records: list[dict] = []
+        self.records: list[ShardRow] = []
         self.tokens = 0
         self.shards: list[dict] = []
 
     def add(self, doc_id: str, token_ids: list[int]) -> None:
-        self.records.append({"doc_id": doc_id, "token_ids": token_ids})
+        self.records.append(ShardRow(doc_id, token_ids))
         self.tokens += len(token_ids)
         if self.tokens >= self.shard_tokens:
             self.flush()
@@ -248,7 +231,7 @@ class _ShardWriter:
             return
         name = f"shard_{len(self.shards):04d}.jsonl"
         path = self.out_dir / name
-        write_jsonl(path, self.records)
+        write_jsonl(path, map(vars, self.records))
         self.shards.append(
             {"file": name, "tokens": self.tokens, "sha256": sha256_file(path)}
         )

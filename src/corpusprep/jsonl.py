@@ -12,7 +12,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
@@ -56,23 +56,42 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[Any]:
+    """The JSON value on each non-blank line of `path`; a line that is not
+    valid JSON raises ConfigError naming the file and the line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {n} is not valid JSON: {exc}") from exc
+                yield rec
 
 
 def read_records(cls: type[T], path: str | Path, rows: Iterable[Any] | None = None) -> list[T]:
     """A `cls` from each row of JSONL file `path`, or of `rows` read from it;
-    a row that is not an object of exactly its fields raises ConfigError."""
-    names = {f.name for f in fields(cls)}
+    a row that is not an object of exactly its fields, each value of its
+    field's type, raises ConfigError."""
+    checks = {name: _type_check(hint) for name, hint in get_type_hints(cls).items()}
     records = []
     for n, rec in enumerate(read_jsonl(path) if rows is None else rows, start=1):
-        if not (isinstance(rec, dict) and rec.keys() == names):
-            raise ConfigError(f"{path}: row {n} is not an object of the fields {sorted(names)}")
+        if not (isinstance(rec, dict) and rec.keys() == checks.keys()
+                and all(checks[k](v) for k, v in rec.items())):
+            shape = {f.name: f.type for f in fields(cls)}
+            raise ConfigError(f"{path}: row {n} is not an object of the fields {shape}")
         records.append(cls(**rec))
     return records
+
+
+def _type_check(hint: Any) -> Callable[[Any], bool]:
+    """Whether a JSON value has type `hint`, with no casting: str, int (not
+    bool), a bare dict, or a list[...] or dict[str, ...] of these."""
+    origin = get_origin(hint)
+    if origin is None:
+        return lambda v: type(v) is hint
+    item, items = {get_args(hint)[-1]}, (dict.values if origin is dict else iter)
+    return lambda v: type(v) is origin and set(map(type, items(v))) <= item
 
 
 def write_json(path: str | Path, obj: Any) -> None:

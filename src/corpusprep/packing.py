@@ -33,7 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .jsonl import atomic_write, read_jsonl
+from .curriculum import ShardRow
+from .jsonl import atomic_write, read_records
 
 PACK_MAGIC = b"CPPK"
 PACK_VERSION = 1
@@ -187,9 +188,9 @@ def write_packed(
 def pack_shards(
     shards: Iterable[str | Path], out: str | Path, seq_len: int, pad_id: int
 ) -> list[PackedSequence]:
-    """Pack the (doc_id, token_ids) rows of the shard files `shards`, in
-    order, and write the sequences to `out`."""
-    docs = [(rec["doc_id"], rec["token_ids"]) for path in shards for rec in read_jsonl(path)]
+    """Pack the ShardRow rows of the shard files `shards`, in order, and
+    write the sequences to `out`."""
+    docs = [(row.doc_id, row.token_ids) for path in shards for row in read_records(ShardRow, path)]
     sequences = pack_documents(docs, seq_len, pad_id)
     write_packed(out, sequences, seq_len, pad_id)
     return sequences

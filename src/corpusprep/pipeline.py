@@ -31,10 +31,13 @@ from __future__ import annotations
 
 import glob
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fnmatch import fnmatch
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from types import UnionType
 from typing import Any, Callable, Iterable, Mapping, TypeVar, get_args, get_origin, get_type_hints
 
 from . import classifier as clf_mod
@@ -72,12 +75,13 @@ def read_config(path: str | Path) -> dict:
 def config_section(
     cls: type[T], rec: Any, section: str, keys: Mapping[str, str] = {}, **given: Any
 ) -> T:
-    """Dataclass `cls` from the config object `rec`, called `section` in errors.
+    """Dataclass `cls` from the config object `rec`, at dotted path `section`
+    ("" for the whole config) in errors.
 
     A field in `given` takes that value; any other takes rec[key] cast to
     its annotated type, key being keys[field] or else the field's name, or
     else keeps its default. A missing required key or a value that does
-    not cast raises ConfigError naming the section and the key."""
+    not cast raises ConfigError naming the dotted path of the key."""
     if not isinstance(rec, dict):
         raise ConfigError(f"config {section} must be a JSON object")
     hints = get_type_hints(cls)
@@ -86,66 +90,50 @@ def config_section(
         if f.name in given:
             continue
         key = keys.get(f.name, f.name)
+        path = f"{section}.{key}".lstrip(".")
         if key in rec:
-            try:
-                values[f.name] = _cast(hints[f.name], rec[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config {section}.{key}: {exc}") from exc
+            values[f.name] = _cast(hints[f.name], rec[key], path)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"config {section} needs key '{key}'")
+            raise ConfigError(f"config {path} is required")
     return cls(**values)
 
 
-def _cast(hint: Any, value: Any) -> Any:
-    if get_origin(hint) is tuple:  # tuple[X, ...]
-        return tuple(map(get_args(hint)[0], value))
-    return hint(value)
-
-
-def quality_settings(rec: Any) -> tuple[quality_mod.HeuristicThresholds, float]:
-    """The heuristics and tag_threshold of config section `quality`;
-    ConfigError if either does not cast."""
-    if not isinstance(rec, dict):
-        raise ConfigError("config quality must be a JSON object")
-    heuristics = config_section(
-        quality_mod.HeuristicThresholds, rec.get("heuristics", {}), "quality.heuristics"
-    )
+def _cast(hint: Any, value: Any, path: str) -> Any:
+    """`value` as type `hint`: a dataclass section, list[X], tuple[X, ...],
+    dict[str, X], X | None (null or an empty value is None), Fraction, or a scalar."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return _cast(args[0], value, path) if value else None
+    if is_dataclass(hint):  # PolicySpec reads two dataclasses from one object
+        return getattr(hint, "from_dict", partial(config_section, hint))(value, path)
+    if origin in (list, tuple, dict):
+        if type(value) is not (dict if origin is dict else list):
+            raise ConfigError(f"config {path} must be a JSON {'object' if origin is dict else 'array'}")
+        if origin is dict:
+            return {k: _cast(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        return origin(_cast(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     try:
-        return heuristics, float(rec.get("tag_threshold", quality_mod.DEFAULT_TAG_THRESHOLD))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config quality.tag_threshold: {exc}") from exc
-
-
-def config_list(cls: type[T], rec: Any, section: str, key: str) -> list[T]:
-    """cls.from_dict of each entry of the list at `key` in config object `rec`."""
-    if not isinstance(rec, dict):
-        raise ConfigError(f"config {section} must be a JSON object")
-    entries = rec.get(key, [])
-    return [cls.from_dict(entry, f"{section}.{key}[{i}]") for i, entry in enumerate(entries)]
+        # Fraction(str(0.15)) is exactly 3/20; Fraction(0.15) would keep the
+        # binary-float artifact and break exact share sums.
+        return Fraction(str(value)) if hint is Fraction else hint(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
 
 
 @dataclass
 class ClassifierSpec:
-    model_id: str
+    model_id: str = ""  # defaults to the tag
     path: str = ""  # pre-trained model file
     positives: str = ""  # or train from these sources
     negatives: str = ""
     hyper: clf_mod.ClassifierHyper = field(default_factory=clf_mod.ClassifierHyper)
     tag: str = ""  # set for domain classifiers
 
-    @classmethod
-    def from_dict(cls, rec: dict, section: str) -> "ClassifierSpec":
-        hyper = config_section(clf_mod.ClassifierHyper, rec.get("hyper", {}), f"{section}.hyper")
-        # model_id defaults to the tag
-        spec = config_section(cls, {"model_id": rec.get("tag", ""), **rec}, section, hyper=hyper)
-        if not spec.model_id:
-            raise ConfigError(f"config {section} needs a model_id or tag")
-        if not spec.path and not (spec.positives and spec.negatives):
-            raise ConfigError(
-                f"classifier '{spec.model_id}' needs either a path or "
-                "positives+negatives training sources"
-            )
-        return spec
+    def __post_init__(self):
+        self.model_id = self.model_id or self.tag
+        if not (self.model_id and (self.path or self.positives and self.negatives)):
+            raise ConfigError(f"classifier {self.model_id!r} needs a model_id or tag, and "
+                              "either a path or positives+negatives training sources")
 
 
 @dataclass
@@ -161,59 +149,45 @@ class PolicySpec:
         return config_section(cls, rec, section, {"mixture_weight": "lambda"}, policy=policy)
 
 
+@dataclass(frozen=True)
+class QualityConfig:
+    heuristics: quality_mod.HeuristicThresholds = field(default_factory=quality_mod.HeuristicThresholds)
+    tag_threshold: float = quality_mod.DEFAULT_TAG_THRESHOLD
+    classifiers: list[ClassifierSpec] = field(default_factory=list)
+    domain_classifiers: list[ClassifierSpec] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SamplingConfig:
+    policies: list[PolicySpec] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class TrainPrepConfig:
+    sequence_length: int = 4_096
+    rope_stage: str = "pretrain"
+    vocab_size: int = DEFAULT_VOCAB_SIZE
+    lr_schedule: LrScheduleSpec | None = None
+
+
 @dataclass
 class PipelineConfig:
+    """The whole config, one dataclass per section; `raw` is the JSON object
+    it was read from, whose slices the phase keys hash."""
+
     raw: dict
-    input_paths: list[str]
-    work_dir: Path
-    master_seed: int
-    dedup: dedup_mod.DedupConfig
-    heuristics: quality_mod.HeuristicThresholds
-    tag_threshold: float
-    classifiers: list[ClassifierSpec]
-    domain_classifiers: list[ClassifierSpec]
-    policies: list[PolicySpec]
-    plan: cur_mod.StagePlan
-    shard_tokens: int
-    sequence_length: int
-    rope_stage: str
-    vocab_size: int
-    lr_schedule: LrScheduleSpec | None
+    input: list[str] = field(default_factory=list)
+    work_dir: Path = Path("work")
+    master_seed: int = 0
+    dedup: dedup_mod.DedupConfig = field(default_factory=dedup_mod.DedupConfig)
+    quality: QualityConfig = field(default_factory=QualityConfig)
+    sampling: SamplingConfig = field(default_factory=SamplingConfig)
+    curriculum: cur_mod.StagePlan = field(default_factory=cur_mod.StagePlan)
+    train_prep: TrainPrepConfig = field(default_factory=TrainPrepConfig)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        try:
-            q = raw.get("quality", {})
-            cur = raw.get("curriculum", {})
-            if "stages" in cur:
-                plan = cur_mod.StagePlan.from_dict(cur)
-            else:
-                plan = cur_mod.paper_shaped_plan(int(cur.get("total_token_budget", 8_000_000)))
-            tp = raw.get("train_prep", {})
-            lr_rec = tp.get("lr_schedule")
-            heuristics, tag_threshold = quality_settings(q)
-            return cls(
-                raw=raw,
-                input_paths=list(raw.get("input", [])),
-                work_dir=Path(raw.get("work_dir", "work")),
-                master_seed=int(raw.get("master_seed", 0)),
-                dedup=config_section(dedup_mod.DedupConfig, raw.get("dedup", {}), "dedup"),
-                heuristics=heuristics,
-                tag_threshold=tag_threshold,
-                classifiers=config_list(ClassifierSpec, q, "quality", "classifiers"),
-                domain_classifiers=config_list(ClassifierSpec, q, "quality", "domain_classifiers"),
-                policies=config_list(PolicySpec, raw.get("sampling", {}), "sampling", "policies"),
-                plan=plan,
-                shard_tokens=int(cur.get("shard_tokens", cur_mod.DEFAULT_SHARD_TOKENS)),
-                sequence_length=int(tp.get("sequence_length", 4_096)),
-                rope_stage=str(tp.get("rope_stage", "pretrain")),
-                vocab_size=int(tp.get("vocab_size", DEFAULT_VOCAB_SIZE)),
-                lr_schedule=(
-                    config_section(LrScheduleSpec, lr_rec, "train_prep.lr_schedule") if lr_rec else None
-                ),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad pipeline config: {exc}") from exc
+        return config_section(cls, raw, "", raw=raw)
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
@@ -225,31 +199,33 @@ class PipelineConfig:
     def __post_init__(self):
         """The checks that span sections, so a bad config stops before any
         phase runs; each section checked its own ranges when built."""
-        if not self.input_paths:
+        quality, policies, plan = self.quality, self.sampling.policies, self.curriculum
+        if not self.input:
             raise ConfigError("config needs at least one input path")
-        if not self.classifiers:
+        if not quality.classifiers:
             raise ConfigError("at least one quality classifier is required")
-        if not self.policies:
+        if not policies:
             raise ConfigError("at least one sampling policy is required")
-        lambdas = [p.mixture_weight for p in self.policies]
+        lambdas = [p.mixture_weight for p in policies]
         if abs(sum(lambdas) - 1.0) > 1e-9:
             raise ConfigError(f"sampling lambdas must sum to 1, got {sum(lambdas)}")
-        cur_mod.ensure_valid_plan(self.plan)
-        rope_length = rope_config(self.rope_stage).sequence_length
-        if not 1 <= self.sequence_length <= rope_length:
-            raise ConfigError(f"sequence_length must be in [1, {rope_length}] for rope_stage {self.rope_stage!r}")
-        if self.shard_tokens < 1 or not 1 <= self.vocab_size <= 2**32 - 1:  # token ids are u32
+        cur_mod.ensure_valid_plan(plan)
+        prep = self.train_prep
+        rope_length = rope_config(prep.rope_stage).sequence_length
+        if not 1 <= prep.sequence_length <= rope_length:
+            raise ConfigError(f"sequence_length must be in [1, {rope_length}] for rope_stage {prep.rope_stage!r}")
+        if plan.shard_tokens < 1 or not 1 <= prep.vocab_size <= 2**32 - 1:  # token ids are u32
             raise ConfigError("shard_tokens must be >= 1 and vocab_size in [1, 2**32 - 1]")
         # Each classifier writes classifiers/<model_id>.clf and one signal.
-        model_ids = [s.model_id for s in self.classifiers + self.domain_classifiers]
-        tags = [s.tag or s.model_id for s in self.domain_classifiers]
+        model_ids = [s.model_id for s in quality.classifiers + quality.domain_classifiers]
+        tags = [s.tag or s.model_id for s in quality.domain_classifiers]
         for what, names in (("model_id", model_ids), ("domain tag", tags)):
             repeats = sorted({n for n in names if names.count(n) > 1})
             if repeats:
                 raise ConfigError(f"quality classifiers repeat a {what}: {repeats}")
-        written = quality_mod.signal_names([s.model_id for s in self.classifiers], tags)
-        needed = [("sampling policy", p.policy.signal_name) for p in self.policies]
-        for s in self.plan.stages:
+        written = quality_mod.signal_names([s.model_id for s in quality.classifiers], tags)
+        needed = [("sampling policy", p.policy.signal_name) for p in policies]
+        for s in plan.stages:
             if s.gating_signal != cur_mod.GATE_MAX_CLF:
                 needed.append((f"stage {s.stage_id} gating_signal", s.gating_signal))
             needed += [
@@ -262,7 +238,7 @@ class PipelineConfig:
 
     def resolve_inputs(self) -> list[str]:
         paths: list[str] = []
-        for pattern in self.input_paths:
+        for pattern in self.input:
             hits = sorted(glob.glob(pattern))
             paths.extend(hits if hits else [pattern])
         missing = [p for p in paths if not Path(p).is_file()]
@@ -310,7 +286,7 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.work_dir = config.work_dir
-        self.tokenizer = WhitespaceTokenizer(config.vocab_size)
+        self.tokenizer = WhitespaceTokenizer(config.train_prep.vocab_size)
         # READERS file name -> the object this run wrote it from, or parsed
         # from it when the phase that writes it was skipped.
         self._held: dict[str, Any] = {}
@@ -425,18 +401,19 @@ class Pipeline:
         clusters = self._load("clusters.jsonl")
         clf_dir = self.work_dir / "classifiers"
         clf_dir.mkdir(parents=True, exist_ok=True)
-        specs = self.config.classifiers + self.config.domain_classifiers
+        quality = self.config.quality
+        specs = quality.classifiers + quality.domain_classifiers
         outputs = [clf_dir / f"{spec.model_id}.clf" for spec in specs]
         models = [obtain_classifier(spec, out) for spec, out in zip(specs, outputs)]
-        n = len(self.config.classifiers)
+        n = len(quality.classifiers)
         ensemble, domain = models[:n], dict(zip([s.tag or s.model_id for s in specs[n:]], models[n:]))
         annotated, drops = quality_mod.annotate(
             corpus,
             clusters,
             ensemble,
             domain,
-            thresholds=self.config.heuristics,
-            tag_threshold=self.config.tag_threshold,
+            thresholds=quality.heuristics,
+            tag_threshold=quality.tag_threshold,
         )
         out_annotated = self.work_dir / "annotated.jsonl"
         quality_mod.write_annotations(annotated, out_annotated)
@@ -464,7 +441,7 @@ class Pipeline:
 
     def _phase_sampling(self) -> tuple[list[Path], dict]:
         annotated = self._load("annotated.jsonl")
-        policies = self.config.policies
+        policies = self.config.sampling.policies
         rows, _ = sampling_mod.weight_rows(
             annotated, [p.policy for p in policies], [p.mixture_weight for p in policies]
         )
@@ -476,7 +453,7 @@ class Pipeline:
         return [out_weights], {
             "documents": len(annotated),
             "mixture_weights": {
-                p.policy.signal_name: p.mixture_weight for p in self.config.policies
+                p.policy.signal_name: p.mixture_weight for p in policies
             },
         }
 
@@ -497,7 +474,7 @@ class Pipeline:
             self.tokenizer,
             self.config.master_seed,
             self.work_dir / "stages" / stage.stage_id,
-            shard_tokens=self.config.shard_tokens,
+            shard_tokens=plan.shard_tokens,
         )
         return eligible, manifest
 
@@ -506,7 +483,7 @@ class Pipeline:
         corpus = self._load("corpus.jsonl")
         clusters = self._load("clusters.jsonl")
         merged = self._load("weights.jsonl")
-        plan = self.config.plan
+        plan = self.config.curriculum
         budgets = cur_mod.stage_budgets(plan)
 
         outputs: list[Path] = []
@@ -535,11 +512,12 @@ class Pipeline:
         packed_dir = self.work_dir / "packed"
         packed_dir.mkdir(parents=True, exist_ok=True)
         pad_id = self.tokenizer.pad_id
-        seq_len = self.config.sequence_length
+        train_prep = self.config.train_prep
+        seq_len = train_prep.sequence_length
 
         packed_summary = {}
         manifest_lines = []
-        for stage in self.config.plan.stages:
+        for stage in self.config.curriculum.stages:
             stage_dir = self.work_dir / "stages" / stage.stage_id
             manifest = cur_mod.read_manifest(stage_dir / "manifest.json")
             out_bin = packed_dir / f"stage_{stage.stage_id}.bin"
@@ -562,18 +540,18 @@ class Pipeline:
         outputs.append(out_manifest)
 
         out_rope = self.work_dir / "rope.json"
-        write_json(out_rope, asdict(rope_config(self.config.rope_stage)))
+        write_json(out_rope, asdict(rope_config(train_prep.rope_stage)))
         outputs.append(out_rope)
 
-        if self.config.lr_schedule is not None:
+        if train_prep.lr_schedule is not None:
             out_csv = self.work_dir / "schedule.csv"
-            stride = max(1, self.config.lr_schedule.end_step // 10_000)
-            dump_csv(self.config.lr_schedule, out_csv, stride=stride)
+            stride = max(1, train_prep.lr_schedule.end_step // 10_000)
+            dump_csv(train_prep.lr_schedule, out_csv, stride=stride)
             outputs.append(out_csv)
 
         return outputs, {
             "sequence_length": seq_len,
-            "rope_stage": self.config.rope_stage,
+            "rope_stage": train_prep.rope_stage,
             "stages": packed_summary,
         }
 
@@ -599,7 +577,7 @@ def _classifier_sources(config: PipelineConfig) -> list[str]:
     """The files the quality phase loads: each model file or training pair."""
     return [
         path
-        for spec in config.classifiers + config.domain_classifiers
+        for spec in config.quality.classifiers + config.quality.domain_classifiers
         for path in ((spec.path,) if spec.path else (spec.positives, spec.negatives))
     ]
 

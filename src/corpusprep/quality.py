@@ -147,6 +147,7 @@ def read_annotations(path) -> list[Annotation]:
         if not (
             isinstance(extra, dict)
             and rec.keys() == ANNOTATION_KEYS
+            and all(type(rec[k]) is str for k in ("doc_id", "url", "cluster_id"))
             and all(type(v) is float for v in extra.values())
         ):
             raise ConfigError(

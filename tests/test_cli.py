@@ -3,21 +3,33 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusprep.classifier import ClassifierHyper, QualityClassifier
 from corpusprep.cli import build_parser, main
 from corpusprep.corpus import read_corpus
+from corpusprep.curriculum import StagePlan
 from corpusprep.dedup import DedupConfig
 from corpusprep.errors import ConfigError
 from corpusprep.jsonl import read_json, read_jsonl, write_jsonl
-from corpusprep.pipeline import PipelineConfig, PolicySpec, config_section
+from corpusprep.pipeline import (
+    PipelineConfig,
+    PolicySpec,
+    QualityConfig,
+    SamplingConfig,
+    TrainPrepConfig,
+    config_section,
+)
 from corpusprep.quality import HeuristicThresholds
 from corpusprep.rope import rope_config
 from corpusprep.sampling import UpsamplePolicy
@@ -396,6 +408,81 @@ def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
     assert "Traceback" not in out + err
 
 
+# Each per-phase command that reads JSONL rows, by the input whose first row
+# test_malformed_input_row_exits_1_or_3 breaks; "@name" is the file in row_files.
+ANNOTATE = ["quality", "annotate", "--in", "@corpus.jsonl", "--clusters", "@clusters.jsonl",
+            "--models", "@web.clf", "--out", "@out.jsonl"]
+ROW_INPUTS = {
+    "dedup-in": (["dedup", "--in", "@corpus.jsonl", "--out", "@out.jsonl"], "corpus.jsonl"),
+    "annotate-in": (ANNOTATE, "corpus.jsonl"),
+    "annotate-clusters": (ANNOTATE, "clusters.jsonl"),
+    "sample-in": (["sample", "--config", "@sampling.json", "--in", "@annotated.jsonl",
+                   "--out", "@out.jsonl"], "annotated.jsonl"),
+    "pack-in": (["prep", "pack", "--length", "8", "--in", "@shard.jsonl", "--out", "@out.bin"],
+                "shard.jsonl"),
+}
+# One value of each JSON type.
+JSON_VALUES = [None, True, 7, "s", [], {}]
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _row_argv(root: Path, argv: list[str], swap: dict[str, str] = {}) -> list[str]:
+    return [str(root / swap.get(a[1:], a[1:])) if a.startswith("@") else a for a in argv]
+
+
+@pytest.fixture(scope="module")
+def row_files(phase_files, tmp_path_factory):
+    """The phase_files corpus, clusters and model, with the annotated rows,
+    sampling section and stage shard that the ROW_INPUTS commands read;
+    each command passes on them."""
+    root = tmp_path_factory.mktemp("rows")
+    for name in ("corpus.jsonl", "clusters.jsonl", "web.clf"):
+        (root / name).write_bytes((phase_files / name).read_bytes())
+    (root / "sampling.json").write_text(
+        json.dumps({"policies": [{"signal": "freq:occurrence", "lambda": 1}]}), encoding="utf-8"
+    )
+    write_jsonl(root / "shard.jsonl", [{"doc_id": "a", "token_ids": [1, 2, 3]},
+                                       {"doc_id": "b", "token_ids": [4, 5]}])
+    argv = _row_argv(root, ANNOTATE, {"out.jsonl": "annotated.jsonl"})
+    assert main(argv) == 0
+    for argv, _ in ROW_INPUTS.values():
+        assert main(_row_argv(root, argv)) == 0
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_malformed_input_row_exits_1_or_3(row_files, data):
+    """A row with a key dropped or added, a value of another JSON type, or
+    the line cut short: the command exits 1 or 3 with one error line."""
+    case = data.draw(st.sampled_from(sorted(ROW_INPUTS)), label="command")
+    argv, name = ROW_INPUTS[case]
+    lines = (row_files / name).read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    how = data.draw(st.sampled_from(["drop", "add", "retype", "truncate"]), label="change")
+    if how == "truncate":
+        bad = lines[0][: data.draw(st.integers(1, len(lines[0]) - 1), label="length")]
+    else:
+        key = data.draw(st.sampled_from(sorted(row)), label="key")
+        if how == "drop":
+            del row[key]
+        elif how == "add":
+            row[f"{key}_extra"] = row[key]
+        else:
+            others = [v for v in JSON_VALUES if _json_type(v) != _json_type(row[key])]
+            row[key] = data.draw(st.sampled_from(others), label="value")
+        bad = json.dumps(row)
+    (row_files / "bad.jsonl").write_text("\n".join([bad, *lines[1:]]) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(_row_argv(row_files, argv, {name: "bad.jsonl"}))
+    assert rc in (1, 3)
+    assert "error: " in err.getvalue() and err.getvalue().count("\n") == 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
 # -- malformed config files ---------------------------------------------------------
 
 DELETE = object()
@@ -415,6 +502,9 @@ CONFIG_COMMANDS = {
 BROKEN_KEYS = [
     ("run", "missing-key", ("sampling", "policies", 0, "signal"), DELETE),
     ("run", "non-numeric", ("dedup", "bands"), "x"),
+    ("run", "non-numeric-vocab-size", ("train_prep", "vocab_size"), "x"),
+    ("run", "non-numeric-shard-tokens", ("curriculum", "shard_tokens"), "x"),
+    ("run", "zero-denominator", ("curriculum", "stages", 0, "mixture", "code"), "1/0"),
     ("dedup", "non-numeric", ("bands",), "x"),
     ("sample", "missing-key", ("policies", 0, "signal"), DELETE),
     ("sample", "non-numeric", ("policies", 0, "lambda"), "x"),
@@ -458,9 +548,15 @@ def test_malformed_config_exits_1(workspace, tmp_path, monkeypatch, capsys, comm
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in out + err
+    if keys:  # the error names the dotted key, from the section the file holds
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in section[-1:] + keys)
+        assert f"config {dotted.lstrip('.')}" in err
 
 
-@pytest.mark.parametrize("cls", [DedupConfig, ClassifierHyper, HeuristicThresholds])
+@pytest.mark.parametrize("cls", [
+    DedupConfig, ClassifierHyper, HeuristicThresholds,
+    QualityConfig, SamplingConfig, StagePlan, TrainPrepConfig,
+])
 def test_empty_config_section_is_the_dataclass_default(cls):
     assert config_section(cls, {}, "section") == cls()
 
@@ -573,5 +669,5 @@ def test_readme_config_example_builds():
     section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     config = PipelineConfig.from_dict(json.loads(block))
-    assert [s.model_id for s in config.classifiers] == ["web"]
-    assert [p.policy.signal_name for p in config.policies] == ["freq:occurrence", "clf:web"]
+    assert [s.model_id for s in config.quality.classifiers] == ["web"]
+    assert [p.policy.signal_name for p in config.sampling.policies] == ["freq:occurrence", "clf:web"]

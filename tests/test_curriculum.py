@@ -22,6 +22,7 @@ from corpusprep.curriculum import (
 )
 from corpusprep.dedup import DuplicateCluster
 from corpusprep.errors import ConfigError, UnknownSignalError, ValidationError
+from corpusprep.pipeline import config_section
 from corpusprep.quality import Annotation
 from corpusprep.sampling import restrict_clusters, restrict_distribution
 from corpusprep.tokenizer import WhitespaceTokenizer
@@ -118,7 +119,7 @@ class TestValidatePlan:
                  "description": "highest-quality anneal"},
             ],
         }
-        assert StagePlan.from_dict(rec) == paper_shaped_plan(12345)
+        assert config_section(StagePlan, rec, "curriculum") == paper_shaped_plan(12345)
 
 
 class TestStageBudgets:

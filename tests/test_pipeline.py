@@ -104,7 +104,7 @@ class TestRun:
             return {f.name for f in fields(cls)}
 
         corpus = read_corpus(work / "corpus.jsonl")
-        manifests = [work / "stages" / s.stage_id / "manifest.json" for s in config.plan.stages]
+        manifests = [work / "stages" / s.stage_id / "manifest.json" for s in config.curriculum.stages]
         cases = [
             (Document, list(read_jsonl(work / "corpus.jsonl")), corpus.documents),
             (dedup.DuplicateCluster, list(read_jsonl(work / "clusters.jsonl")),
@@ -120,7 +120,7 @@ class TestRun:
         for rec in drops:
             assert set(rec) == names(DropRecord) and set(rec["stats"]) == names(TextStats)
             read = DropRecord(**{**rec, "stats": TextStats(**rec["stats"])})
-            assert read == heuristic_filter(corpus.get(rec["doc_id"]), config.heuristics)
+            assert read == heuristic_filter(corpus.get(rec["doc_id"]), config.quality.heuristics)
 
     @pytest.mark.parametrize("index", range(len(pipeline.PHASE_TABLE)),
                              ids=[phase.name for phase in pipeline.PHASE_TABLE])
@@ -307,6 +307,24 @@ def test_sampling_report_records_the_configured_lambdas(tmp_path):
             p["signal"]: p["lambda"] for p in raw["sampling"]["policies"]
         }
 
+
+
+@pytest.mark.parametrize("schedule", [{}, None], ids=["empty", "null"])
+def test_unset_lr_schedule_writes_no_schedule_csv(completed_run, tmp_path, schedule):
+    """An empty or null train_prep.lr_schedule is no schedule: train_prep
+    reruns alone and neither writes nor records schedule.csv."""
+    config, _ = completed_run
+    work = tmp_path / "work"
+    shutil.copytree(config.work_dir, work)
+    (work / "schedule.csv").unlink()
+    raw = dict(config.raw, work_dir=str(work))
+    raw["train_prep"] = dict(raw["train_prep"], lr_schedule=schedule)
+    config = PipelineConfig.from_dict(raw)
+    assert config.train_prep.lr_schedule is None
+    rerun = run_pipeline(config)
+    assert [p for p, ran in rerun["phases_executed"].items() if ran] == ["train_prep"]
+    assert not (work / "schedule.csv").exists()
+    assert "schedule.csv" not in read_json(work / "train_prep.done.json")["outputs"]
 
 class TestWorkersKey:
     def test_workers_key_starts_no_process(self, tmp_path, monkeypatch):
