@@ -9,13 +9,9 @@ picks by CPU. Ensemble members are trained independently, one per
 high-quality reference source; their scores stay separate signals
 downstream.
 
-A vocabulary that did not reach max_features holds every n-gram seen in
-training. Every word of a seen n-gram is a seen word, so with order 1
-among the orders the vocabulary is closed: it holds every word of each
-of its longer n-grams. Scoring a closed model may therefore skip every
-n-gram with a word outside the vocabulary without hashing it
-(QualityClassifier.allows_word_gate); the score is the same float, short
-of a 64-bit hash collision.
+A model whose vocabulary holds every word of each of its n-grams may skip,
+unhashed, every n-gram with a word outside it and score the same float
+(QualityClassifier.allows_word_gate).
 
 Binary model format (little-endian), version 1:
 
@@ -40,12 +36,12 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import word_window_hashes
+from .hashing import WordTable, word_window_hashes as ngram_hashes  # the models' n-gram features
 from .jsonl import atomic_write
 
 MAGIC = b"CPQC"
@@ -74,18 +70,6 @@ class ClassifierHyper:
             raise ConfigError("epochs must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
-
-
-def ngram_hashes(
-    text: str,
-    orders: Sequence[int],
-    word_hashes: dict[str, int] | None = None,
-    known: Container[int] | None = None,
-) -> list[int]:
-    """64-bit hashes of all word n-grams of the given orders; `word_hashes`
-    is the word-hash dict and `known` the word gate of
-    hashing.word_window_hashes."""
-    return word_window_hashes(text, orders, word_hashes, known)
 
 
 def _feature_counts(hashes: Iterable[int], vocab: dict[int, int]) -> dict[int, int]:
@@ -219,10 +203,8 @@ def train_classifier(
     if not positives or not negatives:
         raise ConfigError("both classes need at least one document")
 
-    word_hashes: dict[str, int] = {}
-    sample_hashes = [
-        ngram_hashes(t, hyper.orders, word_hashes) for t in [*positives, *negatives]
-    ]
+    words = WordTable()
+    sample_hashes = [ngram_hashes(t, hyper.orders, words) for t in [*positives, *negatives]]
     labels = np.array([1.0] * len(positives) + [0.0] * len(negatives))
 
     # Vocabulary: most frequent n-grams first, hash value as tie-break.

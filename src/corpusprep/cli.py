@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+# Nothing here calls BLAS: no OpenBLAS thread pool, unless the user asks. Runs before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import classifier as clf_mod
 from . import curriculum as cur_mod

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import RejectedRecord
-from .hashing import hash64_hex, hash128_hex
+from .hashing import WordTable, hash64_hex, hash128_hex
 from .jsonl import read_records, write_jsonl
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
@@ -48,13 +48,15 @@ class Document:
 
 @dataclass
 class Corpus:
-    """Documents in ascending doc_id order; the pipeline's determinism anchor."""
+    """Documents in ascending doc_id order; the pipeline's determinism anchor.
+    `words` splits each distinct text once for as long as the corpus lives."""
 
     documents: list[Document]
 
     def __post_init__(self):
         self.documents.sort(key=lambda d: d.doc_id)
         self._by_id = {d.doc_id: d for d in self.documents}
+        self.words = WordTable()
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -99,7 +101,8 @@ def normalize_text(raw: str) -> str:
     t = unicodedata.normalize("NFC", raw)
     while "\r\n" in t:  # rewrite to fixpoint: "\r\r\n" needs two passes
         t = t.replace("\r\n", "\n")
-    t = _BLANK_RUN.sub("\n\n\n", t)
+    if "\n\n\n\n" in t:
+        t = _BLANK_RUN.sub("\n\n\n", t)
     return t.strip()
 
 

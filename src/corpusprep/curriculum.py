@@ -169,13 +169,16 @@ def gate_value(signals: Mapping[str, float], gating_signal: str) -> float:
     return signals[gating_signal]
 
 
-def stage_eligible(annotated: Iterable[Annotation], stage: StageSpec) -> set[str]:
-    """Doc ids whose gating signal meets the stage threshold."""
-    return {
-        row.doc_id
-        for row in annotated
-        if gate_value(row.signals, stage.gating_signal) >= stage.quality_threshold
-    }
+def stage_eligible(
+    annotated: Iterable[Annotation], stage: StageSpec, gates: dict[str, dict[str, float]] | None = None
+) -> set[str]:
+    """Doc ids whose gating signal meets the stage threshold. `gates` maps
+    each gating signal to its {doc_id: gate_value} over `annotated`, filled
+    here as needed, so the stages of one run take each signal's values once."""
+    signal, gates = stage.gating_signal, {} if gates is None else gates
+    if signal not in gates:
+        gates[signal] = {row.doc_id: gate_value(row.signals, signal) for row in annotated}
+    return {doc_id for doc_id, value in gates[signal].items() if value >= stage.quality_threshold}
 
 
 def mixture_group(signals: Mapping[str, float], mixture: Mapping[str, Fraction]) -> str | None:
@@ -295,7 +298,6 @@ def emit_stage(
         samplers[g] = ClusterSampler.from_distribution(g_dist, g_clusters)
         rngs[g] = np.random.default_rng(derive_seed(stage_seed, g))
 
-    token_cache: dict[str, list[int]] = {}
     writer = _ShardWriter(out_dir, shard_tokens)
     group_tokens = {g: 0 for g in samplers}
     total = 0
@@ -305,10 +307,7 @@ def emit_stage(
     while total < budget:
         g = max(samplers, key=lambda name: (targets[name] - group_tokens[name], name))
         doc_id = samplers[g].draw_one(rngs[g])
-        ids = token_cache.get(doc_id)
-        if ids is None:
-            ids = tokenizer.encode(corpus.get(doc_id).text)
-            token_cache[doc_id] = ids
+        ids = tokenizer.encode(corpus.get(doc_id).text, corpus.words)
         writer.add(doc_id, ids)
         group_tokens[g] += len(ids)
         total += len(ids)

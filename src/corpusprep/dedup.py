@@ -1,10 +1,10 @@
 """Exact and fuzzy deduplication into duplicate clusters.
 
 Every step works on sorted arrays of distinct uint64 shingle hashes, one
-per distinct text. shingle hashes each distinct word once with blake2b
-and composes every w-gram's hash from its word hashes with numpy, one pass
-per batch of texts (a Karp-Rabin polynomial, hashing.window_hashes), so
-blake2b runs per distinct word, not per window. compute_signatures is
+per distinct text. shingle composes every w-gram's hash from the word
+hashes of the corpus's word table with numpy, a batch of texts per pass
+(a Karp-Rabin polynomial, hashing.window_hashes), so blake2b runs per
+distinct word, not per window. compute_signatures is
 one-permutation MinHash (Li, Owen and Zhang 2012): each shingle is mixed
 once and falls into one of num_perms bins, each bin keeps its minimum, and
 an empty bin copies the first non-empty bin in a fixed probe order
@@ -38,7 +38,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ConfigError
-from .hashing import mix64, text_hash64, window_hashes, word_hash_array
+from .hashing import WordTable, hash64, mix64, window_hashes
 from .jsonl import read_records, write_jsonl
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
@@ -100,29 +100,29 @@ class DuplicateCluster:
     domain_count: int  # distinct member domains
 
 
-def shingle(texts: Sequence[str], width: int) -> list[np.ndarray]:
+def shingle(texts: Sequence[str], width: int, words: WordTable | None = None) -> list[np.ndarray]:
     """Sorted distinct shingle hashes of each text, as uint64 arrays.
 
     A shingle is a width-word window (lowercased, whitespace split), hashed
-    from the hash64 of its words (hashing.window_hashes). The words of each
-    batch of SHINGLE_BATCH texts are hashed into one array, through one
-    word dict for all of `texts`, and every window of it is hashed in one
-    pass; a text's shingles are the windows that start and end inside it.
-    A text of fewer than `width` words has the one shingle text_hash64(text),
-    so no array is empty.
+    from the hash64 of its words in `words` (a fresh table without one),
+    SHINGLE_BATCH texts per pass (hashing.window_hashes); a text's shingles
+    are the windows that start and end inside it. A text of fewer than
+    `width` words has the one shingle hash64 of its lowercased words joined
+    by single spaces, so no array is empty.
     """
     if width < 1:
         raise ConfigError("shingle width must be >= 1")
-    word_hashes: dict[str, int] = {}
+    words = words or WordTable()
     rows = []
     for first in range(0, len(texts), SHINGLE_BATCH):
-        batch = texts[first : first + SHINGLE_BATCH]
-        words, counts = word_hash_array(batch, word_hashes)
-        windows = window_hashes(words, width)
+        ids = [words.ids(text) for text in texts[first : first + SHINGLE_BATCH]]
+        windows = window_hashes(words.lowered_hashes(np.concatenate(ids)), width)
         start = 0
-        for text, n in zip(batch, counts):
+        for text_ids in ids:
+            n = len(text_ids)
             if n < width:
-                rows.append(np.array([text_hash64(text)], dtype=np.uint64))
+                short = " ".join(words.lowered(text_ids)).encode("utf-8")
+                rows.append(np.array([hash64(short)], dtype=np.uint64))
             else:
                 ranked = np.sort(windows[start : start + n - width + 1])
                 rows.append(ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))])
@@ -348,7 +348,7 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
     Returns clusters sorted by cluster_id with retention filled.
     """
     texts = list(dict.fromkeys(d.text for d in corpus))
-    row_of = dict(zip(texts, shingle(texts, cfg.shingle_width)))
+    row_of = dict(zip(texts, shingle(texts, cfg.shingle_width, corpus.words)))
     # Equal shingle arrays mean equal signatures and Jaccard 1.0 to each
     # other and equal Jaccard to everyone else, so one member per group
     # stands in.

@@ -40,6 +40,7 @@ PACK_MAGIC = b"CPPK"
 PACK_VERSION = 1
 MASK_MATERIALIZE_LIMIT = 8192
 MAX_SEQUENCE_LENGTH = 262_144
+U32_MAX = 2**32 - 1
 
 
 @dataclass
@@ -189,8 +190,15 @@ def pack_shards(
     shards: Iterable[str | Path], out: str | Path, seq_len: int, pad_id: int
 ) -> list[PackedSequence]:
     """Pack the ShardRow rows of the shard files `shards`, in order, and
-    write the sequences to `out`."""
-    docs = [(row.doc_id, row.token_ids) for path in shards for row in read_records(ShardRow, path)]
+    write the sequences to `out`; a pad or token id outside u32 raises ConfigError."""
+    if not 0 <= pad_id <= U32_MAX:
+        raise ConfigError(f"pad id {pad_id} is outside [0, {U32_MAX}]")
+    docs = []
+    for path in shards:
+        for n, row in enumerate(read_records(ShardRow, path), start=1):
+            if row.token_ids and not 0 <= min(row.token_ids) <= max(row.token_ids) <= U32_MAX:
+                raise ConfigError(f"{path}: row {n} has a token id outside [0, {U32_MAX}]")
+            docs.append((row.doc_id, row.token_ids))
     sequences = pack_documents(docs, seq_len, pad_id)
     write_packed(out, sequences, seq_len, pad_id)
     return sequences

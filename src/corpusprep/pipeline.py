@@ -461,9 +461,11 @@ class Pipeline:
         self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan,
         annotated: list[quality_mod.Annotation], corpus: Corpus,
         clusters: list[dedup_mod.DuplicateCluster], merged: dict[str, float],
+        gates: dict[str, dict[str, float]] | None = None,
     ) -> tuple[set[str], cur_mod.ShardManifest]:
-        """Emit one stage's shards under stages/<id>; returns (eligible ids, manifest)."""
-        eligible = cur_mod.stage_eligible(annotated, stage)
+        """Emit one stage's shards under stages/<id>; returns (eligible ids,
+        manifest). `gates` is as in curriculum.stage_eligible."""
+        eligible = cur_mod.stage_eligible(annotated, stage, gates)
         manifest = cur_mod.emit_stage(
             stage,
             plan,
@@ -486,11 +488,12 @@ class Pipeline:
         plan = self.config.curriculum
         budgets = cur_mod.stage_budgets(plan)
 
+        gates: dict[str, dict[str, float]] = {}  # shared by the stages
         outputs: list[Path] = []
         stage_summaries = {}
         for stage in plan.stages:
             stage_dir = self.work_dir / "stages" / stage.stage_id
-            eligible, manifest = self.emit_stage(stage, plan, annotated, corpus, clusters, merged)
+            eligible, manifest = self.emit_stage(stage, plan, annotated, corpus, clusters, merged, gates)
             outputs.append(stage_dir / "manifest.json")
             outputs.extend(stage_dir / s["file"] for s in manifest.shards)
             stage_summaries[stage.stage_id] = {

@@ -7,14 +7,11 @@ survives gets a plain signal dict: one "clf:<model_id>" entry per
 ensemble classifier, the cluster's three "freq:*" counts, and one
 binary "tag:<name>" entry per domain tag. The signals are never
 combined here; mixing them is a sampling-time decision. Heuristics and
-scoring run in the calling process, one retained document at a time.
-Every distinct word is hashed once, through one bounded word dict.
-Where every classifier of an n-gram order set allows the word gate
-(classifier.QualityClassifier.allows_word_gate: order 1 among its
-orders, vocabulary not cut at max_features), an n-gram of two or more
-words is hashed only if all its words are in `known`, the union of the
-classifiers' vocabularies. The scores are the same floats as without
-the gate.
+scoring run in the calling process, one retained document at a time,
+reading words from the corpus's word table (Corpus.words), so no text is
+split again. Where every classifier of an n-gram order set allows the word
+gate (classifier.QualityClassifier.allows_word_gate), an n-gram of two or
+more words is hashed only if all its words are in a vocabulary.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
 with JSON-float values; readers join them to corpus.jsonl on doc_id.
@@ -30,6 +27,7 @@ from .classifier import QualityClassifier, ngram_hashes
 from .corpus import Corpus, Document
 from .dedup import DuplicateCluster
 from .errors import ConfigError, PipelineOrderError
+from .hashing import WordTable
 from .jsonl import read_jsonl, write_jsonl
 
 REQUIRED_TAGS = ("code", "math")
@@ -70,10 +68,12 @@ class DropRecord:
 _ASCII_NON_ALPHA = bytes(b for b in range(128) if not chr(b).isalpha())
 
 
-def text_stats(text: str) -> TextStats:
-    words = text.split()
-    word_count = len(words)
-    mean_word_length = len("".join(words)) / word_count if word_count else 0.0
+def text_stats(text: str, words: WordTable | None = None) -> TextStats:
+    """The text's stats; its words come from `words` (a fresh table without one)."""
+    words = words or WordTable()
+    ids = words.ids(text)
+    word_count = len(ids)
+    mean_word_length = int(words.lengths(ids).sum()) / word_count if word_count else 0.0
     if text.isascii():
         alpha = len(text.encode("ascii").translate(None, _ASCII_NON_ALPHA))
     else:
@@ -95,10 +95,10 @@ def text_stats(text: str) -> TextStats:
 
 
 def heuristic_filter(
-    doc: Document, thresholds: HeuristicThresholds = HeuristicThresholds()
+    doc: Document, thresholds: HeuristicThresholds = HeuristicThresholds(), words: WordTable | None = None
 ) -> DropRecord:
-    """Apply the drop rules; the document is dropped iff `reasons` is not empty."""
-    stats = text_stats(doc.text)
+    """Apply the drop rules; dropped iff `reasons` is not empty. Words come from `words`."""
+    stats = text_stats(doc.text, words)
     reasons = []
     if stats.word_count < thresholds.min_words:
         reasons.append("min_words")
@@ -189,14 +189,10 @@ def annotate(
     result never contains a combined score.
 
     Scorers are grouped by their n-gram orders, and each group's hashes
-    are taken once per kept text. In a group whose scorers all allow the
-    word gate, a window of two or more words is hashed only if each of its
-    words is in `known`, the union of all the vocabularies
-    (hashing.word_window_hashes): each scorer's vocabulary holds the words
-    of its own n-grams, so no window that one of them knows is skipped.
-    Every other group hashes each window. score_hashes ignores hashes
-    outside its vocabulary, so every score is the one the full hash list
-    gives, bit for bit.
+    are taken once per kept text, through the word gate with `known`, the
+    union of all the vocabularies, when all its scorers allow it: each
+    vocabulary holds the words of its own n-grams and score_hashes ignores
+    other hashes, so every score is the one the full hash list gives.
     """
     domain_classifiers = domain_classifiers or {}
     cluster_by_doc: dict[str, DuplicateCluster] = {}
@@ -226,7 +222,6 @@ def annotate(
     gates = {
         clf.hyper.orders: None if clf.hyper.orders in ungated else known for clf in scorers
     }
-    word_hashes: dict[str, int] = {}
 
     annotated: list[Annotation] = []
     drops: list[DropRecord] = []
@@ -235,12 +230,12 @@ def annotate(
             doc = corpus.get(doc_id)
             if doc is None:
                 raise PipelineOrderError(f"retained doc {doc_id} missing from corpus")
-            report = heuristic_filter(doc, thresholds)
+            report = heuristic_filter(doc, thresholds, corpus.words)
             if report.reasons:
                 drops.append(report)
                 continue
             hashes_by_orders = {
-                orders: ngram_hashes(doc.text, orders, word_hashes, gate)
+                orders: ngram_hashes(doc.text, orders, corpus.words, gate)
                 for orders, gate in gates.items()
             }
             signals = {

@@ -5,8 +5,11 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpusprep
 from corpusprep.classifier import ClassifierHyper, QualityClassifier
 from corpusprep.cli import build_parser, main
 from corpusprep.corpus import read_corpus
@@ -245,6 +249,26 @@ class TestPrepCommands:
         seq_len, pad_id, seqs = read_packed(out)
         assert seq_len == 8
         assert sum(s.pad_from for s in seqs) == 3 + 5 + 11
+
+    @pytest.mark.parametrize("token_ids, pad_id, named", [
+        ([1, -2], "0", "row 2"),
+        ([1, 2**32], "0", "row 2"),
+        ([1, 2**32 - 1], "-1", "pad id -1"),
+        ([1, 2**32 - 1], str(2**32), f"pad id {2**32}"),
+    ])
+    def test_pack_rejects_values_outside_u32(self, tmp_path, capsys, token_ids, pad_id, named):
+        """Token ids and the pad id are u32 in the packed file; any other
+        value ends in one error line, not a traceback."""
+        shard = tmp_path / "tokens.jsonl"
+        shard.write_text(json.dumps({"doc_id": "a", "token_ids": [1]}) + "\n"
+                         + json.dumps({"doc_id": "b", "token_ids": token_ids}) + "\n")
+        out = tmp_path / "packed.bin"
+        argv = ["prep", "pack", "--length", "8", "--in", str(shard), "--out", str(out),
+                "--pad-id", pad_id]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and named in err
+        assert not out.exists()
 
     def test_schedule(self, tmp_path, capsys):
         spec = {
@@ -671,3 +695,19 @@ def test_readme_config_example_builds():
     config = PipelineConfig.from_dict(json.loads(block))
     assert [s.model_id for s in config.quality.classifiers] == ["web"]
     assert [p.policy.signal_name for p in config.sampling.policies] == ["freq:occurrence", "clf:web"]
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_cli_sets_one_openblas_thread_unless_the_user_set_it(preset, seen):
+    """Importing numpy starts OpenBLAS's thread pool, which nothing here
+    uses; the CLI module caps it at one thread before numpy loads."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(corpusprep.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import os, corpusprep.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == seen

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,16 @@ class TestNormalizeText:
     def test_idempotent(self, raw):
         once = normalize_text(raw)
         assert normalize_text(once) == once
+
+    @given(st.text(alphabet="\n\r a", max_size=60))
+    @settings(max_examples=300)
+    def test_equals_the_plain_blank_run_regex(self, raw):
+        """The blank-run rewrite runs only on texts with four newlines in a
+        row; the result is that of running it on every text."""
+        t = raw
+        while "\r\n" in t:
+            t = t.replace("\r\n", "\n")
+        assert normalize_text(raw) == re.sub(r"\n{4,}", "\n\n\n", t).strip()
 
 
 class TestIngestRecord:

@@ -550,24 +550,16 @@ class TestScoreChunk:
 
     @settings(max_examples=150, deadline=None)
     @given(score_texts, st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    def test_shared_word_dict_equals_fresh_dicts(self, texts, widths):
-        shared: dict[str, int] = {}
+    def test_shared_word_table_equals_fresh_tables(self, texts, widths):
+        shared = hashing.WordTable()
         for text in texts:
             assert hashing.word_window_hashes(text, widths, shared) == (
                 hashing.word_window_hashes(text, widths)
             )
-        words = {w for t in texts for w in t.lower().split()} if 1 in widths else ()
-        assert shared == {w: hashing.hash64(w.encode("utf-8")) for w in words}
-
-    def test_full_word_dict_is_emptied_and_hashes_do_not_change(self, monkeypatch):
-        monkeypatch.setattr(hashing, "WORD_HASHES_MAX", 3)
-        shared: dict[str, int] = {}
-        for text in ["a b c", "c d e f", "Straße a", "g"]:
-            assert hashing.word_window_hashes(text, (1, 2), shared) == (
-                hashing.word_window_hashes(text, (1, 2))
-            )
-            assert len(shared) <= 3
-        assert shared == {w: hashing.hash64(w.encode("utf-8")) for w in ("straße", "a", "g")}
+        for text in texts:
+            assert shared.lowered_hashes(shared.ids(text)).tolist() == [
+                hashing.hash64(w.encode("utf-8")) for w in text.lower().split()
+            ]
 
 
 class TestWordGate:
@@ -591,7 +583,7 @@ class TestWordGate:
     )
     def test_gated_hashes_are_the_windows_of_known_words(self, texts, widths, known_words):
         known = {hashing.hash64(w.encode("utf-8")) for w in known_words}
-        shared: dict[str, int] = {}
+        shared = hashing.WordTable()
         for text in texts:
             words = text.lower().split()
             expected = [

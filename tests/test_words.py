@@ -9,22 +9,33 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusprep.classifier import ngram_hashes
+from corpusprep.dedup import shingle
+from corpusprep.hashing import WordTable, hash64
 from corpusprep.pipeline import PipelineConfig, run_pipeline, strip_timing
+from corpusprep.quality import TextStats, text_stats
+from corpusprep.tokenizer import WhitespaceTokenizer
 
 from conftest import make_pipeline_workspace
+from test_dedup import reference_shingles
 
 # Words whose lowercase forms differ from a plain ASCII lowering, or that
 # hold characters str.split does not split on.
 ODD_WORDS = [
     "Straße", "STRASSE", "İstanbul", "ISTANBUL", "ΟΔΟΣ", "ὈΔΌΣ", "σοφός", "Über",
-    "ÜBER", "Ёж", "ёж", "naïve", "co­op", "zero​width", "ǅemal", "ﬁne",
+    "ÜBER", "Ёж", "ёж", "naïve", "co\u00adop", "zero\u200bwidth", "ǅemal", "ﬁne",
 ]
 # Separators str.split splits on besides the ASCII ones.
-ODD_SPACES = [" ", " ", "　", "\x1c", " "]
+ODD_SPACES = ["\u00a0", "\u2003", "\u3000", "\x1c", "\u2028"]
+# Every character str.isspace accepts: str.split splits on exactly these.
+SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
 
 
 def mix_case(text: str) -> str:
@@ -169,3 +180,79 @@ def test_mixed_case_run_keeps_its_bytes(tmp_path):
     report = run_pipeline(config)
     assert report["reconciliation"]["ok"]
     assert work_digests(config.work_dir) == PINNED
+
+
+def test_spaces_are_the_29_split_characters():
+    assert len(SPACES) == 29 and all(len(f"a{c}b".split()) == 2 for c in SPACES)
+
+
+# Text around the characters whose lowercasing is unusual: final and
+# non-final sigma, dotted capital I, the soft hyphen and the zero-width space.
+tricky_texts = st.text(
+    alphabet=st.sampled_from([*SPACES, "Σ", "ς", "σ", "İ", "I", "i", "\u00ad", "\u200b", "A", "b", "ẞ"])
+    | st.characters(),
+    max_size=40,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tricky_texts)
+def test_lowercasing_each_word_equals_splitting_the_lowercased_text(text):
+    """The identity the word table rests on: its lowercase forms of a
+    text's words are the words of the lowercased text."""
+    assert [w.lower() for w in text.split()] == text.lower().split()
+
+
+mixed_words = st.sampled_from(ODD_WORDS + ["apple", "Apple", "APPLE", "pear", "ΣΟΦΟΣ", "οδός", "a"])
+mixed_texts = st.lists(
+    st.tuples(mixed_words, st.sampled_from([" ", "\n", " \t ", *ODD_SPACES])).map("".join),
+    max_size=14,
+).map("".join)
+
+
+def plain_stats(text: str) -> TextStats:
+    words = text.split()
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    return TextStats(
+        word_count=len(words),
+        mean_word_length=len("".join(words)) / len(words) if words else 0.0,
+        alpha_ratio=sum(c.isalpha() for c in text) / len(text) if text else 0.0,
+        max_line_repeat_ratio=max(Counter(lines).values()) / len(lines) if len(lines) > 1 else 0.0,
+    )
+
+
+def plain_windows(text: str, orders, known_words=None) -> list[int]:
+    words = text.lower().split()
+    return [
+        hash64(" ".join(words[i : i + n]).encode("utf-8"))
+        for n in orders
+        for i in range(len(words) - n + 1)
+        if known_words is None or known_words.issuperset(words[i : i + n])
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_texts, min_size=1, max_size=6), st.sets(mixed_words.map(str.lower)))
+def test_word_table_paths_equal_plain_per_text_references(texts, known_words):
+    """Shingles, n-gram hashes with and without the word gate, text stats
+    and token ids, all read from one table filled in varying order, equal
+    plain references that split and hash each text on its own."""
+    table = WordTable()
+    tokenizer = WhitespaceTokenizer(1000)
+    known = {hash64(w.encode("utf-8")) for w in known_words}
+    for text in reversed(texts):  # some texts are read by the tokenizer first
+        assert tokenizer.encode(text, table) == [
+            1 + hash64(w.encode("utf-8")) % 1000 for w in text.split()
+        ]
+    for width in (1, 3):
+        rows = shingle(texts, width, table)
+        assert [row.tolist() for row in rows] == [
+            sorted(reference_shingles(text, width)) for text in texts
+        ]
+    for text in texts:
+        assert text_stats(text, table) == plain_stats(text)
+        for orders in ((1,), (1, 2), (2, 3)):
+            assert ngram_hashes(text, orders, table) == plain_windows(text, orders)
+            assert ngram_hashes(text, orders, table, known) == plain_windows(
+                text, orders, known_words
+            )
