@@ -114,11 +114,11 @@ class QualityClassifier:
         of the longer ones."""
         return 1 in self.hyper.orders and len(self.vocabulary) < self.hyper.max_features
 
-    def score_text(self, text: str) -> float:
-        """Sigmoid of the linear score over the text's hashed n-grams; the
-        word gate skips the n-grams that cannot be in the vocabulary."""
+    def score_text(self, text: str, words: WordTable | None = None) -> float:
+        """Sigmoid of the linear score over the text's hashed n-grams, words
+        from `words`; the word gate skips n-grams that cannot be in the vocabulary."""
         known = self.vocabulary if self.allows_word_gate else None
-        return self.score_hashes(ngram_hashes(text, self.hyper.orders, known=known))
+        return self.score_hashes(ngram_hashes(text, self.hyper.orders, words, known))
 
     def save(self, path: str | Path) -> None:
         vocab_items = sorted(self.vocabulary.items(), key=lambda kv: kv[1])

@@ -93,7 +93,7 @@ def cmd_quality_score(args) -> int:
     model = clf_mod.QualityClassifier.load(args.model)
     corpus = _read_corpus_shards(args.inputs)
     rows = [
-        {"doc_id": d.doc_id, "score": model.score_text(d.text)} for d in corpus
+        {"doc_id": d.doc_id, "score": model.score_text(d.text, corpus.words)} for d in corpus
     ]
     if args.out:
         write_jsonl(args.out, rows)
