@@ -23,7 +23,7 @@ from . import quality as quality_mod
 from . import sampling as sampling_mod
 from .corpus import Corpus, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, CorpusPrepError, IntegrityError, ValidationError
-from .jsonl import write_json, write_jsonl
+from .jsonl import write_json, write_jsonl, write_records
 from .packing import pack_shards
 from .pipeline import (
     ClassifierSpec,
@@ -120,7 +120,7 @@ def cmd_quality_annotate(args) -> int:
     annotated, drops = quality_mod.annotate(
         corpus, clusters, ensemble, domain, thresholds=cfg.heuristics, tag_threshold=cfg.tag_threshold
     )
-    quality_mod.write_annotations(annotated, args.out)
+    write_records(args.out, annotated)
     if args.drops:
         quality_mod.write_drop_report(drops, args.drops)
     print(f"annotated {len(annotated)} docs ({len(drops)} dropped) -> {args.out}")
@@ -129,15 +129,13 @@ def cmd_quality_annotate(args) -> int:
 
 def cmd_sample(args) -> int:
     raw = read_config(args.config)
-    specs = config_section(SamplingConfig, raw.get("sampling", raw), "sampling").policies
+    policies = config_section(SamplingConfig, raw.get("sampling", raw), "sampling").policies
     _need_files(*args.inputs, args.clusters)
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
         key=lambda row: row.doc_id,
     )
-    rows, merged = sampling_mod.weight_rows(
-        annotated, [s.policy for s in specs], [s.mixture_weight for s in specs]
-    )
+    rows, merged = sampling_mod.weight_rows(annotated, policies)
     write_jsonl(args.out, rows)
     print(f"wrote weights for {len(rows)} docs -> {args.out}")
     if args.draw:

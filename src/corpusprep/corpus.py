@@ -24,7 +24,7 @@ from urllib.parse import urlsplit
 
 from .errors import RejectedRecord
 from .hashing import WordTable, hash64_hex, hash128_hex
-from .jsonl import read_records, write_jsonl
+from .jsonl import read_records, write_records
 
 REQUIRED_FIELDS = ("url", "text", "crawl_time", "snapshot_id")
 
@@ -226,7 +226,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> int:
     Keeping volatile fields out of the shard file is what makes repeat
     ingests byte-identical.
     """
-    return write_jsonl(path, map(vars, corpus))
+    return write_records(path, corpus)
 
 
 def read_corpus(path: str | Path) -> Corpus:

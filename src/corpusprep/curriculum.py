@@ -23,7 +23,7 @@ from .corpus import Corpus
 from .dedup import DuplicateCluster
 from .errors import ConfigError, UnknownSignalError, ValidationError
 from .hashing import derive_seed, sha256_file
-from .jsonl import read_json, read_records, write_json, write_jsonl
+from .jsonl import read_json, read_records, write_json, write_records
 from .quality import Annotation
 from .sampling import ClusterSampler, restrict_clusters, restrict_distribution
 from .tokenizer import WhitespaceTokenizer
@@ -234,7 +234,7 @@ class _ShardWriter:
             return
         name = f"shard_{len(self.shards):04d}.jsonl"
         path = self.out_dir / name
-        write_jsonl(path, map(vars, self.records))
+        write_records(path, self.records)
         self.shards.append(
             {"file": name, "tokens": self.tokens, "sha256": sha256_file(path)}
         )

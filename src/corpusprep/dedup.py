@@ -39,7 +39,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .errors import ConfigError
 from .hashing import WordTable, hash64, mix64, window_hashes
-from .jsonl import read_records, write_jsonl
+from .jsonl import read_records, write_records
 
 DEFAULT_PERM_SEED = 0x1CEB00DA
 # Version of the hash that shingle gives each window in its sorted uint64
@@ -368,7 +368,7 @@ def run_dedup(corpus: Corpus, cfg: DedupConfig) -> list[DuplicateCluster]:
 
 
 def write_clusters(clusters: Sequence[DuplicateCluster], path) -> int:
-    return write_jsonl(path, map(vars, clusters))
+    return write_records(path, clusters)
 
 
 def read_clusters(path) -> list[DuplicateCluster]:

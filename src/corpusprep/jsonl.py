@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import Field, fields
+from functools import cache
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
@@ -55,6 +56,22 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     return n
 
 
+def json_key(f: Field) -> str:
+    """The JSON key of dataclass field `f`: metadata["json"], else its name."""
+    return f.metadata.get("json", f.name)
+
+
+@cache
+def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(JSON key, field name) of each field of dataclass `cls`."""
+    return tuple((json_key(f), f.name) for f in fields(cls))
+
+
+def write_records(path: str | Path, records: Iterable[Any]) -> int:
+    """Write dataclass records atomically, each an object of its fields under their JSON keys."""
+    return write_jsonl(path, ({k: getattr(rec, n) for k, n in _json_fields(type(rec))} for rec in records))
+
+
 def read_jsonl(path: str | Path) -> Iterator[Any]:
     """The JSON value on each non-blank line of `path`; a line that is not
     valid JSON raises ConfigError naming the file and the line number."""
@@ -71,16 +88,18 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
 
 def read_records(cls: type[T], path: str | Path, rows: Iterable[Any] | None = None) -> list[T]:
     """A `cls` from each row of JSONL file `path`, or of `rows` read from it;
-    a row that is not an object of exactly its fields, each value of its
-    field's type, raises ConfigError."""
-    checks = {name: _type_check(hint) for name, hint in get_type_hints(cls).items()}
+    a row that is not an object of exactly its fields' JSON keys, each value
+    of its field's type, raises ConfigError."""
+    hints = get_type_hints(cls)
+    names = dict(_json_fields(cls))
+    checks = {key: _type_check(hints[name]) for key, name in names.items()}
     records = []
     for n, rec in enumerate(read_jsonl(path) if rows is None else rows, start=1):
         if not (isinstance(rec, dict) and rec.keys() == checks.keys()
                 and all(checks[k](v) for k, v in rec.items())):
-            shape = {f.name: f.type for f in fields(cls)}
+            shape = {json_key(f): f.type for f in fields(cls)}
             raise ConfigError(f"{path}: row {n} is not an object of the fields {shape}")
-        records.append(cls(**rec))
+        records.append(cls(**{names[k]: v for k, v in rec.items()}))
     return records
 
 

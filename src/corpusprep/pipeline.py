@@ -35,10 +35,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fnmatch import fnmatch
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Iterable, Mapping, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, TypeVar, get_args, get_origin, get_type_hints
 
 from . import classifier as clf_mod
 from . import curriculum as cur_mod
@@ -48,7 +47,7 @@ from . import sampling as sampling_mod
 from .corpus import Corpus, ingest_files, read_corpus, write_corpus
 from .errors import ConfigError, IntegrityError, PhaseError
 from .hashing import hash128_hex, sha256_file
-from .jsonl import atomic_write, dumps, read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import atomic_write, dumps, json_key, read_json, read_jsonl, write_json, write_jsonl, write_records
 from .packing import pack_shards
 from .rope import rope_config
 from .schedule import LrScheduleSpec, dump_csv
@@ -72,14 +71,12 @@ def read_config(path: str | Path) -> dict:
     return raw
 
 
-def config_section(
-    cls: type[T], rec: Any, section: str, keys: Mapping[str, str] = {}, **given: Any
-) -> T:
+def config_section(cls: type[T], rec: Any, section: str, **given: Any) -> T:
     """Dataclass `cls` from the config object `rec`, at dotted path `section`
     ("" for the whole config) in errors.
 
     A field in `given` takes that value; any other takes rec[key] cast to
-    its annotated type, key being keys[field] or else the field's name, or
+    its annotated type, key being the field's JSON key (jsonl.json_key), or
     else keeps its default. A missing required key or a value that does
     not cast raises ConfigError naming the dotted path of the key."""
     if not isinstance(rec, dict):
@@ -89,7 +86,7 @@ def config_section(
     for f in fields(cls):
         if f.name in given:
             continue
-        key = keys.get(f.name, f.name)
+        key = json_key(f)
         path = f"{section}.{key}".lstrip(".")
         if key in rec:
             values[f.name] = _cast(hints[f.name], rec[key], path)
@@ -104,8 +101,8 @@ def _cast(hint: Any, value: Any, path: str) -> Any:
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # X | None
         return _cast(args[0], value, path) if value else None
-    if is_dataclass(hint):  # PolicySpec reads two dataclasses from one object
-        return getattr(hint, "from_dict", partial(config_section, hint))(value, path)
+    if is_dataclass(hint):
+        return config_section(hint, value, path)
     if origin in (list, tuple, dict):
         if type(value) is not (dict if origin is dict else list):
             raise ConfigError(f"config {path} must be a JSON {'object' if origin is dict else 'array'}")
@@ -136,19 +133,6 @@ class ClassifierSpec:
                               "either a path or positives+negatives training sources")
 
 
-@dataclass
-class PolicySpec:
-    policy: sampling_mod.UpsamplePolicy
-    mixture_weight: float
-
-    @classmethod
-    def from_dict(cls, rec: dict, section: str) -> "PolicySpec":
-        policy = config_section(
-            sampling_mod.UpsamplePolicy, rec, section, {"signal_name": "signal"}
-        )
-        return config_section(cls, rec, section, {"mixture_weight": "lambda"}, policy=policy)
-
-
 @dataclass(frozen=True)
 class QualityConfig:
     heuristics: quality_mod.HeuristicThresholds = field(default_factory=quality_mod.HeuristicThresholds)
@@ -159,7 +143,7 @@ class QualityConfig:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    policies: list[PolicySpec] = field(default_factory=list)
+    policies: list[sampling_mod.UpsamplePolicy] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -224,7 +208,7 @@ class PipelineConfig:
             if repeats:
                 raise ConfigError(f"quality classifiers repeat a {what}: {repeats}")
         written = quality_mod.signal_names([s.model_id for s in quality.classifiers], tags)
-        needed = [("sampling policy", p.policy.signal_name) for p in policies]
+        needed = [("sampling policy", p.signal_name) for p in policies]
         for s in plan.stages:
             if s.gating_signal != cur_mod.GATE_MAX_CLF:
                 needed.append((f"stage {s.stage_id} gating_signal", s.gating_signal))
@@ -416,7 +400,7 @@ class Pipeline:
             tag_threshold=quality.tag_threshold,
         )
         out_annotated = self.work_dir / "annotated.jsonl"
-        quality_mod.write_annotations(annotated, out_annotated)
+        write_records(out_annotated, annotated)
         self._held["annotated.jsonl"] = annotated
         out_drops = self.work_dir / "drop_report.jsonl"
         quality_mod.write_drop_report(drops, out_drops)
@@ -442,9 +426,7 @@ class Pipeline:
     def _phase_sampling(self) -> tuple[list[Path], dict]:
         annotated = self._load("annotated.jsonl")
         policies = self.config.sampling.policies
-        rows, _ = sampling_mod.weight_rows(
-            annotated, [p.policy for p in policies], [p.mixture_weight for p in policies]
-        )
+        rows, _ = sampling_mod.weight_rows(annotated, policies)
         out_weights = self.work_dir / "weights.jsonl"
         write_jsonl(out_weights, rows)
         # Not `merged`: the rows list every document, in another order, and
@@ -452,9 +434,7 @@ class Pipeline:
         self._held["weights.jsonl"] = sampling_mod.weights_distribution(rows)
         return [out_weights], {
             "documents": len(annotated),
-            "mixture_weights": {
-                p.policy.signal_name: p.mixture_weight for p in policies
-            },
+            "mixture_weights": {p.signal_name: p.mixture_weight for p in policies},
         }
 
     def emit_stage(

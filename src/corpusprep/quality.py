@@ -20,7 +20,7 @@ with JSON-float values; readers join them to corpus.jsonl on doc_id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .classifier import QualityClassifier, ngram_hashes
@@ -28,11 +28,10 @@ from .corpus import Corpus, Document
 from .dedup import DuplicateCluster
 from .errors import ConfigError, PipelineOrderError
 from .hashing import WordTable
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 
 REQUIRED_TAGS = ("code", "math")
 ANNOTATED_FORMAT = 2
-ANNOTATION_KEYS = frozenset({"doc_id", "url", "cluster_id", "extra"})
 DEFAULT_TAG_THRESHOLD = 0.5
 
 
@@ -117,46 +116,24 @@ def heuristic_filter(
 
 @dataclass(frozen=True)
 class Annotation:
-    """One annotated.jsonl row: a surviving document's signals, no text."""
+    """One annotated.jsonl row: a surviving document's signals, no text.
+    JSON floats round-trip float64 exactly."""
 
     doc_id: str
     url: str
     cluster_id: str
-    signals: dict[str, float]
-
-    def to_record(self) -> dict:
-        # JSON floats round-trip float64 exactly.
-        return {
-            "doc_id": self.doc_id,
-            "url": self.url,
-            "cluster_id": self.cluster_id,
-            "extra": self.signals,
-        }
-
-
-def write_annotations(rows: Sequence[Annotation], path) -> int:
-    return write_jsonl(path, (row.to_record() for row in rows))
+    signals: dict[str, float] = field(metadata={"json": "extra"})
 
 
 def read_annotations(path) -> list[Annotation]:
     """The rows of an annotated.jsonl file; any row that is not format 2
     (say a format-1 row carrying `text`) raises ConfigError."""
-    rows = []
-    for n, rec in enumerate(read_jsonl(path), start=1):
-        extra = rec.get("extra") if isinstance(rec, dict) else None
-        if not (
-            isinstance(extra, dict)
-            and rec.keys() == ANNOTATION_KEYS
-            and all(type(rec[k]) is str for k in ("doc_id", "url", "cluster_id"))
-            and all(type(v) is float for v in extra.values())
-        ):
-            raise ConfigError(
-                f"{path}: row {n} is not an annotated.jsonl format {ANNOTATED_FORMAT} "
-                "row {doc_id, url, cluster_id, extra: {signal: float}}; "
-                "rerun the quality phase"
-            )
-        rows.append(Annotation(rec["doc_id"], rec["url"], rec["cluster_id"], extra))
-    return rows
+    try:
+        return read_records(Annotation, path)
+    except ConfigError as exc:
+        raise ConfigError(
+            f"{exc} (annotated.jsonl format {ANNOTATED_FORMAT}; rerun the quality phase)"
+        ) from exc
 
 
 def signal_names(model_ids: Sequence[str], domain_tags: Iterable[str]) -> list[str]:

@@ -26,11 +26,14 @@ TRANSFORMS = ("identity", "threshold", "log2_sublinear")
 
 @dataclass(frozen=True)
 class UpsamplePolicy:
-    signal_name: str
+    """One `sampling.policies` entry: a signal's transform and mixture weight."""
+
+    signal_name: str = field(metadata={"json": "signal"})
     transform: str = "identity"
     threshold: float = 0.0  # threshold transform: boundary value
     boost: float = 1.0  # threshold transform: weight at/above the boundary
     cap: int = 6  # log2_sublinear: maximum weight
+    mixture_weight: float = field(default=1.0, metadata={"json": "lambda"})
 
     def __post_init__(self):
         if self.transform not in TRANSFORMS:
@@ -114,13 +117,13 @@ def merge_distributions(
 
 
 def weight_rows(
-    annotated: Sequence[Annotation], policies: Sequence[UpsamplePolicy], lambdas: Sequence[float]
+    annotated: Sequence[Annotation], policies: Sequence[UpsamplePolicy]
 ) -> tuple[list[dict], dict[str, float]]:
     """(rows, merged): one weights.jsonl row per document, with its weight
     under each policy and its probability in `merged`, the policies' maps
-    mixed by `lambdas`."""
+    mixed by their mixture weights."""
     maps = [build_weight_map(annotated, policy) for policy in policies]
-    merged = merge_distributions(maps, lambdas)
+    merged = merge_distributions(maps, [policy.mixture_weight for policy in policies])
     rows = [
         {
             "doc_id": row.doc_id,

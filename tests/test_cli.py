@@ -28,7 +28,6 @@ from corpusprep.errors import ConfigError
 from corpusprep.jsonl import read_json, read_jsonl, write_jsonl
 from corpusprep.pipeline import (
     PipelineConfig,
-    PolicySpec,
     QualityConfig,
     SamplingConfig,
     TrainPrepConfig,
@@ -183,7 +182,8 @@ class TestSampleCommand:
         rc = main(["sample", "--config", str(config_path), "--in", str(old),
                    "--out", str(tmp_path / "weights.jsonl")])
         assert rc == 1
-        assert "row 1 is not an annotated.jsonl format 2 row" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "row 1 is not an object of the fields" in err and "annotated.jsonl format 2" in err
 
 
 class TestCurriculumCommands:
@@ -629,13 +629,14 @@ def test_frozen_config_rejects_out_of_range_value(valid, name, bad):
 
 
 def test_policy_spec_maps_signal_and_lambda():
-    got = PolicySpec.from_dict(
+    got = config_section(
+        UpsamplePolicy,
         {"signal": "clf:web", "transform": "threshold", "threshold": "0.9", "boost": 5, "lambda": "0.6"},
         "sampling.policies[0]",
     )
-    expected = PolicySpec(UpsamplePolicy("clf:web", "threshold", threshold=0.9, boost=5.0), 0.6)
+    expected = UpsamplePolicy("clf:web", "threshold", threshold=0.9, boost=5.0, mixture_weight=0.6)
     assert got == expected and repr(got) == repr(expected)
-    assert PolicySpec.from_dict({"signal": "s", "lambda": 1}, "p").policy == UpsamplePolicy("s")
+    assert config_section(UpsamplePolicy, {"signal": "s", "lambda": 1}, "p") == UpsamplePolicy("s")
 
 
 # Commands that once took --workers, reading the files phase_files holds.
@@ -694,7 +695,7 @@ def test_readme_config_example_builds():
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     config = PipelineConfig.from_dict(json.loads(block))
     assert [s.model_id for s in config.quality.classifiers] == ["web"]
-    assert [p.policy.signal_name for p in config.sampling.policies] == ["freq:occurrence", "clf:web"]
+    assert [p.signal_name for p in config.sampling.policies] == ["freq:occurrence", "clf:web"]
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])

@@ -26,6 +26,7 @@ from corpusprep.classifier import (
 from corpusprep.corpus import Corpus, Document, ingest_record
 from corpusprep.dedup import DedupConfig, DuplicateCluster, run_dedup
 from corpusprep.errors import ConfigError, PipelineOrderError
+from corpusprep.jsonl import write_records
 from corpusprep.quality import (
     Annotation,
     HeuristicThresholds,
@@ -35,7 +36,6 @@ from corpusprep.quality import (
     read_annotations,
     signal_names,
     text_stats,
-    write_annotations,
 )
 
 from conftest import (
@@ -332,14 +332,14 @@ class TestAnnotate:
         corpus, clusters, ensemble, domain = annotated_fixture()
         a1, d1 = annotate(corpus, clusters, ensemble, domain)
         a2, d2 = annotate(corpus, clusters, ensemble, domain)
-        assert [d.to_record() for d in a1] == [d.to_record() for d in a2]
+        assert a1 == a2
         assert d1 == d2
 
     def test_no_composite_score_written(self):
         corpus, clusters, ensemble, domain = annotated_fixture()
         annotated, _ = annotate(corpus, clusters, ensemble, domain)
         for row in annotated:
-            for key in row.to_record()["extra"]:
+            for key in row.signals:
                 assert not key.startswith(("composite", "combined", "quality_score"))
 
     def test_unretained_clusters_rejected(self):
@@ -714,7 +714,7 @@ class TestSignalVector:
                    "freq:occurrence": 3.0, "tag:code": 1.0}
         row = Annotation("d1", "https://unit.example/d1", "c1", signals)
         path = tmp_path / "annotated.jsonl"
-        write_annotations([row], path)
+        write_records(path, [row])
         (back,) = read_annotations(path)
         assert back == row
         assert {k: v.hex() for k, v in back.signals.items()} == {
