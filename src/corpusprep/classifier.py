@@ -62,14 +62,17 @@ class ClassifierHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.orders or any(n < 1 for n in self.orders):
-            raise ConfigError("n-gram orders must be positive")
-        if self.max_features < 1:
-            raise ConfigError("max_features must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        # The integer ranges are those QualityClassifier.save packs.
+        if not self.orders or any(not 1 <= n < 2**16 for n in self.orders):
+            raise ConfigError("n-gram orders must be in [1, 2**16)")
+        if not 1 <= self.max_features < 2**64:
+            raise ConfigError("max_features must be in [1, 2**64)")
+        if not 1 <= self.epochs < 2**32:
+            raise ConfigError("epochs must be in [1, 2**32)")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be in [0, 2**64)")
 
 
 def _feature_counts(hashes: Iterable[int], vocab: dict[int, int]) -> dict[int, int]:

@@ -252,7 +252,6 @@ def emit_stage(
     tokenizer: WhitespaceTokenizer,
     master_seed: int,
     out_dir: str | Path,
-    shard_tokens: int = DEFAULT_SHARD_TOKENS,
 ) -> ShardManifest:
     """Draw, tokenize and shard one stage's token budget.
 
@@ -298,7 +297,7 @@ def emit_stage(
         samplers[g] = ClusterSampler.from_distribution(g_dist, g_clusters)
         rngs[g] = np.random.default_rng(derive_seed(stage_seed, g))
 
-    writer = _ShardWriter(out_dir, shard_tokens)
+    writer = _ShardWriter(out_dir, plan.shard_tokens)
     group_tokens = {g: 0 for g in samplers}
     total = 0
     drawn = 0

@@ -3,6 +3,11 @@
 Writers sort keys and keep UTF-8 unescaped so the same records always
 produce the same file bytes. Every artifact write goes through
 ``atomic_write``, so a reader never sees a half-written file.
+
+A dataclass record is written and read as an object of its fields. Each
+field's JSON key is its name unless `field(metadata={"json": key})` names
+another (json_key); write_records, read_records and pipeline.config_section
+all read the key from there.
 """
 
 from __future__ import annotations

@@ -109,11 +109,16 @@ def _cast(hint: Any, value: Any, path: str) -> Any:
         if origin is dict:
             return {k: _cast(args[1], v, f"{path}.{k}") for k, v in value.items()}
         return origin(_cast(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    # int() and float() would take true as 1 and cut 2.7 to 2.
+    if type(value) is bool and hint in (int, float) or (
+        hint is int and type(value) is float and not value.is_integer()
+    ):
+        raise ConfigError(f"config {path} must be {'an integer' if hint is int else 'a number'}, not {dumps(value)}")
     try:
         # Fraction(str(0.15)) is exactly 3/20; Fraction(0.15) would keep the
         # binary-float artifact and break exact share sums.
         return Fraction(str(value)) if hint is Fraction else hint(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
@@ -200,13 +205,15 @@ class PipelineConfig:
             raise ConfigError(f"sequence_length must be in [1, {rope_length}] for rope_stage {prep.rope_stage!r}")
         if plan.shard_tokens < 1 or not 1 <= prep.vocab_size <= 2**32 - 1:  # token ids are u32
             raise ConfigError("shard_tokens must be >= 1 and vocab_size in [1, 2**32 - 1]")
-        # Each classifier writes classifiers/<model_id>.clf and one signal.
+        # Each classifier writes classifiers/<model_id>.clf and one signal;
+        # each policy adds one signal's weight map to the mixture.
         model_ids = [s.model_id for s in quality.classifiers + quality.domain_classifiers]
         tags = [s.tag or s.model_id for s in quality.domain_classifiers]
-        for what, names in (("model_id", model_ids), ("domain tag", tags)):
+        signals = [p.signal_name for p in policies]
+        for what, names in (("classifier model_id", model_ids), ("domain tag", tags), ("policy signal", signals)):
             repeats = sorted({n for n in names if names.count(n) > 1})
             if repeats:
-                raise ConfigError(f"quality classifiers repeat a {what}: {repeats}")
+                raise ConfigError(f"the config repeats a {what}: {repeats}")
         written = quality_mod.signal_names([s.model_id for s in quality.classifiers], tags)
         needed = [("sampling policy", p.signal_name) for p in policies]
         for s in plan.stages:
@@ -456,7 +463,6 @@ class Pipeline:
             self.tokenizer,
             self.config.master_seed,
             self.work_dir / "stages" / stage.stage_id,
-            shard_tokens=plan.shard_tokens,
         )
         return eligible, manifest
 

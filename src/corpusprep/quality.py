@@ -14,7 +14,10 @@ gate (classifier.QualityClassifier.allows_word_gate), an n-gram of two or
 more words is hashed only if all its words are in a vocabulary.
 
 Signals travel as text-free Annotation rows (annotated.jsonl, format 2)
-with JSON-float values; readers join them to corpus.jsonl on doc_id.
+with JSON-float values; readers join them to corpus.jsonl on doc_id. A row
+holds the Annotation fields, written by jsonl.write_records and read by
+jsonl.read_records under the JSON keys declared on the fields: `signals`
+is the key `extra`.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ class UpsamplePolicy:
     mixture_weight: float = field(default=1.0, metadata={"json": "lambda"})
 
     def __post_init__(self):
+        if self.mixture_weight < 0:
+            raise ConfigError(f"lambda must be >= 0, got {self.mixture_weight}")
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform '{self.transform}'")
         if self.transform == "threshold" and self.boost < 0:
@@ -210,8 +212,8 @@ def draw(
     n: int,
 ) -> list[str]:
     """n seeded draws at cluster granularity with variant rotation."""
-    if n < 1:
-        raise ConfigError("draw count must be >= 1")
+    if n < 1 or seed < 0:
+        raise ConfigError("draw count must be >= 1 and seed >= 0")
     sampler = ClusterSampler.from_distribution(dist, clusters)
     rng = np.random.default_rng(seed)
     return [sampler.draw_one(rng) for _ in range(n)]

@@ -507,6 +507,27 @@ def test_malformed_input_row_exits_1_or_3(row_files, data):
     assert "error: " in err.getvalue() and err.getvalue().count("\n") == 1
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
+
+@pytest.mark.parametrize("argv", [
+    ["quality", "train", "--seed", "-1"],
+    ["quality", "train", "--seed", str(2**64)],
+    ["sample", "--config", "@sampling.json", "--in", "@annotated.jsonl", "--out", "@out.jsonl",
+     "--clusters", "@clusters.jsonl", "--draw", "3", "--seed", "-1"],
+], ids=["train-seed-negative", "train-seed-over-u64", "draw-seed-negative"])
+def test_seed_out_of_range_exits_1(workspace, row_files, capsys, argv):
+    """A classifier file packs its seed as u64 and numpy seeds with a
+    non-negative integer, so both commands reject other seeds up front."""
+    if argv[0] == "quality":
+        q = workspace[2]["quality"]["classifiers"][0]
+        argv = [*argv, "--positives", q["positives"], "--negatives", q["negatives"],
+                "--epochs", "1", "--out", "@out.clf"]
+    capsys.readouterr()
+    assert main(_row_argv(row_files, argv)) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+    assert not (row_files / "out.clf").exists()
+
 # -- malformed config files ---------------------------------------------------------
 
 DELETE = object()
@@ -530,9 +551,12 @@ BROKEN_KEYS = [
     ("run", "non-numeric-shard-tokens", ("curriculum", "shard_tokens"), "x"),
     ("run", "zero-denominator", ("curriculum", "stages", 0, "mixture", "code"), "1/0"),
     ("dedup", "non-numeric", ("bands",), "x"),
+    ("dedup", "fractional-int", ("top_k",), 2.7),
+    ("dedup", "boolean-int", ("shingle_width",), True),
     ("sample", "missing-key", ("policies", 0, "signal"), DELETE),
     ("sample", "non-numeric", ("policies", 0, "lambda"), "x"),
     ("quality-annotate", "non-numeric", ("heuristics",), {"min_words": "x"}),
+    ("quality-annotate", "float-overflow", ("heuristics",), {"min_alpha_ratio": 10**400}),
     ("quality-annotate", "non-numeric-tag-threshold", ("tag_threshold",), "x"),
     ("curriculum-emit", "missing-key", ("curriculum", "stages", 0, "token_share"), DELETE),
     ("curriculum-emit", "non-numeric", ("quality", "heuristics"), {"min_words": "x"}),
@@ -612,7 +636,13 @@ def test_config_section_casts_like_the_field_parsers(cls, rec, expected):
 OUT_OF_RANGE = {
     "dedup": (DedupConfig(), "bands", 7),
     "hyper": (ClassifierHyper(), "epochs", 0),
+    "hyper-epochs-over-u32": (ClassifierHyper(), "epochs", 2**32),
+    "hyper-order-over-u16": (ClassifierHyper(), "orders", (1, 2**16)),
+    "hyper-max-features-over-u64": (ClassifierHyper(), "max_features", 2**64),
+    "hyper-seed-negative": (ClassifierHyper(), "seed", -1),
+    "hyper-seed-over-u64": (ClassifierHyper(), "seed", 2**64),
     "policy": (UpsamplePolicy("clf:web"), "transform", "cubic"),
+    "policy-lambda": (UpsamplePolicy("clf:web"), "mixture_weight", -0.5),
     "lr_schedule": (LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 350, 0.0), "warmup_end", 0),
     "rope": (rope_config("pretrain"), "head_dim", 63),
 }

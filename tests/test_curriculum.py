@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -234,7 +235,7 @@ class TestEmitStage:
         eligible = stage_eligible(rows, stage)
         return emit_stage(
             stage,
-            plan,
+            replace(plan, shard_tokens=5_000),
             restrict_distribution(dist, eligible),
             rows,
             corpus,
@@ -242,7 +243,6 @@ class TestEmitStage:
             WhitespaceTokenizer(1000),
             seed,
             out_dir,
-            shard_tokens=5_000,
         )
 
     def test_budget_stopping_rule(self, tmp_path):
@@ -299,7 +299,7 @@ class TestEmitStage:
             DuplicateCluster(ids[i], ids[i : i + 3], ids[i : i + 3], 3, 1, 1)
             for i in range(0, len(ids), 3)
         ]
-        plan = mixed_plan(20_000)
+        plan = replace(mixed_plan(20_000), shard_tokens=5_000)
         stage = plan.stages[1]
         eligible = stage_eligible(rows, stage)
         outputs = []
@@ -307,7 +307,7 @@ class TestEmitStage:
             out = tmp_path / name
             emit_stage(
                 stage, plan, restrict_distribution(dist, eligible), rows, corpus, given,
-                WhitespaceTokenizer(1000), 11, out, shard_tokens=5_000,
+                WhitespaceTokenizer(1000), 11, out,
             )
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(outputs[0]) > 2  # the manifest and several shards

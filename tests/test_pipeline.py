@@ -409,11 +409,17 @@ class TestValidation:
             dict(raw["quality"]["classifiers"][0], hyper={"seed": 7})),
         lambda raw: raw["quality"]["domain_classifiers"][1].update(model_id="web"),
         lambda raw: raw["quality"]["domain_classifiers"][1].update(tag="code"),
+        lambda raw: [p.update({"lambda": lam}) for p, lam in zip(raw["sampling"]["policies"], (1.5, -0.5))],
+        lambda raw: raw["sampling"]["policies"][0].update(signal="clf:web"),
+        lambda raw: raw["quality"]["classifiers"][0]["hyper"].update(seed=2**64),
     ], ids=["policy-signal", "gating-signal", "mixture-group", "repeated-model-id",
-            "model-id-across-lists", "repeated-domain-tag"])
+            "model-id-across-lists", "repeated-domain-tag", "negative-lambda",
+            "repeated-policy-signal", "hyper-seed-over-u64"])
     def test_unknown_signal_or_repeated_id_exits_1_before_ingest(self, tmp_path, capsys, edit):
-        """A signal no classifier writes, or two classifiers that would write
-        one signal or model file, is a config error found before any phase."""
+        """A signal no classifier writes, two classifiers that would write one
+        signal or model file, a policy that would enter the mixture twice or
+        with a negative lambda, or a seed a classifier file cannot hold, is a
+        config error found before any phase."""
         _, raw = make_pipeline_workspace(tmp_path, n_docs=60)
         edit(raw)
         bad_path = tmp_path / "bad_refs.json"
