@@ -4,14 +4,14 @@ The text is written once, to corpus.jsonl; quality's annotated.jsonl
 holds one text-free signal row per surviving document, keyed by doc_id,
 and curriculum joins the two.
 
-Every phase is declared once, in PHASE_TABLE: its function, the config
-slice it reads, the files outside the work directory it reads, and the
-work-directory files it reads from earlier phases. A phase writes its
-own artifacts plus a sidecar report, and its done-marker records the
-sha256 of each output. The phase's key hashes its name, its config
-slice without file paths, the contents of its outside files in order and
-the upstream outputs' recorded digests, so a workspace moved with its
-inputs to another directory reruns nothing. On re-run a phase is skipped
+Every phase is declared once, in PHASE_TABLE: its function, the typed
+config values it reads, the files outside the work directory it reads,
+and the work-directory files it reads from earlier phases. A phase writes
+its own artifacts plus a sidecar report, and its done-marker records the
+sha256 of each output. The phase's key hashes its name, its version, its
+config values without file paths, the contents of its outside files in
+order and the upstream outputs' recorded digests, so a workspace moved
+with its inputs to another directory reruns nothing. On re-run a phase is skipped
 when its marker holds the current key and every recorded output still
 verifies, so an edit reruns only the phases that read what changed, and
 a rerun phase whose outputs come out byte-identical stops the reruns
@@ -30,6 +30,7 @@ never past the end of the run; no phase mutates what it loads.
 from __future__ import annotations
 
 import glob
+import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
@@ -54,7 +55,7 @@ from .schedule import LrScheduleSpec, dump_csv
 from .tokenizer import DEFAULT_VOCAB_SIZE, WhitespaceTokenizer
 
 TIMING_KEYS = ("timing", "generated_at", "wall_clock_s")
-# Config keys that name a file; a phase key holds only whether each is set.
+# Config fields that name a file; a phase key holds only whether each is set.
 PATH_KEYS = ("path", "positives", "negatives")
 T = TypeVar("T")
 
@@ -71,21 +72,19 @@ def read_config(path: str | Path) -> dict:
     return raw
 
 
-def config_section(cls: type[T], rec: Any, section: str, **given: Any) -> T:
+def config_section(cls: type[T], rec: Any, section: str) -> T:
     """Dataclass `cls` from the config object `rec`, at dotted path `section`
     ("" for the whole config) in errors.
 
-    A field in `given` takes that value; any other takes rec[key] cast to
-    its annotated type, key being the field's JSON key (jsonl.json_key), or
-    else keeps its default. A missing required key or a value that does
-    not cast raises ConfigError naming the dotted path of the key."""
+    Each field takes rec[key] cast to its annotated type, key being the
+    field's JSON key (jsonl.json_key), or else keeps its default. A missing
+    required key or a value that does not cast raises ConfigError naming
+    the dotted path of the key."""
     if not isinstance(rec, dict):
         raise ConfigError(f"config {section} must be a JSON object")
     hints = get_type_hints(cls)
-    values = dict(given)
+    values = {}
     for f in fields(cls):
-        if f.name in given:
-            continue
         key = json_key(f)
         path = f"{section}.{key}".lstrip(".")
         if key in rec:
@@ -161,10 +160,8 @@ class TrainPrepConfig:
 
 @dataclass
 class PipelineConfig:
-    """The whole config, one dataclass per section; `raw` is the JSON object
-    it was read from, whose slices the phase keys hash."""
+    """The whole config, one dataclass per section."""
 
-    raw: dict
     input: list[str] = field(default_factory=list)
     work_dir: Path = Path("work")
     master_seed: int = 0
@@ -176,7 +173,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        return config_section(cls, raw, "", raw=raw)
+        return config_section(cls, raw, "")
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
@@ -288,15 +285,15 @@ class Pipeline:
         """Hash of everything `phase` reads; `upstream` maps each earlier
         output's work-relative path to its recorded sha256. An outside
         file enters by its sha256 at its place in phase.outside_files,
-        which names its role; no path enters."""
-        raw = self.config.raw
-        return hash128_hex(dumps({
+        which names its role; no path enters. Config values keep their
+        order, unsorted: a mixture's group order decides its shards."""
+        return hash128_hex(json.dumps({
             "phase": phase.name,
             "version": phase.version(),
-            "config": {key: _path_free(_config_value(raw, key)) for key in phase.config_keys},
+            "config": _key_json(phase.config(self.config)),
             "files": [sha256_file(path) for path in phase.outside_files(self.config)],
             "upstream": {
-                rel: digest for rel, digest in upstream.items()
+                rel: upstream[rel] for rel in sorted(upstream)
                 if any(fnmatch(rel, pattern) for pattern in phase.reads)
             },
         }).encode("utf-8"))
@@ -545,21 +542,16 @@ class Pipeline:
         }
 
 
-def _config_value(raw: dict, dotted: str) -> Any:
-    """The raw config value at a dotted key such as "train_prep.vocab_size"."""
-    for part in dotted.split("."):
-        raw = raw.get(part) if isinstance(raw, dict) else None
-    return raw
-
-
-def _path_free(value: Any) -> Any:
-    """`value` with each PATH_KEYS entry of a nested object cut to whether
-    it is set, so the key tells a model file from a training pair."""
+def _key_json(value: Any) -> Any:
+    """Typed config `value` as JSON in its own order: a dataclass as its fields, each
+    PATH_KEYS one cut to whether it is set, a Fraction as text, a tuple as a list."""
+    if is_dataclass(value):
+        value = {k: bool(v) if k in PATH_KEYS else v for k, v in vars(value).items()}
     if isinstance(value, dict):
-        return {k: bool(v) if k in PATH_KEYS else _path_free(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_path_free(v) for v in value]
-    return value
+        return {k: _key_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_key_json(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _classifier_sources(config: PipelineConfig) -> list[str]:
@@ -575,11 +567,11 @@ def _classifier_sources(config: PipelineConfig) -> list[str]:
 class Phase:
     """One pipeline phase and everything it reads.
 
-    `config_keys` are dotted keys into the raw config; the slice they
-    select may be wider than the phase needs, never narrower, except for
-    file paths: `outside_files` lists the files the phase reads from
-    outside the work directory, and their contents, in that order, stand
-    in for their paths. `reads` are glob patterns over the work-relative
+    `config` selects the typed config values the phase computes from; they
+    may be wider than the phase needs, never narrower, except for file
+    paths: `outside_files` lists the files the phase reads from outside
+    the work directory, and their contents, in that order, stand in for
+    their paths. `reads` are glob patterns over the work-relative
     outputs of earlier phases.
     `version` returns what names how the phase computes its outputs from
     those inputs, read each time a key is taken; a change to it makes
@@ -588,7 +580,7 @@ class Phase:
 
     name: str
     fn: Callable[[Pipeline], tuple[list[Path], dict]]
-    config_keys: tuple[str, ...]
+    config: Callable[[PipelineConfig], Any]
     reads: tuple[str, ...] = ()
     outside_files: Callable[[PipelineConfig], list[str]] = lambda config: []
     version: Callable[[], Any] = lambda: 0
@@ -612,18 +604,19 @@ READERS: dict[str, Callable[[Path], Any]] = {
 PHASE_TABLE = (
     # Ingest version 0 listed the dump paths in its sidecar, stale once a
     # workspace moves; 1 lists none. The key holds the dumps' digests.
-    Phase("ingest", Pipeline._phase_ingest, (), outside_files=PipelineConfig.resolve_inputs,
+    Phase("ingest", Pipeline._phase_ingest, lambda c: (), outside_files=PipelineConfig.resolve_inputs,
           version=lambda: 1),
-    Phase("dedup", Pipeline._phase_dedup, ("dedup",), reads=("corpus.jsonl",),
+    Phase("dedup", Pipeline._phase_dedup, lambda c: c.dedup, reads=("corpus.jsonl",),
           version=dedup_mod.versions),
-    Phase("quality", Pipeline._phase_quality, ("quality",),
+    Phase("quality", Pipeline._phase_quality, lambda c: c.quality,
           reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources, version=lambda: clf_mod.TRAINING_VERSION),
-    Phase("sampling", Pipeline._phase_sampling, ("sampling",), reads=("annotated.jsonl",)),
+    Phase("sampling", Pipeline._phase_sampling, lambda c: c.sampling, reads=("annotated.jsonl",)),
+    # The sampling policies reach curriculum only through weights.jsonl.
     Phase("curriculum", Pipeline._phase_curriculum,
-          ("curriculum", "master_seed", "sampling", "train_prep.vocab_size"),
+          lambda c: (c.curriculum, c.master_seed, c.train_prep.vocab_size),
           reads=("annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl")),
-    Phase("train_prep", Pipeline._phase_train_prep, ("train_prep", "curriculum"),
+    Phase("train_prep", Pipeline._phase_train_prep, lambda c: (c.train_prep, c.curriculum),
           reads=("stages/*",)),
 )
 

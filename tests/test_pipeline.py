@@ -317,7 +317,7 @@ def test_unset_lr_schedule_writes_no_schedule_csv(completed_run, tmp_path, sched
     work = tmp_path / "work"
     shutil.copytree(config.work_dir, work)
     (work / "schedule.csv").unlink()
-    raw = dict(config.raw, work_dir=str(work))
+    raw = dict(read_json(config.work_dir.parent / "config.json"), work_dir=str(work))
     raw["train_prep"] = dict(raw["train_prep"], lr_schedule=schedule)
     config = PipelineConfig.from_dict(raw)
     assert config.train_prep.lr_schedule is None
@@ -575,6 +575,36 @@ class TestConfigHash:
         rerun = run_pipeline(PipelineConfig.from_dict(raw))
         assert rerun["phases_executed"] == {"ingest": True, **{p.name: False for p in later}}
         assert "inputs" not in rerun["phases"]["ingest"]
+
+    def test_reordered_mixture_reruns_curriculum(self, tmp_path):
+        """A document joins the first mixture group, in config order, whose
+        tag fires, so reordering the groups changes the shards: a rerun
+        executes curriculum and train_prep and matches a cold run."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=400, total_tokens=40_000)
+        for stage in raw["curriculum"]["stages"]:
+            stage["mixture"] = {"code": "0.3", "math": "0.2", "other": "0.5"}
+        run_pipeline(PipelineConfig.from_dict(raw))
+        before = work_files(Path(raw["work_dir"]))
+        for stage in raw["curriculum"]["stages"]:
+            stage["mixture"] = {"math": "0.2", "code": "0.3", "other": "0.5"}
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        cold = run_pipeline(PipelineConfig.from_dict(dict(raw, work_dir=str(tmp_path / "cold"))))
+        assert [p for p, ran in rerun["phases_executed"].items() if ran] == ["curriculum", "train_prep"]
+        assert strip_timing(rerun["phases"]) == strip_timing(cold["phases"])
+        after = work_files(Path(raw["work_dir"]))
+        assert after == work_files(tmp_path / "cold")
+        assert any(before[rel] != after[rel] for rel in after if rel.startswith("stages/"))
+
+    def test_spelled_out_defaults_rerun_nothing(self, tmp_path):
+        """The keys hash the typed values, so writing a default, or another
+        spelling of a value, into the config changes no key."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        run_pipeline(PipelineConfig.from_dict(raw))
+        raw["dedup"]["jaccard_threshold"] = 0.8
+        raw["quality"]["classifiers"][0]["hyper"]["lr"] = 0.5
+        raw["curriculum"]["stages"][0].update(token_share="3/20", quality_threshold=0, description="")
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert not any(rerun["phases_executed"].values())
 
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)

@@ -98,7 +98,8 @@ def work_digests(work: Path) -> dict[str, str]:
     return out
 
 
-# Taken from a run of the pipeline before the shared word table.
+# Taken from a run of the pipeline before the shared word table; the
+# markers, sidecars and report since the phase keys hash typed config values.
 PINNED = {
     "annotated.jsonl":
         "71dbc1b7a9f6e0c08d8cd1275cf2125d156f500b053369a304d0afa68ac88b90",
@@ -113,19 +114,19 @@ PINNED = {
     "corpus.jsonl":
         "03a94b88cbe2dee3e408351b5dc494a3906366fd1cabc5cfda9b6aca482cfc2b",
     "curriculum.done.json":
-        "d8795143a04edf51787f7127696e89ac77a6e1c9febdb38a770b1f07c90e4f69",
+        "4ef775ad01da05dbdba451334236fed54d0d60aa90f3d1ae101fed08d76cd5e2",
     "curriculum_report.json":
-        "acb4e7a2229c1f028b9714d89af6b4c08a728e6adbc7b0e7dcd2563ed9bf739f",
+        "34b28a7db0d1e3a82eea7c204ba0330978e37018ca53adb9c2cf5885cac8998d",
     "dedup.done.json":
-        "d2149c70ed9c7337cc881392207b41187be72673b1b1ebf073b15c8d6a54e61e",
+        "5766930d23c1e9f3b16a10f645ea7d4b22829645410dfb8daadf8ba5e4feb0f4",
     "dedup_report.json":
-        "4a96f0511da0705b20ef4c440bdb09f22fb38ebb5a4be0ea23d4c6ed2a4bc9f4",
+        "0b99dfd69d6db1bf60566247d2285b66f91382ad4989f0b2c23e8568b68f9297",
     "drop_report.jsonl":
         "f9d097c9ced0af6faf2ca678997ea5c378b14c7d15229410dfa64bd5ab164766",
     "ingest.done.json":
-        "63cf6bdb3e42ac60e4c1b53a583fee5b1756cbc94f8bda8221f62da2f1291cf5",
+        "58815170a7dc30975d95ac4a96509d044a8ea707f3527c14396a137b3da3aba1",
     "ingest_report.json":
-        "7c181a8f05c7560678879be3b171884ab1895b5c3904d595ad486d14e7b4a20f",
+        "8b703e4834a37bf2b14db769c1d97569c520b6022950c63a8e502a155f6012dd",
     "packed/manifest.txt":
         "6b6720ca8fedb08f8648769e84c90e3a78dd331d9d10a2cbfc9e33b39fee310f",
     "packed/stage_i.bin":
@@ -137,17 +138,17 @@ PINNED = {
     "packed/stage_iv.bin":
         "585369f0c115402ca6ddcdd1a4c1425c9a860781490744e98c454c798fddb8df",
     "quality.done.json":
-        "9508483abe097926e29f79bbb75a8af337efca0a64b2e5e65ea62f745df2f854",
+        "79f3cd8c2e508c2dd419a87170f1280517bb9875745cb96b9bb338a7008b7bb0",
     "quality_report.json":
-        "155096a0910003deb1b9b266f7498fad1e9943158a16ac109b3315fddee8d27c",
+        "a98c27b13c2f4156e2b20a1e50cd9d087939d10e3e10db6fdc618c1935a215c2",
     "report.json":
-        "6ee056e15582a5b5451ca39f8e09913f6e6ca58676d0163f682adba5dec88c2b",
+        "7631f2f4a36f22ba2b13b297af04e2e53323111a76d3c78db96a242e091dae63",
     "rope.json":
         "ad9a88ddd493923c954a77fe26ba038c5c4f063b8ca95a106ecb65e5d94753fc",
     "sampling.done.json":
-        "d6bb5bf356a491c8be7d302e39554317703d218061ccb9ceaf4d582893dfb5bb",
+        "03cf5b00d8d3212945e887887362e3420ca744c583145f374f2a1f0d2506e7f2",
     "sampling_report.json":
-        "f442184140adbee57170517996240f599388325e4cfd89498c927eb90f0ee427",
+        "88b233f03c39cefe516ba2c3f4435b9b079489bb2de01563529c5a86f5488ecf",
     "schedule.csv":
         "707e3336de693bdefba86686fa8d17c562d4e535f9322183aa08c81fea76f257",
     "stages/i/manifest.json":
@@ -167,9 +168,9 @@ PINNED = {
     "stages/iv/shard_0000.jsonl":
         "3d5b7e83cde6db4dd068defa1e95ec7f06a2ef70826b023ec8f0d735e17fb58d",
     "train_prep.done.json":
-        "6abdfc5ce87f7572ad4d2bd065793862e656a11f0dfc08c8d6c90e9b37186087",
+        "cd80d76da45a4451e4ed44dc6a4e96c965a8eb68af418c22521854c3cf2921fc",
     "train_prep_report.json":
-        "78d2f92a27bf6f7d3c0f4b9299c8c2a95d932887cf8b1b0bcc5841d30105cec6",
+        "689479c2f2cfb5e795dc348d5dd06cd6d1eb4945b126e2a72635ff3f4d1f033a",
     "weights.jsonl":
         "2f665b5a8119b0ba6da023228fbda79c05656fc5aa10c7c10bb636dce1a98084",
 }
