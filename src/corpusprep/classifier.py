@@ -69,8 +69,8 @@ class ClassifierHyper:
             raise ConfigError("max_features must be in [1, 2**64)")
         if not 1 <= self.epochs < 2**32:
             raise ConfigError("epochs must be in [1, 2**32)")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and > 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
 

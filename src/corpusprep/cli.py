@@ -26,6 +26,7 @@ from .errors import ConfigError, CorpusPrepError, IntegrityError, ValidationErro
 from .jsonl import write_json, write_jsonl, write_records
 from .packing import pack_shards
 from .pipeline import (
+    PHASE_TABLE,
     ClassifierSpec,
     Pipeline,
     PipelineConfig,
@@ -165,8 +166,7 @@ def cmd_curriculum_validate(args) -> int:
 def cmd_curriculum_emit(args) -> int:
     config = PipelineConfig.from_file(args.config)
     work = config.work_dir
-    # In the order of emit_stage's arguments.
-    required = ["annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl"]
+    required = next(phase for phase in PHASE_TABLE if phase.name == "curriculum").reads
     verify_outputs(work, required)
     pipe = Pipeline(config)
     stage = config.curriculum.stage(args.stage)

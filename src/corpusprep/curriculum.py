@@ -92,6 +92,8 @@ def validate_plan(plan: StagePlan) -> list[tuple[str, str]]:
         return violations
     if plan.total_token_budget < 1:
         violations.append(("bad_budget", "total_token_budget must be >= 1"))
+    if plan.shard_tokens < 1:
+        violations.append(("bad_shard_tokens", "shard_tokens must be >= 1"))
     ids = [s.stage_id for s in plan.stages]
     if len(set(ids)) != len(ids):
         violations.append(("duplicate_stage_ids", f"stage ids repeat: {ids}"))

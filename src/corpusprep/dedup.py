@@ -77,6 +77,8 @@ class DedupConfig:
     def __post_init__(self):
         if self.shingle_width < 1:
             raise ConfigError("shingle_width must be >= 1")
+        if self.bands < 1 or self.rows < 1:
+            raise ConfigError("bands and rows must be >= 1")
         if self.bands * self.rows != self.num_perms:
             raise ConfigError(
                 f"bands*rows must equal num_perms "

@@ -6,17 +6,18 @@ and curriculum joins the two.
 
 Every phase is declared once, in PHASE_TABLE: its function, the typed
 config values it reads, the files outside the work directory it reads,
-and the work-directory files it reads from earlier phases. A phase writes
-its own artifacts plus a sidecar report, and its done-marker records the
-sha256 of each output. The phase's key hashes its name, its version, its
-config values without file paths, the contents of its outside files in
-order and the upstream outputs' recorded digests, so a workspace moved
-with its inputs to another directory reruns nothing. On re-run a phase is skipped
-when its marker holds the current key and every recorded output still
-verifies, so an edit reruns only the phases that read what changed, and
-a rerun phase whose outputs come out byte-identical stops the reruns
-below it. Outputs are fully determined by (inputs, config, master_seed).
-Every phase runs in the calling process.
+and the work-directory files it reads from earlier phases. A phase
+writes its own artifacts plus a sidecar report, and its done-marker
+records the sha256 of each output. The phase's key hashes its name, its
+version, the Unicode database version, its config values without file
+paths, the contents of its outside files in order and the upstream
+outputs' recorded digests, so a workspace moved with its inputs to
+another directory reruns nothing. On re-run a phase is skipped when its
+marker holds the current key and every recorded output still verifies,
+so an edit reruns only the phases that read what changed, and a rerun
+phase whose outputs come out byte-identical stops the reruns below it.
+Outputs are fully determined by (inputs, config, master_seed). Every
+phase runs in the calling process.
 
 Within one run, a phase hands what it wrote to the later phases in
 memory: once corpus.jsonl, clusters.jsonl, annotated.jsonl or
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import time
+import unicodedata
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fnmatch import fnmatch
@@ -96,7 +99,8 @@ def config_section(cls: type[T], rec: Any, section: str) -> T:
 
 def _cast(hint: Any, value: Any, path: str) -> Any:
     """`value` as type `hint`: a dataclass section, list[X], tuple[X, ...],
-    dict[str, X], X | None (null or an empty value is None), Fraction, or a scalar."""
+    dict[str, X], X | None (null or an empty value is None), Fraction, or a
+    scalar; a float must be finite, though Python's json reads NaN and Infinity."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # X | None
         return _cast(args[0], value, path) if value else None
@@ -116,9 +120,12 @@ def _cast(hint: Any, value: Any, path: str) -> Any:
     try:
         # Fraction(str(0.15)) is exactly 3/20; Fraction(0.15) would keep the
         # binary-float artifact and break exact share sums.
-        return Fraction(str(value)) if hint is Fraction else hint(value)
+        cast = Fraction(str(value)) if hint is Fraction else hint(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
+    if hint is float and not math.isfinite(cast):
+        raise ConfigError(f"config {path} must be a finite number, not {dumps(value)}")
+    return cast
 
 
 @dataclass
@@ -200,8 +207,8 @@ class PipelineConfig:
         rope_length = rope_config(prep.rope_stage).sequence_length
         if not 1 <= prep.sequence_length <= rope_length:
             raise ConfigError(f"sequence_length must be in [1, {rope_length}] for rope_stage {prep.rope_stage!r}")
-        if plan.shard_tokens < 1 or not 1 <= prep.vocab_size <= 2**32 - 1:  # token ids are u32
-            raise ConfigError("shard_tokens must be >= 1 and vocab_size in [1, 2**32 - 1]")
+        if not 1 <= prep.vocab_size <= 2**32 - 1:  # token ids are u32
+            raise ConfigError("vocab_size must be in [1, 2**32 - 1]")
         # Each classifier writes classifiers/<model_id>.clf and one signal;
         # each policy adds one signal's weight map to the mixture.
         model_ids = [s.model_id for s in quality.classifiers + quality.domain_classifiers]
@@ -286,10 +293,12 @@ class Pipeline:
         output's work-relative path to its recorded sha256. An outside
         file enters by its sha256 at its place in phase.outside_files,
         which names its role; no path enters. Config values keep their
-        order, unsorted: a mixture's group order decides its shards."""
+        order, unsorted: a mixture's group order decides its shards. The
+        upstream digests go in path order, whichever phases recorded them."""
         return hash128_hex(json.dumps({
             "phase": phase.name,
             "version": phase.version(),
+            "unicode": unicodedata.unidata_version,
             "config": _key_json(phase.config(self.config)),
             "files": [sha256_file(path) for path in phase.outside_files(self.config)],
             "upstream": {
@@ -361,7 +370,7 @@ class Pipeline:
         out_corpus = self.work_dir / "corpus.jsonl"
         write_corpus(corpus, out_corpus)
         self._held["corpus.jsonl"] = corpus
-        return [out_corpus], report.to_dict()
+        return [out_corpus], {**report.to_dict(), "unidata_version": unicodedata.unidata_version}
 
     def _phase_dedup(self) -> tuple[list[Path], dict]:
         corpus = self._load("corpus.jsonl")
@@ -612,7 +621,8 @@ PHASE_TABLE = (
           reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources, version=lambda: clf_mod.TRAINING_VERSION),
     Phase("sampling", Pipeline._phase_sampling, lambda c: c.sampling, reads=("annotated.jsonl",)),
-    # The sampling policies reach curriculum only through weights.jsonl.
+    # The policies reach curriculum through weights.jsonl; `curriculum emit`
+    # loads its reads in the order of emit_stage's arguments.
     Phase("curriculum", Pipeline._phase_curriculum,
           lambda c: (c.curriculum, c.master_seed, c.train_prep.vocab_size),
           reads=("annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl")),

@@ -36,12 +36,12 @@ class UpsamplePolicy:
     mixture_weight: float = field(default=1.0, metadata={"json": "lambda"})
 
     def __post_init__(self):
-        if self.mixture_weight < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.mixture_weight}")
+        if not 0 <= self.mixture_weight < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.mixture_weight}")
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform '{self.transform}'")
-        if self.transform == "threshold" and self.boost < 0:
-            raise ConfigError("boost must be >= 0")
+        if self.transform == "threshold" and not 0 <= self.boost < math.inf:
+            raise ConfigError("boost must be finite and >= 0")
         if self.transform == "log2_sublinear" and self.cap < 1:
             raise ConfigError("cap must be >= 1")
 

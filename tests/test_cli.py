@@ -212,6 +212,21 @@ class TestCurriculumCommands:
         assert main(["curriculum", "validate", "--plan", str(path)]) == 1
         assert "shares_not_one" in capsys.readouterr().out
 
+    def test_validate_rejects_zero_shard_tokens(self, tmp_path, capsys):
+        """validate reports the shard size that run rejects."""
+        plan = {
+            "total_token_budget": 1000,
+            "shard_tokens": 0,
+            "stages": [
+                {"stage_id": "i", "token_share": "0.6", "quality_threshold": 0.0, "mixture": {"other": "1"}},
+                {"stage_id": "ii", "token_share": "0.4", "quality_threshold": 0.5, "mixture": {"other": "1"}},
+            ],
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(["curriculum", "validate", "--plan", str(path)]) == 1
+        assert "INVALID bad_shard_tokens" in capsys.readouterr().out
+
     def test_emit_requires_earlier_phases(self, tmp_path):
         config_path, raw = make_pipeline_workspace(tmp_path / "fresh", n_docs=60)
         assert main(["curriculum", "emit", "--config", str(config_path), "--stage", "i"]) == 3
@@ -550,18 +565,23 @@ BROKEN_KEYS = [
     ("run", "non-numeric-vocab-size", ("train_prep", "vocab_size"), "x"),
     ("run", "non-numeric-shard-tokens", ("curriculum", "shard_tokens"), "x"),
     ("run", "zero-denominator", ("curriculum", "stages", 0, "mixture", "code"), "1/0"),
+    ("run", "nan-lambda", ("sampling", "policies", 0, "lambda"), float("nan")),
     ("dedup", "non-numeric", ("bands",), "x"),
     ("dedup", "fractional-int", ("top_k",), 2.7),
     ("dedup", "boolean-int", ("shingle_width",), True),
     ("sample", "missing-key", ("policies", 0, "signal"), DELETE),
     ("sample", "non-numeric", ("policies", 0, "lambda"), "x"),
+    ("sample", "infinite-boost", ("policies", 1, "boost"), float("inf")),
     ("quality-annotate", "non-numeric", ("heuristics",), {"min_words": "x"}),
     ("quality-annotate", "float-overflow", ("heuristics",), {"min_alpha_ratio": 10**400}),
     ("quality-annotate", "non-numeric-tag-threshold", ("tag_threshold",), "x"),
+    ("quality-annotate", "nan-tag-threshold", ("tag_threshold",), float("nan")),
+    ("quality-annotate", "nan-min-alpha-ratio", ("heuristics",), {"min_alpha_ratio": float("nan")}),
     ("curriculum-emit", "missing-key", ("curriculum", "stages", 0, "token_share"), DELETE),
     ("curriculum-emit", "non-numeric", ("quality", "heuristics"), {"min_words": "x"}),
     ("curriculum-validate", "missing-key", ("stages", 0, "token_share"), DELETE),
     ("curriculum-validate", "non-numeric", ("total_token_budget",), "x"),
+    ("curriculum-validate", "negative-infinite-threshold", ("stages", 0, "quality_threshold"), float("-inf")),
     ("prep-schedule", "missing-key", ("end_step",), DELETE),
     ("prep-schedule", "non-numeric", ("peak_lr",), "x"),
 ]
@@ -599,6 +619,25 @@ def test_malformed_config_exits_1(workspace, tmp_path, monkeypatch, capsys, comm
     if keys:  # the error names the dotted key, from the section the file holds
         dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in section[-1:] + keys)
         assert f"config {dotted.lstrip('.')}" in err
+
+
+@pytest.mark.parametrize("section", [
+    {"bands": 0, "rows": 0, "num_perms": 0},
+    {"bands": 1, "rows": -8, "num_perms": -8},
+    {"bands": -1, "rows": -8, "num_perms": 8},
+], ids=["zero", "negative-rows", "negative-bands-and-rows"])
+def test_dedup_bands_and_rows_below_1_exit_1(phase_files, tmp_path, monkeypatch, capsys, section):
+    """Banding whose product matches num_perms but with a band or row count
+    below 1 is a config error, not a traceback, on a valid corpus."""
+    path = tmp_path / "dedup.json"
+    path.write_text(json.dumps({"dedup": section}), encoding="utf-8")
+    monkeypatch.chdir(phase_files)
+    capsys.readouterr()
+    assert main(["dedup", "--in", "corpus.jsonl", "--out", str(tmp_path / "out.jsonl"),
+                 "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: bands and rows must be >= 1\n" and "Traceback" not in out
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("cls", [
@@ -643,6 +682,9 @@ OUT_OF_RANGE = {
     "hyper-seed-over-u64": (ClassifierHyper(), "seed", 2**64),
     "policy": (UpsamplePolicy("clf:web"), "transform", "cubic"),
     "policy-lambda": (UpsamplePolicy("clf:web"), "mixture_weight", -0.5),
+    "policy-lambda-nan": (UpsamplePolicy("clf:web"), "mixture_weight", float("nan")),
+    "policy-boost-infinite": (UpsamplePolicy("clf:web", "threshold"), "boost", float("inf")),
+    "hyper-lr-nan": (ClassifierHyper(), "lr", float("nan")),
     "lr_schedule": (LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 350, 0.0), "warmup_end", 0),
     "rope": (rope_config("pretrain"), "head_dim", 63),
 }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import unicodedata
 from dataclasses import asdict, fields, replace
 from fnmatch import fnmatch
 from pathlib import Path
@@ -605,6 +606,17 @@ class TestConfigHash:
         raw["curriculum"]["stages"][0].update(token_share="3/20", quality_threshold=0, description="")
         rerun = run_pipeline(PipelineConfig.from_dict(raw))
         assert not any(rerun["phases_executed"].values())
+
+    def test_unicode_version_is_in_every_key(self, tmp_path, monkeypatch):
+        """Ingest records the Unicode database version, and a finished
+        workspace reruns ingest under another one."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        first = run_pipeline(PipelineConfig.from_dict(raw))
+        assert first["phases"]["ingest"]["unidata_version"] == unicodedata.unidata_version
+        monkeypatch.setattr(unicodedata, "unidata_version", "0.0.0")
+        rerun = run_pipeline(PipelineConfig.from_dict(raw))
+        assert rerun["phases_executed"]["ingest"] is True
+        assert rerun["phases"]["ingest"]["unidata_version"] == "0.0.0"
 
     def test_data_config_changes_hash(self, tmp_path):
         _, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)

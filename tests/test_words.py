@@ -99,7 +99,8 @@ def work_digests(work: Path) -> dict[str, str]:
 
 
 # Taken from a run of the pipeline before the shared word table; the
-# markers, sidecars and report since the phase keys hash typed config values.
+# markers, sidecars and report since the phase keys hash typed config values
+# and the Unicode version.
 PINNED = {
     "annotated.jsonl":
         "71dbc1b7a9f6e0c08d8cd1275cf2125d156f500b053369a304d0afa68ac88b90",
@@ -114,19 +115,19 @@ PINNED = {
     "corpus.jsonl":
         "03a94b88cbe2dee3e408351b5dc494a3906366fd1cabc5cfda9b6aca482cfc2b",
     "curriculum.done.json":
-        "4ef775ad01da05dbdba451334236fed54d0d60aa90f3d1ae101fed08d76cd5e2",
+        "39eb0134d3c23423c69aff3b90ff61a2fa9d24ac5f409ee8eeb94f156c15d462",
     "curriculum_report.json":
-        "34b28a7db0d1e3a82eea7c204ba0330978e37018ca53adb9c2cf5885cac8998d",
+        "68ad9ab8d783bd06dffb51e6729ea5bc531c53cc68a73a21e7612a47adb4b83d",
     "dedup.done.json":
-        "5766930d23c1e9f3b16a10f645ea7d4b22829645410dfb8daadf8ba5e4feb0f4",
+        "8b7d1ea551d22b35bec652f6f4761f869cf3dc513bfd0f7287ae909f8eca2902",
     "dedup_report.json":
-        "0b99dfd69d6db1bf60566247d2285b66f91382ad4989f0b2c23e8568b68f9297",
+        "7d13f4bac1d8f4aba97ba1f3c7b6c8d131ad27a9bd4f5cb7c81190e29d94264c",
     "drop_report.jsonl":
         "f9d097c9ced0af6faf2ca678997ea5c378b14c7d15229410dfa64bd5ab164766",
     "ingest.done.json":
-        "58815170a7dc30975d95ac4a96509d044a8ea707f3527c14396a137b3da3aba1",
+        "e4a1d829a000be462472cf95f221f7754fb01fe8b7997caf7967111cb414b1a7",
     "ingest_report.json":
-        "8b703e4834a37bf2b14db769c1d97569c520b6022950c63a8e502a155f6012dd",
+        "cbfef06c7193a61b0d3be4190e3ac28df934d4e35149e3a9bffd235dfaf59e12",
     "packed/manifest.txt":
         "6b6720ca8fedb08f8648769e84c90e3a78dd331d9d10a2cbfc9e33b39fee310f",
     "packed/stage_i.bin":
@@ -138,17 +139,17 @@ PINNED = {
     "packed/stage_iv.bin":
         "585369f0c115402ca6ddcdd1a4c1425c9a860781490744e98c454c798fddb8df",
     "quality.done.json":
-        "79f3cd8c2e508c2dd419a87170f1280517bb9875745cb96b9bb338a7008b7bb0",
+        "0cd35cea385f52a6cc8e50249ce121835ae1963a0143382c9a2cd8c1b4605524",
     "quality_report.json":
-        "a98c27b13c2f4156e2b20a1e50cd9d087939d10e3e10db6fdc618c1935a215c2",
+        "84cd1aed66b3984239c697b0610305344ef69e9e77c774b0475f2301170aac7b",
     "report.json":
-        "7631f2f4a36f22ba2b13b297af04e2e53323111a76d3c78db96a242e091dae63",
+        "0288eb3bd767a1130eb466cb959d3bb302aa6c60c2d0b67bced26d2c436904bf",
     "rope.json":
         "ad9a88ddd493923c954a77fe26ba038c5c4f063b8ca95a106ecb65e5d94753fc",
     "sampling.done.json":
-        "03cf5b00d8d3212945e887887362e3420ca744c583145f374f2a1f0d2506e7f2",
+        "66836e5ce53ab571070951221b093aef3c5a3aec7efe4f7ed00682bb4ef44502",
     "sampling_report.json":
-        "88b233f03c39cefe516ba2c3f4435b9b079489bb2de01563529c5a86f5488ecf",
+        "23a5455c1c1ce5ddbbd4a5e816144e4a70085a6364629a77b65f81f96ede9165",
     "schedule.csv":
         "707e3336de693bdefba86686fa8d17c562d4e535f9322183aa08c81fea76f257",
     "stages/i/manifest.json":
@@ -168,9 +169,9 @@ PINNED = {
     "stages/iv/shard_0000.jsonl":
         "3d5b7e83cde6db4dd068defa1e95ec7f06a2ef70826b023ec8f0d735e17fb58d",
     "train_prep.done.json":
-        "cd80d76da45a4451e4ed44dc6a4e96c965a8eb68af418c22521854c3cf2921fc",
+        "baa2d708c6c704a3cbdfd505f2bee88b45c08b41e301d8552fde4803066db864",
     "train_prep_report.json":
-        "689479c2f2cfb5e795dc348d5dd06cd6d1eb4945b126e2a72635ff3f4d1f033a",
+        "8643d0161fbeeb62e425fe9214a653610f4d653ae423b58ead6e90f5bda8025c",
     "weights.jsonl":
         "2f665b5a8119b0ba6da023228fbda79c05656fc5aa10c7c10bb636dce1a98084",
 }
