@@ -34,6 +34,8 @@ from .pipeline import (
     SamplingConfig,
     build_report,
     config_section,
+    curriculum_stage,
+    load,
     obtain_classifier,
     read_config,
     verify_outputs,
@@ -83,7 +85,7 @@ def cmd_quality_train(args) -> int:
     hyper = config_section(clf_mod.ClassifierHyper, flags, "quality train")
     spec = ClassifierSpec(args.model_id, positives=args.positives, negatives=args.negatives, hyper=hyper)
     _need_files(args.positives, args.negatives)
-    model = obtain_classifier(spec, args.out)
+    model = obtain_classifier(spec, iter([args.positives, args.negatives]), args.out)
     acc = model.training_meta["train_accuracy"]
     print(f"trained {model.model_id} (train accuracy {acc:.3f}) -> {args.out}")
     return 0
@@ -166,11 +168,11 @@ def cmd_curriculum_validate(args) -> int:
 def cmd_curriculum_emit(args) -> int:
     config = PipelineConfig.from_file(args.config)
     work = config.work_dir
-    required = next(phase for phase in PHASE_TABLE if phase.name == "curriculum").reads
-    verify_outputs(work, required)
-    pipe = Pipeline(config)
+    phase = next(phase for phase in PHASE_TABLE if phase.name == "curriculum")
+    verify_outputs(work, phase.reads)
     stage = config.curriculum.stage(args.stage)
-    _, manifest = pipe.emit_stage(stage, config.curriculum, *map(pipe._load, required))
+    loaded = [load(work, name) for name in phase.reads]
+    _, manifest = curriculum_stage(stage, phase.config(config), *loaded, work)
     print(
         f"stage {stage.stage_id}: {manifest.total_tokens} tokens in "
         f"{len(manifest.shards)} shards -> {work / 'stages' / stage.stage_id}"

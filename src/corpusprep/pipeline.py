@@ -4,28 +4,31 @@ The text is written once, to corpus.jsonl; quality's annotated.jsonl
 holds one text-free signal row per surviving document, keyed by doc_id,
 and curriculum joins the two.
 
-Every phase is declared once, in PHASE_TABLE: its function, the typed
-config values it reads, the files outside the work directory it reads,
-and the work-directory files it reads from earlier phases. A phase
-writes its own artifacts plus a sidecar report, and its done-marker
-records the sha256 of each output. The phase's key hashes its name, its
-version, the Unicode database version, its config values without file
-paths, the contents of its outside files in order and the upstream
-outputs' recorded digests, so a workspace moved with its inputs to
-another directory reruns nothing. On re-run a phase is skipped when its
-marker holds the current key and every recorded output still verifies,
-so an edit reruns only the phases that read what changed, and a rerun
-phase whose outputs come out byte-identical stops the reruns below it.
-Outputs are fully determined by (inputs, config, master_seed). Every
-phase runs in the calling process.
+Each phase is a function of what its key hashes. PHASE_TABLE declares
+it once: its function, the typed config values it computes from, the
+files it reads from outside the work directory and the work files of
+earlier phases it reads. The runner takes the config values and the
+outside files once, hashes them with the phase name and version, the
+Unicode database version and the recorded digests of the work files it
+reads, and calls the function on those same values: the config values,
+the outside files, the object of each work file and the directory to
+write into. File paths enter the key only as whether they are set, and
+outside files by their contents, so a workspace moved with its inputs to
+another directory reruns nothing. A phase writes its artifacts plus a
+sidecar report, and its done-marker records the key and the sha256 of
+each output. On re-run a phase is skipped when its marker holds the
+current key and every recorded output still verifies, so an edit reruns
+only the phases that read what changed, and a rerun phase whose outputs
+come out byte-identical stops the reruns below it; a marker that is not
+a JSON object with an `outputs` object counts as absent. Outputs are
+fully determined by (inputs, config, master_seed). Every phase runs in
+the calling process.
 
-Within one run, a phase hands what it wrote to the later phases in
-memory: once corpus.jsonl, clusters.jsonl, annotated.jsonl or
-weights.jsonl is written, the pipeline holds the object it was written
-from (for weights, the distribution its rows record), and a later phase
-loads it from there, parsing the file only when the phase that writes it
-was skipped. An object is held until no later phase reads its file, and
-never past the end of the run; no phase mutates what it loads.
+Within one run, a phase also returns the objects it wrote its files from
+(for weights, the distribution its rows record). The runner holds each
+until no later phase reads its file, and never past the end of the run,
+so a file is parsed only when the phase that writes it was skipped. No
+phase mutates what it is handed.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ import json
 import math
 import time
 import unicodedata
+from collections import Counter
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fnmatch import fnmatch
 from fractions import Fraction
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Iterable, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 from . import classifier as clf_mod
 from . import curriculum as cur_mod
@@ -254,15 +259,17 @@ def training_texts(path: str) -> list[str]:
     return texts
 
 
-def obtain_classifier(spec: ClassifierSpec, out: str | Path) -> clf_mod.QualityClassifier:
-    """The model `spec` names, saved to `out`: loaded from spec.path, or
-    trained on its sources and named by the sha256 of its positives."""
+def obtain_classifier(spec: ClassifierSpec, files: Iterator[str], out: str | Path) -> clf_mod.QualityClassifier:
+    """The model `spec` names, saved to `out`, from the next of `files`: a
+    model file if spec.path is set, else the positives and negatives it
+    trains on, the model named by the sha256 of its positives."""
     if spec.path:
-        model = clf_mod.QualityClassifier.load(spec.path)
+        model = clf_mod.QualityClassifier.load(next(files))
     else:
+        positives, negatives = next(files), next(files)
         model = clf_mod.train_classifier(
-            training_texts(spec.positives), training_texts(spec.negatives),
-            spec.hyper, spec.model_id, source=sha256_file(spec.positives),
+            training_texts(positives), training_texts(negatives),
+            spec.hyper, spec.model_id, source=sha256_file(positives),
         )
     model.save(out)
     return model
@@ -278,58 +285,37 @@ def strip_timing(obj: Any) -> Any:
 
 
 class Pipeline:
+    """Runs PHASE_TABLE over one config, holding in memory the objects a
+    phase hands on until no later phase reads their files."""
+
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.work_dir = config.work_dir
-        self.tokenizer = WhitespaceTokenizer(config.train_prep.vocab_size)
         # READERS file name -> the object this run wrote it from, or parsed
         # from it when the phase that writes it was skipped.
         self._held: dict[str, Any] = {}
 
-    # -- phase plumbing ------------------------------------------------
-
-    def _phase_key(self, phase: "Phase", upstream: dict[str, str]) -> str:
-        """Hash of everything `phase` reads; `upstream` maps each earlier
-        output's work-relative path to its recorded sha256. An outside
-        file enters by its sha256 at its place in phase.outside_files,
-        which names its role; no path enters. Config values keep their
-        order, unsorted: a mixture's group order decides its shards. The
-        upstream digests go in path order, whichever phases recorded them."""
-        return hash128_hex(json.dumps({
-            "phase": phase.name,
-            "version": phase.version(),
-            "unicode": unicodedata.unidata_version,
-            "config": _key_json(phase.config(self.config)),
-            "files": [sha256_file(path) for path in phase.outside_files(self.config)],
-            "upstream": {
-                rel: upstream[rel] for rel in sorted(upstream)
-                if any(fnmatch(rel, pattern) for pattern in phase.reads)
-            },
-        }).encode("utf-8"))
-
-    def _run_phase(
-        self, phase: "Phase", upstream: dict[str, str], force: bool
-    ) -> tuple[bool, dict]:
-        """Run or skip one phase; returns (executed, recorded output digests)."""
+    def _run_phase(self, phase: "Phase", upstream: dict[str, str], force: bool) -> tuple[bool, dict]:
+        """Run or skip one phase; returns (executed, recorded output digests).
+        The key and the call read one selected value and one file list."""
         marker = self.work_dir / f"{phase.name}.done.json"
         try:
-            key = self._phase_key(phase, upstream)
+            selected, files = phase.config(self.config), phase.outside_files(self.config)
+            key = _phase_key(phase, selected, files, upstream)
             if not force and marker.is_file():
-                recorded = read_json(marker)
-                digests = recorded.get("outputs", {})
-                if recorded.get("config_hash") == key and not _bad_outputs(self.work_dir, digests):
-                    return False, digests
+                with suppress(IntegrityError):  # a damaged marker counts as absent
+                    recorded = read_marker(marker)
+                    if recorded.get("config_hash") == key and not _bad_outputs(self.work_dir, recorded["outputs"]):
+                        return False, recorded["outputs"]
             started = time.monotonic()
-            outputs, sidecar = phase.fn(self)
+            outputs, sidecar, handed = phase.fn(selected, files, *map(self._load, phase.reads), self.work_dir)
+            self._held.update(handed)
             out_report = self.work_dir / phase.sidecar
             write_json(out_report, {"config_hash": key, **sidecar})
             elapsed = time.monotonic() - started
         except Exception as exc:  # noqa: BLE001 - phase boundary
             raise PhaseError(phase.name, exc) from exc
-        digests = {
-            str(p.relative_to(self.work_dir)): sha256_file(p)
-            for p in sorted(outputs + [out_report])
-        }
+        digests = {str(p.relative_to(self.work_dir)): sha256_file(p) for p in sorted(outputs + [out_report])}
         write_json(marker, {"config_hash": key, "outputs": digests, "wall_clock_s": elapsed})
         return True, digests
 
@@ -356,199 +342,33 @@ class Pipeline:
         return report
 
     def _load(self, name: str) -> Any:
-        """The object in work-directory file `name`, a key of READERS: the
-        one this run wrote the file from, else the file parsed by its
-        reader, held for the later phases that read it too."""
+        """load(work_dir, name); for a READERS file, the object this run
+        wrote it from, else the parsed file, held for the later phases
+        that read it too."""
+        if name not in READERS:
+            return load(self.work_dir, name)
         if name not in self._held:
-            self._held[name] = READERS[name](self.work_dir / name)
+            self._held[name] = load(self.work_dir, name)
         return self._held[name]
 
-    # -- phases: each returns (artifacts written, sidecar report fields) --
 
-    def _phase_ingest(self) -> tuple[list[Path], dict]:
-        corpus, report = ingest_files(self.config.resolve_inputs())
-        out_corpus = self.work_dir / "corpus.jsonl"
-        write_corpus(corpus, out_corpus)
-        self._held["corpus.jsonl"] = corpus
-        return [out_corpus], {**report.to_dict(), "unidata_version": unicodedata.unidata_version}
-
-    def _phase_dedup(self) -> tuple[list[Path], dict]:
-        corpus = self._load("corpus.jsonl")
-        clusters = dedup_mod.run_dedup(corpus, self.config.dedup)
-        out_clusters = self.work_dir / "clusters.jsonl"
-        dedup_mod.write_clusters(clusters, out_clusters)
-        self._held["clusters.jsonl"] = clusters
-
-        sizes: dict[int, int] = {}
-        for c in clusters:
-            sizes[len(c.member_ids)] = sizes.get(len(c.member_ids), 0) + 1
-        retained_total = sum(len(c.retained_ids) for c in clusters)
-        n_docs = len(corpus)
-        return [out_clusters], {
-            "documents": n_docs,
-            **dedup_mod.versions(),
-            "clusters": len(clusters),
-            "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
-            "retained_total": retained_total,
-            "cluster_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
-        }
-
-    def _phase_quality(self) -> tuple[list[Path], dict]:
-        corpus = self._load("corpus.jsonl")
-        clusters = self._load("clusters.jsonl")
-        clf_dir = self.work_dir / "classifiers"
-        clf_dir.mkdir(parents=True, exist_ok=True)
-        quality = self.config.quality
-        specs = quality.classifiers + quality.domain_classifiers
-        outputs = [clf_dir / f"{spec.model_id}.clf" for spec in specs]
-        models = [obtain_classifier(spec, out) for spec, out in zip(specs, outputs)]
-        n = len(quality.classifiers)
-        ensemble, domain = models[:n], dict(zip([s.tag or s.model_id for s in specs[n:]], models[n:]))
-        annotated, drops = quality_mod.annotate(
-            corpus,
-            clusters,
-            ensemble,
-            domain,
-            thresholds=quality.heuristics,
-            tag_threshold=quality.tag_threshold,
-        )
-        out_annotated = self.work_dir / "annotated.jsonl"
-        write_records(out_annotated, annotated)
-        self._held["annotated.jsonl"] = annotated
-        out_drops = self.work_dir / "drop_report.jsonl"
-        quality_mod.write_drop_report(drops, out_drops)
-
-        reasons: dict[str, int] = {}
-        for d in drops:
-            for r in d.reasons:
-                reasons[r] = reasons.get(r, 0) + 1
-        return outputs + [out_annotated, out_drops], {
-            "annotated": len(annotated),
-            "annotated_format": quality_mod.ANNOTATED_FORMAT,
-            "training_version": clf_mod.TRAINING_VERSION,
-            "dropped": len(drops),
-            "drop_reasons": dict(sorted(reasons.items())),
-            "classifiers": sorted(m.model_id for m in ensemble),
-            "domain_tags": sorted(domain),
-            "signal_quantiles": _signal_quantiles(annotated),
-            "classifier_train_accuracy": {
-                m.model_id: m.training_meta.get("train_accuracy") for m in ensemble
-            },
-        }
-
-    def _phase_sampling(self) -> tuple[list[Path], dict]:
-        annotated = self._load("annotated.jsonl")
-        policies = self.config.sampling.policies
-        rows, _ = sampling_mod.weight_rows(annotated, policies)
-        out_weights = self.work_dir / "weights.jsonl"
-        write_jsonl(out_weights, rows)
-        # Not `merged`: the rows list every document, in another order, and
-        # the sampler's float sums follow that order.
-        self._held["weights.jsonl"] = sampling_mod.weights_distribution(rows)
-        return [out_weights], {
-            "documents": len(annotated),
-            "mixture_weights": {p.signal_name: p.mixture_weight for p in policies},
-        }
-
-    def emit_stage(
-        self, stage: cur_mod.StageSpec, plan: cur_mod.StagePlan,
-        annotated: list[quality_mod.Annotation], corpus: Corpus,
-        clusters: list[dedup_mod.DuplicateCluster], merged: dict[str, float],
-        gates: dict[str, dict[str, float]] | None = None,
-    ) -> tuple[set[str], cur_mod.ShardManifest]:
-        """Emit one stage's shards under stages/<id>; returns (eligible ids,
-        manifest). `gates` is as in curriculum.stage_eligible."""
-        eligible = cur_mod.stage_eligible(annotated, stage, gates)
-        manifest = cur_mod.emit_stage(
-            stage,
-            plan,
-            sampling_mod.restrict_distribution(merged, eligible),
-            annotated,
-            corpus,
-            clusters,
-            self.tokenizer,
-            self.config.master_seed,
-            self.work_dir / "stages" / stage.stage_id,
-        )
-        return eligible, manifest
-
-    def _phase_curriculum(self) -> tuple[list[Path], dict]:
-        annotated = self._load("annotated.jsonl")
-        corpus = self._load("corpus.jsonl")
-        clusters = self._load("clusters.jsonl")
-        merged = self._load("weights.jsonl")
-        plan = self.config.curriculum
-        budgets = cur_mod.stage_budgets(plan)
-
-        gates: dict[str, dict[str, float]] = {}  # shared by the stages
-        outputs: list[Path] = []
-        stage_summaries = {}
-        for stage in plan.stages:
-            stage_dir = self.work_dir / "stages" / stage.stage_id
-            eligible, manifest = self.emit_stage(stage, plan, annotated, corpus, clusters, merged, gates)
-            outputs.append(stage_dir / "manifest.json")
-            outputs.extend(stage_dir / s["file"] for s in manifest.shards)
-            stage_summaries[stage.stage_id] = {
-                "budget": budgets[stage.stage_id],
-                "eligible_docs": len(eligible),
-                "total_tokens": manifest.total_tokens,
-                "max_doc_tokens": manifest.max_doc_tokens,
-                "drawn_docs": manifest.drawn_docs,
-                "group_tokens": dict(sorted(manifest.group_tokens.items())),
-                "shards": len(manifest.shards),
-            }
-        return outputs, {
-            "total_token_budget": plan.total_token_budget,
-            "stages": stage_summaries,
-        }
-
-    def _phase_train_prep(self) -> tuple[list[Path], dict]:
-        outputs: list[Path] = []
-        packed_dir = self.work_dir / "packed"
-        packed_dir.mkdir(parents=True, exist_ok=True)
-        pad_id = self.tokenizer.pad_id
-        train_prep = self.config.train_prep
-        seq_len = train_prep.sequence_length
-
-        packed_summary = {}
-        manifest_lines = []
-        for stage in self.config.curriculum.stages:
-            stage_dir = self.work_dir / "stages" / stage.stage_id
-            manifest = cur_mod.read_manifest(stage_dir / "manifest.json")
-            out_bin = packed_dir / f"stage_{stage.stage_id}.bin"
-            shards = [stage_dir / shard["file"] for shard in manifest.shards]
-            sequences = pack_shards(shards, out_bin, seq_len, pad_id)
-            outputs.append(out_bin)
-            non_pad = sum(s.pad_from for s in sequences)
-            packed_summary[stage.stage_id] = {
-                "sequences": len(sequences),
-                "non_pad_tokens": non_pad,
-                "input_tokens": manifest.total_tokens,
-            }
-            manifest_lines.append(
-                f"{out_bin.name}\tseq_len={seq_len}\tpad_id={pad_id}"
-                f"\tsequences={len(sequences)}\tsha256={sha256_file(out_bin)}"
-            )
-        out_manifest = packed_dir / "manifest.txt"
-        with atomic_write(out_manifest) as fh:
-            fh.write("\n".join(manifest_lines) + "\n")
-        outputs.append(out_manifest)
-
-        out_rope = self.work_dir / "rope.json"
-        write_json(out_rope, asdict(rope_config(train_prep.rope_stage)))
-        outputs.append(out_rope)
-
-        if train_prep.lr_schedule is not None:
-            out_csv = self.work_dir / "schedule.csv"
-            stride = max(1, train_prep.lr_schedule.end_step // 10_000)
-            dump_csv(train_prep.lr_schedule, out_csv, stride=stride)
-            outputs.append(out_csv)
-
-        return outputs, {
-            "sequence_length": seq_len,
-            "rope_stage": train_prep.rope_stage,
-            "stages": packed_summary,
-        }
+def _phase_key(phase: "Phase", selected: Any, files: list[str], upstream: dict[str, str]) -> str:
+    """Hash of everything `phase` reads: its `selected` config values, its
+    outside `files`, each by its sha256 at its place, which names its role,
+    and the digests in `upstream` (earlier outputs' work-relative paths ->
+    recorded sha256) of the files it reads, in path order. Config values
+    keep their order, unsorted: a mixture's group order decides its shards."""
+    return hash128_hex(json.dumps({
+        "phase": phase.name,
+        "version": phase.version(),
+        "unicode": unicodedata.unidata_version,
+        "config": _key_json(selected),
+        "files": [sha256_file(path) for path in files],
+        "upstream": {
+            rel: upstream[rel] for rel in sorted(upstream)
+            if any(fnmatch(rel, pattern) for pattern in phase.reads)
+        },
+    }).encode("utf-8"))
 
 
 def _key_json(value: Any) -> Any:
@@ -563,6 +383,165 @@ def _key_json(value: Any) -> Any:
     return str(value) if isinstance(value, Fraction) else value
 
 
+# What a phase returns: the artifacts it wrote, its sidecar report fields and
+# {file name: the object that file was written from} for later phases.
+PhaseResult = tuple[list[Path], dict, dict[str, Any]]
+
+
+def ingest_phase(config: tuple, inputs: list[str], work_dir: Path) -> PhaseResult:
+    corpus, report = ingest_files(inputs)
+    out_corpus = work_dir / "corpus.jsonl"
+    write_corpus(corpus, out_corpus)
+    sidecar = {**report.to_dict(), "unidata_version": unicodedata.unidata_version}
+    return [out_corpus], sidecar, {"corpus.jsonl": corpus}
+
+
+def dedup_phase(config: dedup_mod.DedupConfig, files: list[str], corpus: Corpus, work_dir: Path) -> PhaseResult:
+    clusters = dedup_mod.run_dedup(corpus, config)
+    out_clusters = work_dir / "clusters.jsonl"
+    dedup_mod.write_clusters(clusters, out_clusters)
+    sizes = Counter(len(c.member_ids) for c in clusters)
+    n_docs = len(corpus)
+    return [out_clusters], {
+        "documents": n_docs,
+        **dedup_mod.versions(),
+        "clusters": len(clusters),
+        "duplicate_rate": (n_docs - len(clusters)) / n_docs if n_docs else 0.0,
+        "retained_total": sum(len(c.retained_ids) for c in clusters),
+        "cluster_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
+    }, {"clusters.jsonl": clusters}
+
+
+def quality_phase(config: QualityConfig, sources: list[str], corpus: Corpus,
+                  clusters: list[dedup_mod.DuplicateCluster], work_dir: Path) -> PhaseResult:
+    clf_dir = work_dir / "classifiers"
+    clf_dir.mkdir(parents=True, exist_ok=True)
+    specs = config.classifiers + config.domain_classifiers
+    outputs = [clf_dir / f"{spec.model_id}.clf" for spec in specs]
+    files = iter(sources)
+    models = [obtain_classifier(spec, files, out) for spec, out in zip(specs, outputs)]
+    n = len(config.classifiers)
+    ensemble, domain = models[:n], dict(zip([s.tag or s.model_id for s in specs[n:]], models[n:]))
+    annotated, drops = quality_mod.annotate(corpus, clusters, ensemble, domain, thresholds=config.heuristics,
+                                            tag_threshold=config.tag_threshold)
+    out_annotated = work_dir / "annotated.jsonl"
+    write_records(out_annotated, annotated)
+    out_drops = work_dir / "drop_report.jsonl"
+    quality_mod.write_drop_report(drops, out_drops)
+    reasons = Counter(r for d in drops for r in d.reasons)
+    return outputs + [out_annotated, out_drops], {
+        "annotated": len(annotated),
+        "annotated_format": quality_mod.ANNOTATED_FORMAT,
+        "training_version": clf_mod.TRAINING_VERSION,
+        "dropped": len(drops),
+        "drop_reasons": dict(sorted(reasons.items())),
+        "classifiers": sorted(m.model_id for m in ensemble),
+        "domain_tags": sorted(domain),
+        "signal_quantiles": _signal_quantiles(annotated),
+        "classifier_train_accuracy": {m.model_id: m.training_meta.get("train_accuracy") for m in ensemble},
+    }, {"annotated.jsonl": annotated}
+
+
+def sampling_phase(config: SamplingConfig, files: list[str], annotated: list[quality_mod.Annotation],
+                   work_dir: Path) -> PhaseResult:
+    rows, _ = sampling_mod.weight_rows(annotated, config.policies)
+    out_weights = work_dir / "weights.jsonl"
+    write_jsonl(out_weights, rows)
+    # Not `merged`: the rows list every document, in another order, and the
+    # sampler's float sums follow that order.
+    return [out_weights], {
+        "documents": len(annotated),
+        "mixture_weights": {p.signal_name: p.mixture_weight for p in config.policies},
+    }, {"weights.jsonl": sampling_mod.weights_distribution(rows)}
+
+
+def curriculum_stage(
+    stage: cur_mod.StageSpec, config: tuple[cur_mod.StagePlan, int, int],
+    annotated: list[quality_mod.Annotation], corpus: Corpus,
+    clusters: list[dedup_mod.DuplicateCluster], merged: dict[str, float],
+    work_dir: Path, gates: dict[str, dict[str, float]] | None = None,
+) -> tuple[set[str], cur_mod.ShardManifest]:
+    """Emit one stage's shards under stages/<id>, from the curriculum
+    phase's selected values and reads; returns (eligible ids, manifest).
+    `gates` is as in curriculum.stage_eligible."""
+    plan, master_seed, vocab_size = config
+    eligible = cur_mod.stage_eligible(annotated, stage, gates)
+    manifest = cur_mod.emit_stage(
+        stage, plan, sampling_mod.restrict_distribution(merged, eligible), annotated, corpus, clusters,
+        WhitespaceTokenizer(vocab_size), master_seed, work_dir / "stages" / stage.stage_id,
+    )
+    return eligible, manifest
+
+
+def curriculum_phase(
+    config: tuple[cur_mod.StagePlan, int, int], files: list[str],
+    annotated: list[quality_mod.Annotation], corpus: Corpus,
+    clusters: list[dedup_mod.DuplicateCluster], merged: dict[str, float], work_dir: Path,
+) -> PhaseResult:
+    plan = config[0]
+    budgets = cur_mod.stage_budgets(plan)
+    gates: dict[str, dict[str, float]] = {}  # shared by the stages
+    outputs: list[Path] = []
+    stage_summaries = {}
+    for stage in plan.stages:
+        stage_dir = work_dir / "stages" / stage.stage_id
+        eligible, manifest = curriculum_stage(stage, config, annotated, corpus, clusters, merged, work_dir, gates)
+        outputs.append(stage_dir / "manifest.json")
+        outputs.extend(stage_dir / s["file"] for s in manifest.shards)
+        stage_summaries[stage.stage_id] = {
+            "budget": budgets[stage.stage_id],
+            "eligible_docs": len(eligible),
+            "total_tokens": manifest.total_tokens,
+            "max_doc_tokens": manifest.max_doc_tokens,
+            "drawn_docs": manifest.drawn_docs,
+            "group_tokens": dict(sorted(manifest.group_tokens.items())),
+            "shards": len(manifest.shards),
+        }
+    return outputs, {"total_token_budget": plan.total_token_budget, "stages": stage_summaries}, {}
+
+
+def train_prep_phase(config: tuple[TrainPrepConfig, cur_mod.StagePlan], files: list[str], stages_dir: Path,
+                     work_dir: Path) -> PhaseResult:
+    train_prep, plan = config
+    outputs: list[Path] = []
+    packed_dir = work_dir / "packed"
+    packed_dir.mkdir(parents=True, exist_ok=True)
+    pad_id = WhitespaceTokenizer(train_prep.vocab_size).pad_id
+    seq_len = train_prep.sequence_length
+    packed_summary = {}
+    manifest_lines = []
+    for stage in plan.stages:
+        stage_dir = stages_dir / stage.stage_id
+        manifest = cur_mod.read_manifest(stage_dir / "manifest.json")
+        out_bin = packed_dir / f"stage_{stage.stage_id}.bin"
+        shards = [stage_dir / shard["file"] for shard in manifest.shards]
+        sequences = pack_shards(shards, out_bin, seq_len, pad_id)
+        outputs.append(out_bin)
+        packed_summary[stage.stage_id] = {
+            "sequences": len(sequences),
+            "non_pad_tokens": sum(s.pad_from for s in sequences),
+            "input_tokens": manifest.total_tokens,
+        }
+        manifest_lines.append(
+            f"{out_bin.name}\tseq_len={seq_len}\tpad_id={pad_id}"
+            f"\tsequences={len(sequences)}\tsha256={sha256_file(out_bin)}"
+        )
+    out_manifest = packed_dir / "manifest.txt"
+    with atomic_write(out_manifest) as fh:
+        fh.write("\n".join(manifest_lines) + "\n")
+    outputs.append(out_manifest)
+    out_rope = work_dir / "rope.json"
+    write_json(out_rope, asdict(rope_config(train_prep.rope_stage)))
+    outputs.append(out_rope)
+    if train_prep.lr_schedule is not None:
+        out_csv = work_dir / "schedule.csv"
+        stride = max(1, train_prep.lr_schedule.end_step // 10_000)
+        dump_csv(train_prep.lr_schedule, out_csv, stride=stride)
+        outputs.append(out_csv)
+    sidecar = {"sequence_length": seq_len, "rope_stage": train_prep.rope_stage, "stages": packed_summary}
+    return outputs, sidecar, {}
+
+
 def _classifier_sources(config: PipelineConfig) -> list[str]:
     """The files the quality phase loads: each model file or training pair."""
     return [
@@ -574,21 +553,21 @@ def _classifier_sources(config: PipelineConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class Phase:
-    """One pipeline phase and everything it reads.
+    """One pipeline phase, a function of what its key hashes.
 
-    `config` selects the typed config values the phase computes from; they
-    may be wider than the phase needs, never narrower, except for file
-    paths: `outside_files` lists the files the phase reads from outside
-    the work directory, and their contents, in that order, stand in for
-    their paths. `reads` are glob patterns over the work-relative
-    outputs of earlier phases.
-    `version` returns what names how the phase computes its outputs from
-    those inputs, read each time a key is taken; a change to it makes
-    earlier outputs stale.
+    `config` selects the typed config values the phase computes from.
+    `outside_files` lists the files it reads from outside the work
+    directory; in the key, their contents stand in for their paths. `reads`
+    are glob patterns over the work-relative outputs of earlier phases.
+    `version` names how the phase computes its outputs from those inputs; a
+    change to it makes earlier outputs stale. The runner takes the selected
+    value and the file list once, hashes both into the key, and calls
+    fn(selected, files, *loaded, work_dir), `loaded` being load()'s object
+    for each of `reads` in order: a phase sees nothing its key leaves out.
     """
 
     name: str
-    fn: Callable[[Pipeline], tuple[list[Path], dict]]
+    fn: Callable[..., PhaseResult]
     config: Callable[[PipelineConfig], Any]
     reads: tuple[str, ...] = ()
     outside_files: Callable[[PipelineConfig], list[str]] = lambda config: []
@@ -599,9 +578,9 @@ class Phase:
         return f"{self.name}_report.json"
 
 
-# The reader of each phase output that Pipeline._load parses: the file
-# name, then path -> the object the file was written from. Each looks its
-# reader up when called, so a patched reader takes effect.
+# The reader of each phase output that a later phase loads: the file name,
+# then path -> the object the file was written from. Each looks its reader
+# up when called, so a patched reader takes effect.
 READERS: dict[str, Callable[[Path], Any]] = {
     "corpus.jsonl": lambda path: read_corpus(path),
     "clusters.jsonl": lambda path: dedup_mod.read_clusters(path),
@@ -610,24 +589,27 @@ READERS: dict[str, Callable[[Path], Any]] = {
 }
 
 
+def load(work_dir: str | Path, name: str) -> Any:
+    """What a phase takes for its read `name`: the object its READERS entry
+    parses from work file `name`, or for a glob such as stages/*, the path
+    of the directory it matches in."""
+    work_dir = Path(work_dir)
+    return READERS[name](work_dir / name) if name in READERS else work_dir / Path(name).parent
+
+
 PHASE_TABLE = (
     # Ingest version 0 listed the dump paths in its sidecar, stale once a
     # workspace moves; 1 lists none. The key holds the dumps' digests.
-    Phase("ingest", Pipeline._phase_ingest, lambda c: (), outside_files=PipelineConfig.resolve_inputs,
+    Phase("ingest", ingest_phase, lambda c: (), outside_files=PipelineConfig.resolve_inputs,
           version=lambda: 1),
-    Phase("dedup", Pipeline._phase_dedup, lambda c: c.dedup, reads=("corpus.jsonl",),
-          version=dedup_mod.versions),
-    Phase("quality", Pipeline._phase_quality, lambda c: c.quality,
-          reads=("corpus.jsonl", "clusters.jsonl"),
+    Phase("dedup", dedup_phase, lambda c: c.dedup, reads=("corpus.jsonl",), version=dedup_mod.versions),
+    Phase("quality", quality_phase, lambda c: c.quality, reads=("corpus.jsonl", "clusters.jsonl"),
           outside_files=_classifier_sources, version=lambda: clf_mod.TRAINING_VERSION),
-    Phase("sampling", Pipeline._phase_sampling, lambda c: c.sampling, reads=("annotated.jsonl",)),
-    # The policies reach curriculum through weights.jsonl; `curriculum emit`
-    # loads its reads in the order of emit_stage's arguments.
-    Phase("curriculum", Pipeline._phase_curriculum,
-          lambda c: (c.curriculum, c.master_seed, c.train_prep.vocab_size),
+    Phase("sampling", sampling_phase, lambda c: c.sampling, reads=("annotated.jsonl",)),
+    # The policies reach curriculum through weights.jsonl.
+    Phase("curriculum", curriculum_phase, lambda c: (c.curriculum, c.master_seed, c.train_prep.vocab_size),
           reads=("annotated.jsonl", "corpus.jsonl", "clusters.jsonl", "weights.jsonl")),
-    Phase("train_prep", Pipeline._phase_train_prep, lambda c: (c.train_prep, c.curriculum),
-          reads=("stages/*",)),
+    Phase("train_prep", train_prep_phase, lambda c: (c.train_prep, c.curriculum), reads=("stages/*",)),
 )
 
 
@@ -639,13 +621,7 @@ def _signal_quantiles(annotated: list[quality_mod.Annotation]) -> dict[str, list
     out = {}
     for name in sorted(values):
         vs = sorted(values[name])
-        out[name] = [
-            vs[0],
-            vs[len(vs) // 4],
-            vs[len(vs) // 2],
-            vs[(3 * len(vs)) // 4],
-            vs[-1],
-        ]
+        out[name] = [vs[0], vs[len(vs) // 4], vs[len(vs) // 2], vs[(3 * len(vs)) // 4], vs[-1]]
     return out
 
 
@@ -676,7 +652,7 @@ def verify_outputs(work_dir: str | Path, names: Iterable[str] | None = None) -> 
     work_dir = Path(work_dir)
     recorded = {
         rel: digest for marker in _markers(work_dir).values()
-        for rel, digest in marker.get("outputs", {}).items()
+        for rel, digest in marker["outputs"].items()
     }
     names = recorded if names is None else names
     bad = _bad_outputs(work_dir, {rel: recorded.get(rel) for rel in names})
@@ -691,10 +667,22 @@ def build_report(work_dir: str | Path) -> dict:
     return _assemble_report(Path(work_dir))
 
 
+def read_marker(path: Path) -> dict:
+    """Done-marker `path`; IntegrityError naming it unless it holds a JSON
+    object with an `outputs` object."""
+    try:
+        marker = read_json(path)
+    except ValueError:  # not JSON, or not UTF-8
+        marker = None
+    if not (isinstance(marker, dict) and isinstance(marker.get("outputs"), dict)):
+        raise IntegrityError(f"damaged done-marker {path.name}", [path.name])
+    return marker
+
+
 def _markers(work_dir: Path) -> dict[str, dict]:
     """Each present done-marker, by phase name, in table order."""
     paths = {phase.name: work_dir / f"{phase.name}.done.json" for phase in PHASE_TABLE}
-    return {name: read_json(path) for name, path in paths.items() if path.is_file()}
+    return {name: read_marker(path) for name, path in paths.items() if path.is_file()}
 
 
 def _assemble_report(work_dir: Path) -> dict:

@@ -46,6 +46,14 @@ class HeuristicThresholds:
     min_alpha_ratio: float = 0.6
     max_line_repeat_ratio: float = 0.5
 
+    def __post_init__(self):
+        if self.min_words < 0:
+            raise ConfigError("min_words must be >= 0")
+        if not 0 <= self.min_alpha_ratio <= 1 or not 0 <= self.max_line_repeat_ratio <= 1:
+            raise ConfigError("min_alpha_ratio and max_line_repeat_ratio must be in [0, 1]")
+        if not 0 <= self.min_mean_word_length <= self.max_mean_word_length:
+            raise ConfigError("mean word lengths must satisfy 0 <= min_mean_word_length <= max_mean_word_length")
+
 
 @dataclass(frozen=True)
 class TextStats:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -231,23 +232,42 @@ class TestCurriculumCommands:
         config_path, raw = make_pipeline_workspace(tmp_path / "fresh", n_docs=60)
         assert main(["curriculum", "emit", "--config", str(config_path), "--stage", "i"]) == 3
 
-    @pytest.mark.parametrize("edit", ["uniform-weights", "no-sampling-marker"])
+    @pytest.mark.parametrize("edit", ["uniform-weights", "no-sampling-marker", "damaged-sampling-marker"])
     def test_emit_checks_its_inputs_against_the_markers(self, tmp_path, capsys, edit):
         """A work file that no done-marker records, or that no longer has
-        its recorded digest, stops emit with exit 3 before it writes."""
+        its recorded digest, or a done-marker that is not one, stops emit
+        with exit 3 before it writes."""
         config_path, raw = make_pipeline_workspace(tmp_path, n_docs=100, total_tokens=10_000)
         assert main(["run", "--config", config_path]) == 0
         work = Path(raw["work_dir"])
+        named = "weights.jsonl"
         if edit == "uniform-weights":
             rows = list(read_jsonl(work / "weights.jsonl"))
             write_jsonl(work / "weights.jsonl", [dict(r, probability=1 / len(rows)) for r in rows])
-        else:
+        elif edit == "no-sampling-marker":
             (work / "sampling.done.json").unlink()
+        else:
+            (work / "sampling.done.json").write_text("{")
+            named = "sampling.done.json"
         stage = work / "stages" / "iv"
         before = {p.name: p.read_bytes() for p in stage.iterdir()}
         capsys.readouterr()
         assert main(["curriculum", "emit", "--config", config_path, "--stage", "iv"]) == 3
-        assert "weights.jsonl" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in stage.iterdir()} == before
+
+    def test_emit_reproduces_the_run(self, tmp_path):
+        """With a stage's directory deleted after a run, emit writes every
+        file of it back byte for byte."""
+        config_path, raw = make_pipeline_workspace(tmp_path, n_docs=200, total_tokens=20_000)
+        raw["curriculum"]["shard_tokens"] = 500  # several shards in stage iv
+        Path(config_path).write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", config_path]) == 0
+        stage = Path(raw["work_dir"]) / "stages" / "iv"
+        before = {p.name: p.read_bytes() for p in stage.iterdir()}
+        assert len(before) > 2
+        shutil.rmtree(stage)
+        assert main(["curriculum", "emit", "--config", config_path, "--stage", "iv"]) == 0
         assert {p.name: p.read_bytes() for p in stage.iterdir()} == before
 
 
@@ -308,6 +328,30 @@ class TestPrepCommands:
         assert main(["prep", "rope", "--stage", "ext9"]) == 1
 
 
+# Ways a done-marker can stop being a JSON object with an `outputs` object.
+DAMAGED_MARKERS = {
+    "truncated": lambda marker: marker.write_bytes(marker.read_bytes()[:40]),
+    "not-an-object": lambda marker: marker.write_text("[1]"),
+    "outputs-not-an-object": lambda marker: marker.write_text('{"outputs": ["clusters.jsonl"]}'),
+    "not-utf8": lambda marker: marker.write_bytes(b"\xff"),
+}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A function giving (config path, a fresh copy of the work directory
+    of a finished run of that config)."""
+    root = tmp_path_factory.mktemp("finished")
+    config_path, raw = make_pipeline_workspace(root, n_docs=200, total_tokens=20_000)
+    assert main(["run", "--config", config_path]) == 0
+
+    def copy(tmp_path: Path) -> tuple[str, Path]:
+        work = shutil.copytree(raw["work_dir"], tmp_path / "work")
+        return config_path, work
+
+    return copy
+
+
 class TestRunReport:
     def test_run_then_report(self, workspace, capsys):
         root, config_path, raw = workspace
@@ -324,6 +368,31 @@ class TestRunReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("damage", DAMAGED_MARKERS.values(), ids=DAMAGED_MARKERS.keys())
+    def test_report_names_a_damaged_marker(self, finished_run, tmp_path, capsys, damage):
+        """A done-marker that is not a JSON object with an `outputs` object
+        makes report exit 3, naming it."""
+        _, work = finished_run(tmp_path)
+        damage(work / "dedup.done.json")
+        capsys.readouterr()
+        assert main(["report", "--work-dir", str(work)]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("integrity error: ") and "dedup.done.json" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("damage", DAMAGED_MARKERS.values(), ids=DAMAGED_MARKERS.keys())
+    def test_run_reruns_the_phase_of_a_damaged_marker(self, finished_run, tmp_path, damage):
+        """run takes a damaged done-marker as absent: it reruns that phase
+        alone, which records the digests of the finished run."""
+        config_path, work = finished_run(tmp_path)
+        marker = work / "dedup.done.json"
+        recorded = read_json(marker)["outputs"]
+        damage(marker)
+        assert main(["run", "--config", config_path, "--work-dir", str(work)]) == 0
+        executed = read_json(work / "report.json")["phases_executed"]
+        assert [p for p, ran in executed.items() if ran] == ["dedup"]
+        assert read_json(marker)["outputs"] == recorded
 
     def test_report_empty_dir_exit_3(self, tmp_path):
         assert main(["report", "--work-dir", str(tmp_path)]) == 3
@@ -687,6 +756,11 @@ OUT_OF_RANGE = {
     "hyper-lr-nan": (ClassifierHyper(), "lr", float("nan")),
     "lr_schedule": (LrScheduleSpec(1e-3, 100, 200, 300, 5e-4, 350, 0.0), "warmup_end", 0),
     "rope": (rope_config("pretrain"), "head_dim", 63),
+    "heuristics-min-words": (HeuristicThresholds(), "min_words", -1),
+    "heuristics-alpha-ratio": (HeuristicThresholds(), "min_alpha_ratio", 2.0),
+    "heuristics-line-repeat-ratio": (HeuristicThresholds(), "max_line_repeat_ratio", -0.1),
+    "heuristics-word-length": (HeuristicThresholds(), "min_mean_word_length", -1.0),
+    "heuristics-word-lengths-crossed": (HeuristicThresholds(), "min_mean_word_length", 13.0),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import unicodedata
 from dataclasses import asdict, fields, replace
 from fnmatch import fnmatch
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import pytest
 
@@ -140,11 +142,26 @@ class TestRun:
             if any(fnmatch(rel, pattern) for pattern in phase.reads):
                 (work / rel).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(config.work_dir / rel, work / rel)
-        outputs, _ = phase.fn(Pipeline(replace(config, work_dir=work)))
+        loaded = [pipeline.load(work, name) for name in phase.reads]
+        outputs, _, _ = phase.fn(phase.config(config), phase.outside_files(config), *loaded, work)
         cold = read_json(config.work_dir / f"{phase.name}.done.json")["outputs"]
         assert {str(p.relative_to(work)): sha256_file(p) for p in outputs} == {
             rel: digest for rel, digest in cold.items() if rel != phase.sidecar
         }
+
+    @pytest.mark.parametrize("phase", pipeline.PHASE_TABLE, ids=lambda phase: phase.name)
+    def test_phase_takes_only_what_its_key_hashes(self, completed_run, phase):
+        """Each phase function takes its selected config value, its outside
+        files, one object per read and the work directory, each annotated:
+        never the Pipeline or the whole PipelineConfig."""
+        config, _ = completed_run
+        params = inspect.signature(phase.fn).parameters
+        hints = get_type_hints(phase.fn)
+        assert list(params) == list(hints)[: len(params)]
+        assert len(params) == 3 + len(phase.reads)
+        assert not {Pipeline, PipelineConfig} & {get_origin(h) or h for h in hints.values()}
+        selected_hint = hints[next(iter(params))]
+        assert isinstance(phase.config(config), get_origin(selected_hint) or selected_hint)
 
     def test_rerun_skips_every_phase(self, completed_run):
         config, first = completed_run
@@ -184,9 +201,9 @@ class TestInMemoryHandoff:
         held_at = {}
 
         def spy(phase):
-            def fn(pipe):
+            def fn(*args):
                 held_at[phase.name] = sorted(pipe._held)
-                return phase.fn(pipe)
+                return phase.fn(*args)
             return replace(phase, fn=fn)
 
         monkeypatch.setattr(pipeline, "PHASE_TABLE", tuple(map(spy, pipeline.PHASE_TABLE)))
@@ -440,6 +457,26 @@ class TestValidation:
         _, raw = make_pipeline_workspace(tmp_path, n_docs=60)
         raw["train_prep"].update(train_prep)
         bad_path = tmp_path / "bad_train_prep.json"
+        bad_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(bad_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (Path(raw["work_dir"]) / "ingest.done.json").exists()
+
+    @pytest.mark.parametrize("heuristics", [
+        {"min_alpha_ratio": 2.0},
+        {"max_line_repeat_ratio": -0.5},
+        {"min_words": -1},
+        {"max_mean_word_length": -1.0, "min_mean_word_length": -2.0},
+        {"min_mean_word_length": 9, "max_mean_word_length": 3},
+    ], ids=["alpha-ratio-over-1", "line-repeat-ratio-below-0", "negative-min-words",
+            "negative-word-lengths", "crossed-word-lengths"])
+    def test_heuristics_out_of_range_exits_1_before_ingest(self, tmp_path, capsys, heuristics):
+        """A negative count or word length, a ratio outside [0, 1] or a
+        minimum word length above the maximum is a config error found
+        before any phase, not a sampling error after quality."""
+        _, raw = make_pipeline_workspace(tmp_path, n_docs=60)
+        raw["quality"]["heuristics"] = heuristics
+        bad_path = tmp_path / "bad_heuristics.json"
         bad_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(bad_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
