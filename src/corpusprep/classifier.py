@@ -150,42 +150,48 @@ class QualityClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "QualityClassifier":
+        """The model in `path`; ConfigError naming it unless the file is
+        one whole model of this format, with no byte after the bias."""
         data = Path(path).read_bytes()
         view = memoryview(data)
         pos = 0
 
         def take(n: int) -> memoryview:
             nonlocal pos
-            chunk = view[pos : pos + n]
             pos += n
-            return chunk
+            if pos > len(view):
+                raise ValueError("cut short")
+            return view[pos - n : pos]
 
-        if bytes(take(4)) != MAGIC:
-            raise ConfigError(f"{path}: not a classifier file (bad magic)")
-        (version,) = struct.unpack("<I", take(4))
-        if version != FORMAT_VERSION:
-            raise ConfigError(f"{path}: unsupported format version {version}")
-        (mlen,) = struct.unpack("<I", take(4))
-        model_id = bytes(take(mlen)).decode("utf-8")
-        (n_orders,) = struct.unpack("<H", take(2))
-        orders = struct.unpack(f"<{n_orders}H", take(2 * n_orders))
-        max_features, epochs, lr, seed = struct.unpack("<QIdQ", take(28))
-        (meta_len,) = struct.unpack("<I", take(4))
-        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-        (n_vocab,) = struct.unpack("<Q", take(8))
-        vocab: dict[int, int] = {}
-        for _ in range(n_vocab):
-            h, idx = struct.unpack("<QI", take(12))
-            vocab[h] = idx
-        (n_weights,) = struct.unpack("<Q", take(8))
-        weights = np.frombuffer(take(8 * n_weights), dtype="<f8").copy()
-        (bias,) = struct.unpack("<d", take(8))
-        hyper = ClassifierHyper(
-            orders=tuple(orders), max_features=max_features,
-            epochs=epochs, lr=lr, seed=seed,
-        )
-        return cls(model_id=model_id, hyper=hyper, vocabulary=vocab,
-                   weights=weights, bias=bias, training_meta=meta)
+        try:
+            if bytes(take(4)) != MAGIC:
+                raise ConfigError(f"{path}: not a classifier file (bad magic)")
+            (version,) = struct.unpack("<I", take(4))
+            if version != FORMAT_VERSION:
+                raise ConfigError(f"{path}: unsupported format version {version}")
+            (mlen,) = struct.unpack("<I", take(4))
+            model_id = bytes(take(mlen)).decode("utf-8")
+            (n_orders,) = struct.unpack("<H", take(2))
+            orders = struct.unpack(f"<{n_orders}H", take(2 * n_orders))
+            max_features, epochs, lr, seed = struct.unpack("<QIdQ", take(28))
+            (meta_len,) = struct.unpack("<I", take(4))
+            meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+            (n_vocab,) = struct.unpack("<Q", take(8))
+            vocab: dict[int, int] = {}
+            for _ in range(n_vocab):
+                h, idx = struct.unpack("<QI", take(12))
+                vocab[h] = idx
+            (n_weights,) = struct.unpack("<Q", take(8))
+            if n_weights != n_vocab:
+                raise ValueError(f"{n_weights} weights for {n_vocab} n-grams")
+            weights = np.frombuffer(take(8 * n_weights), dtype="<f8").copy()
+            (bias,) = struct.unpack("<d", take(8))
+            if pos != len(view):
+                raise ValueError(f"{len(view) - pos} bytes after the bias")
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+            raise ConfigError(f"{path}: damaged classifier file: {exc}") from None
+        hyper = ClassifierHyper(tuple(orders), max_features, epochs, lr, seed)
+        return cls(model_id, hyper, vocab, weights, bias, training_meta=meta)
 
 
 def train_classifier(

@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TypeVar
 
 # Nothing here calls BLAS: no OpenBLAS thread pool, unless the user asks. Runs before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -43,21 +44,21 @@ from .pipeline import (
 from .rope import DEFAULT_HEAD_DIM, rope_config
 from .schedule import LrScheduleSpec, dump_csv, lr_at
 
+T = TypeVar("T")
 
-def _need_files(*paths: str | None) -> None:
-    """ConfigError naming every given path (None: flag unset) that is not a file."""
-    missing = [p for p in paths if p is not None and not Path(p).is_file()]
-    if missing:
-        raise ConfigError(f"input files not found: {missing}")
+
+def _section(path: str | None, cls: type[T], name: str) -> T:
+    """Section `name` of config file `path`, which holds a full config or
+    that section alone; the section's defaults without a file."""
+    raw = read_config(path) if path else {}
+    return config_section(cls, raw.get(name, raw), name)
 
 
 def _read_corpus_shards(paths: list[str]) -> Corpus:
-    _need_files(*paths)
     return Corpus([doc for path in paths for doc in read_corpus(path)])
 
 
 def cmd_ingest(args) -> int:
-    _need_files(*args.inputs)
     corpus, report = ingest_files(args.inputs)
     write_corpus(corpus, args.out)
     if args.report:
@@ -70,8 +71,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    raw = read_config(args.config) if args.config else {}
-    cfg = config_section(dedup_mod.DedupConfig, raw.get("dedup", raw), "dedup")
+    cfg = _section(args.config, dedup_mod.DedupConfig, "dedup")
     corpus = _read_corpus_shards(args.inputs)
     clusters = dedup_mod.run_dedup(corpus, cfg)
     dedup_mod.write_clusters(clusters, args.out)
@@ -84,7 +84,6 @@ def cmd_quality_train(args) -> int:
     flags = {k: v for k, v in vars(args).items() if v is not None}  # unset flags take the defaults
     hyper = config_section(clf_mod.ClassifierHyper, flags, "quality train")
     spec = ClassifierSpec(args.model_id, positives=args.positives, negatives=args.negatives, hyper=hyper)
-    _need_files(args.positives, args.negatives)
     model = obtain_classifier(spec, iter([args.positives, args.negatives]), args.out)
     acc = model.training_meta["train_accuracy"]
     print(f"trained {model.model_id} (train accuracy {acc:.3f}) -> {args.out}")
@@ -92,7 +91,6 @@ def cmd_quality_train(args) -> int:
 
 
 def cmd_quality_score(args) -> int:
-    _need_files(args.model)
     model = clf_mod.QualityClassifier.load(args.model)
     corpus = _read_corpus_shards(args.inputs)
     rows = [
@@ -107,15 +105,13 @@ def cmd_quality_score(args) -> int:
 
 
 def cmd_quality_annotate(args) -> int:
-    raw = read_config(args.config) if args.config else {}
-    cfg = config_section(QualityConfig, raw.get("quality", raw), "quality")
+    cfg = _section(args.config, QualityConfig, "quality")
     domain_paths = {}
     for item in args.domain or []:
         tag, _, path = item.partition("=")
         if not path:
             raise ConfigError(f"--domain expects tag=path, got '{item}'")
         domain_paths[tag] = path
-    _need_files(args.clusters, *args.models, *domain_paths.values())
     corpus = _read_corpus_shards(args.inputs)
     clusters = dedup_mod.read_clusters(args.clusters)
     ensemble = [clf_mod.QualityClassifier.load(p) for p in args.models]
@@ -131,9 +127,10 @@ def cmd_quality_annotate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    raw = read_config(args.config)
-    policies = config_section(SamplingConfig, raw.get("sampling", raw), "sampling").policies
-    _need_files(*args.inputs, args.clusters)
+    policies = _section(args.config, SamplingConfig, "sampling").policies
+    if args.draw and not args.clusters:
+        raise ConfigError("--draw needs --clusters for variant rotation")
+    clusters = dedup_mod.read_clusters(args.clusters) if args.clusters else None
     annotated = sorted(
         (row for path in args.inputs for row in quality_mod.read_annotations(path)),
         key=lambda row: row.doc_id,
@@ -142,9 +139,6 @@ def cmd_sample(args) -> int:
     write_jsonl(args.out, rows)
     print(f"wrote weights for {len(rows)} docs -> {args.out}")
     if args.draw:
-        if not args.clusters:
-            raise ConfigError("--draw needs --clusters for variant rotation")
-        clusters = dedup_mod.read_clusters(args.clusters)
         drawn = sampling_mod.draw(merged, clusters, args.seed, args.draw)
         manifest = {"seed": args.seed, "n": args.draw, "doc_ids": drawn}
         out = args.manifest or (str(args.out) + ".draws.json")
@@ -181,7 +175,6 @@ def cmd_curriculum_emit(args) -> int:
 
 
 def cmd_prep_pack(args) -> int:
-    _need_files(*args.inputs)
     sequences = pack_shards(args.inputs, args.out, args.length, args.pad_id)
     non_pad = sum(s.pad_from for s in sequences)
     print(f"packed {len(args.inputs)} shards into {len(sequences)} sequences "
@@ -334,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:  # OSError: a file it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IntegrityError as exc:

@@ -125,8 +125,8 @@ def canonical_crawl_time(value: str) -> str:
         s = s[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(s)
-    except ValueError as exc:
-        raise RejectedRecord("bad_crawl_time", str(exc)) from None
+    except ValueError:
+        raise RejectedRecord("bad_crawl_time") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     dt = dt.astimezone(timezone.utc).replace(microsecond=0)
@@ -146,15 +146,15 @@ def ingest_record(raw_record: str) -> Document:
     """Parse one input line into a Document, or raise RejectedRecord."""
     try:
         rec = json.loads(raw_record)
-    except json.JSONDecodeError as exc:
-        raise RejectedRecord("parse_error", str(exc)) from None
+    except json.JSONDecodeError:
+        raise RejectedRecord("parse_error") from None
     if not isinstance(rec, dict):
-        raise RejectedRecord("parse_error", "record is not an object")
+        raise RejectedRecord("parse_error")
     for name in REQUIRED_FIELDS:
         if name not in rec or rec[name] is None:
             raise RejectedRecord(f"missing_field:{name}")
     if not isinstance(rec["text"], str):
-        raise RejectedRecord("bad_field:text", "text is not a string")
+        raise RejectedRecord("bad_field:text")
     text = normalize_text(rec["text"])
     if not text:
         raise RejectedRecord("empty_text")
@@ -173,17 +173,9 @@ def ingest_record(raw_record: str) -> Document:
     )
 
 
-def _decode_line(raw: bytes, line_start: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RejectedRecord(
-            "invalid_utf8", exc.reason, byte_offset=line_start + exc.start
-        ) from None
-
-
-def ingest_lines(lines: Iterable[tuple[bytes, int]]) -> tuple[Corpus, IngestReport]:
-    """Ingest (raw line bytes, byte offset) pairs, one line at a time.
+def ingest_lines(lines: Iterable[bytes]) -> tuple[Corpus, IngestReport]:
+    """Ingest raw line bytes, one line at a time; a line that is not UTF-8
+    counts as `invalid_utf8`.
 
     The corpus is sorted by doc_id and deduplicated on doc_id (first
     occurrence in input order wins).
@@ -191,10 +183,13 @@ def ingest_lines(lines: Iterable[tuple[bytes, int]]) -> tuple[Corpus, IngestRepo
     report = IngestReport()
     seen: set[str] = set()
     docs: list[Document] = []
-    for raw, offset in lines:
+    for raw in lines:
         report.input_lines += 1
         try:
-            doc = ingest_record(_decode_line(raw, offset))
+            doc = ingest_record(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            report.reject("invalid_utf8")
+            continue
         except RejectedRecord as err:
             report.reject(err.reason)
             continue
@@ -207,12 +202,10 @@ def ingest_lines(lines: Iterable[tuple[bytes, int]]) -> tuple[Corpus, IngestRepo
     return Corpus(docs), report
 
 
-def _iter_file_lines(path: str | Path) -> Iterator[tuple[bytes, int]]:
-    offset = 0
+def _iter_file_lines(path: str | Path) -> Iterator[bytes]:
     with open(path, "rb") as fh:
         for raw in fh:
-            yield raw.rstrip(b"\r\n"), offset
-            offset += len(raw)
+            yield raw.rstrip(b"\r\n")
 
 
 def ingest_files(paths: Sequence[str | Path]) -> tuple[Corpus, IngestReport]:

@@ -1,9 +1,10 @@
 """Exception types shared across pipeline phases.
 
-CLI exit codes map onto these: 0 on success, ConfigError and
-ValidationError -> 1, IntegrityError -> 3, and PhaseError or any other
-CorpusPrepError -> 2. A pipeline phase that fails for any cause raises
-PhaseError, so a config error found inside a phase exits 2.
+CLI exit codes map onto these: 0 on success, ConfigError, ValidationError
+and a file the command cannot open (OSError, input or output) -> 1,
+IntegrityError -> 3, and PhaseError or any other CorpusPrepError -> 2. A
+pipeline phase that fails for any cause raises PhaseError, so a config
+error found inside a phase exits 2.
 """
 
 from __future__ import annotations
@@ -14,20 +15,12 @@ class CorpusPrepError(Exception):
 
 
 class RejectedRecord(CorpusPrepError):
-    """A single input record was rejected during ingestion.
+    """A single input record was rejected during ingestion; `reason` is the
+    machine-readable bucket the ingest report counts it under."""
 
-    Carries a machine-readable reason so ingest reports can bucket
-    rejects; `byte_offset` is set for UTF-8 decode failures.
-    """
-
-    def __init__(self, reason: str, detail: str = "", byte_offset: int | None = None):
+    def __init__(self, reason: str):
         self.reason = reason
-        self.detail = detail
-        self.byte_offset = byte_offset
-        msg = reason if not detail else f"{reason}: {detail}"
-        if byte_offset is not None:
-            msg += f" (byte offset {byte_offset})"
-        super().__init__(msg)
+        super().__init__(reason)
 
 
 class ConfigError(CorpusPrepError):
@@ -54,17 +47,12 @@ class PipelineOrderError(CorpusPrepError):
 
 
 class PhaseError(CorpusPrepError):
-    """A pipeline phase failed; names the phase and the cause."""
+    """A pipeline phase failed; names the phase and the cause (its __cause__)."""
 
     def __init__(self, phase: str, cause: BaseException):
         self.phase = phase
-        self.cause = cause
         super().__init__(f"phase '{phase}' failed: {cause}")
 
 
 class IntegrityError(CorpusPrepError):
     """On-disk artifacts are missing or fail checksum verification."""
-
-    def __init__(self, message: str, artifacts: list[str] | None = None):
-        self.artifacts = artifacts or []
-        super().__init__(message)

@@ -657,7 +657,7 @@ def verify_outputs(work_dir: str | Path, names: Iterable[str] | None = None) -> 
     names = recorded if names is None else names
     bad = _bad_outputs(work_dir, {rel: recorded.get(rel) for rel in names})
     if bad:
-        raise IntegrityError(f"artifacts failed verification: {', '.join(bad)}", bad)
+        raise IntegrityError(f"artifacts failed verification: {', '.join(bad)}")
 
 
 def build_report(work_dir: str | Path) -> dict:
@@ -675,7 +675,7 @@ def read_marker(path: Path) -> dict:
     except ValueError:  # not JSON, or not UTF-8
         marker = None
     if not (isinstance(marker, dict) and isinstance(marker.get("outputs"), dict)):
-        raise IntegrityError(f"damaged done-marker {path.name}", [path.name])
+        raise IntegrityError(f"damaged done-marker {path.name}")
     return marker
 
 
@@ -697,11 +697,8 @@ def _assemble_report(work_dir: Path) -> dict:
         else:
             sections[phase.name] = {"absent": True}
     if not present:
-        sidecars = [phase.sidecar for phase in PHASE_TABLE]
-        raise IntegrityError(
-            "no completed phases found; missing artifacts: " + ", ".join(sidecars),
-            sidecars,
-        )
+        sidecars = ", ".join(phase.sidecar for phase in PHASE_TABLE)
+        raise IntegrityError(f"no completed phases found; missing artifacts: {sidecars}")
 
     return {
         "config_hash": next(

@@ -94,6 +94,8 @@ def text_stats(text: str, words: WordTable | None = None) -> TextStats:
         # A single-line document repeats nothing; the ratio only means
         # something once there are lines to compare.
         line_repeat = 0.0
+    elif len(set(lines)) == len(lines):  # no line repeats: skip the Counter
+        line_repeat = 1 / len(lines)
     else:
         line_repeat = max(Counter(lines).values()) / len(lines)
     return TextStats(

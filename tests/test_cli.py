@@ -482,24 +482,36 @@ MISSING_INPUTS = {
                         "clusters.jsonl", "--models", "web.clf", "--domain", f"code={MISSING}",
                         "--out", "a.jsonl"],
     "sample-in": ["sample", "--config", "config.json", "--in", MISSING, "--out", "w.jsonl"],
+    "sample-clusters": ["sample", "--config", "sampling.json", "--in", "annotated.jsonl",
+                        "--out", "w.jsonl", "--clusters", MISSING],
     "pack-in": ["prep", "pack", "--length", "8", "--in", MISSING, "--out", "p.bin"],
 }
 
 
 @pytest.fixture(scope="module")
 def phase_files(workspace, tmp_path_factory):
-    """A directory holding every input the MISSING_INPUTS commands name, but
-    MISSING."""
+    """A directory holding every input the MISSING_INPUTS and
+    MISSING_DIR_OUTPUTS commands name, but MISSING."""
     _, config_path, raw = workspace
     root = tmp_path_factory.mktemp("inputs")
     q = raw["quality"]["classifiers"][0]
     (root / "config.json").write_bytes(Path(config_path).read_bytes())
+    (root / "dump.jsonl").write_bytes(Path(raw["input"][0]).read_bytes())
+    (root / "pos.jsonl").write_bytes(Path(q["positives"]).read_bytes())
     (root / "neg.jsonl").write_bytes(Path(q["negatives"]).read_bytes())
+    (root / "schedule.json").write_text(json.dumps(raw["train_prep"]["lr_schedule"]), encoding="utf-8")
+    (root / "sampling.json").write_text(
+        json.dumps({"policies": [{"signal": "freq:occurrence", "lambda": 1}]}), encoding="utf-8"
+    )
+    write_jsonl(root / "shard.jsonl", [{"doc_id": "a", "token_ids": [1, 2, 3]}])
     for argv in (
         ["ingest", "--in", raw["input"][0], "--out", str(root / "corpus.jsonl")],
         ["dedup", "--in", str(root / "corpus.jsonl"), "--out", str(root / "clusters.jsonl")],
         ["quality", "train", "--positives", q["positives"], "--negatives", q["negatives"],
          "--out", str(root / "web.clf"), "--epochs", "1"],
+        ["quality", "annotate", "--in", str(root / "corpus.jsonl"), "--clusters",
+         str(root / "clusters.jsonl"), "--models", str(root / "web.clf"),
+         "--out", str(root / "annotated.jsonl")],
     ):
         assert main(argv) == 0
     return root
@@ -513,6 +525,72 @@ def test_missing_input_file_exits_1(phase_files, monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert MISSING in err
+    assert "Traceback" not in out + err
+
+
+NO_DIR = "absent-dir/out"
+ANNOTATE_ARGS = ["quality", "annotate", "--in", "corpus.jsonl", "--clusters", "clusters.jsonl",
+                 "--models", "web.clf"]
+SAMPLE_ARGS = ["sample", "--config", "sampling.json", "--in", "annotated.jsonl"]
+# Each option that names an output, pointed into a directory that does not exist.
+MISSING_DIR_OUTPUTS = {
+    "ingest-out": ["ingest", "--in", "dump.jsonl", "--out", NO_DIR],
+    "ingest-report": ["ingest", "--in", "dump.jsonl", "--out", "c.jsonl", "--report", NO_DIR],
+    "dedup-out": ["dedup", "--in", "corpus.jsonl", "--out", NO_DIR],
+    "train-out": ["quality", "train", "--positives", "pos.jsonl", "--negatives", "neg.jsonl",
+                  "--epochs", "1", "--out", NO_DIR],
+    "score-out": ["quality", "score", "--model", "web.clf", "--in", "corpus.jsonl", "--out", NO_DIR],
+    "annotate-out": [*ANNOTATE_ARGS, "--out", NO_DIR],
+    "annotate-drops": [*ANNOTATE_ARGS, "--out", "a.jsonl", "--drops", NO_DIR],
+    "sample-out": [*SAMPLE_ARGS, "--out", NO_DIR],
+    "sample-manifest": [*SAMPLE_ARGS, "--out", "w.jsonl", "--clusters", "clusters.jsonl",
+                        "--draw", "3", "--manifest", NO_DIR],
+    "pack-out": ["prep", "pack", "--length", "8", "--in", "shard.jsonl", "--out", NO_DIR],
+    "schedule-dump-csv": ["prep", "schedule", "--spec", "schedule.json", "--dump-csv", NO_DIR],
+}
+
+
+@pytest.mark.parametrize("argv", MISSING_DIR_OUTPUTS.values(), ids=MISSING_DIR_OUTPUTS.keys())
+def test_output_in_missing_directory_exits_1(phase_files, monkeypatch, capsys, argv):
+    """A file a command cannot open for writing fails as one it cannot read."""
+    monkeypatch.chdir(phase_files)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert NO_DIR in err
+    assert "Traceback" not in out + err
+    assert not (phase_files / NO_DIR).parent.exists()
+
+
+def test_sample_draw_without_clusters_writes_nothing(phase_files, tmp_path, capsys):
+    out = tmp_path / "w.jsonl"
+    argv = ["sample", "--config", str(phase_files / "sampling.json"), "--in",
+            str(phase_files / "annotated.jsonl"), "--out", str(out), "--draw", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --draw needs --clusters for variant rotation\n"
+    assert not out.exists()
+
+
+def _damage_model(kind: str, src: Path, dst: Path) -> None:
+    """Write to `dst` the model file `src` with one kind of damage."""
+    data, model = src.read_bytes(), QualityClassifier.load(src)
+    if kind == "weight-count":
+        replace(model, weights=model.weights[:-1]).save(dst)
+        return
+    meta = json.dumps(model.training_meta, sort_keys=True).encode("utf-8")
+    dst.write_bytes({"cut-short": data[:-3], "trailing-bytes": data + b"\0" * 4,
+                     "meta-not-utf8": data.replace(meta, b"\xff" * len(meta))}[kind])
+
+
+@pytest.mark.parametrize("kind", ["cut-short", "trailing-bytes", "weight-count", "meta-not-utf8"])
+def test_quality_score_damaged_model_exits_1(phase_files, tmp_path, capsys, kind):
+    model = tmp_path / "damaged.clf"
+    _damage_model(kind, phase_files / "web.clf", model)
+    capsys.readouterr()
+    assert main(["quality", "score", "--model", str(model), "--in", str(phase_files / "corpus.jsonl")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {model}: damaged classifier file") and err.count("\n") == 1
     assert "Traceback" not in out + err
 
 

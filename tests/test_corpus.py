@@ -141,14 +141,8 @@ class TestCrawlTime:
 
 
 class TestIngestLines:
-    def lines(self, raw: list[str]) -> list[tuple[bytes, int]]:
-        out = []
-        offset = 0
-        for s in raw:
-            b = s.encode("utf-8")
-            out.append((b, offset))
-            offset += len(b) + 1
-        return out
+    def lines(self, raw: list[str]) -> list[bytes]:
+        return [s.encode("utf-8") for s in raw]
 
     def test_counts_reconcile(self):
         raw = [rec_line(url=f"https://h/{i}") for i in range(5)]
@@ -165,14 +159,11 @@ class TestIngestLines:
         assert len(corpus) == 1
         assert report.rejected == {"duplicate_doc_id": 1}
 
-    def test_invalid_utf8_offset(self):
-        bad = b'{"url": "https://h/1", "text": "\xff\xfe"}'
-        with pytest.raises(RejectedRecord) as err:
-            from corpusprep.corpus import _decode_line
-
-            _decode_line(bad, 100)
-        assert err.value.reason == "invalid_utf8"
-        assert err.value.byte_offset == 100 + bad.index(b"\xff")
+    def test_invalid_utf8_counted(self):
+        bad = rec_line(url="https://h/1").encode("utf-8").replace(b"hello", b"\xff\xfe")
+        corpus, report = ingest_lines([bad, *self.lines([rec_line()])])
+        assert len(corpus) == 1
+        assert report.rejected == {"invalid_utf8": 1}
 
     def test_sorted_by_doc_id(self):
         records, _, _ = planted_corpus_records(seed=6, n_docs=30, n_near_pairs=2, n_exact_triples=1)

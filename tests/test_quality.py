@@ -132,6 +132,14 @@ class TestHeuristics:
             sum(len(w) for w in words) / len(words) if words else 0.0
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["a", "b b", "", " \t"]), st.text("ab \t", max_size=3)),
+                    max_size=12))
+    def test_line_repeat_ratio_is_the_top_line_count_share(self, lines):
+        kept = [ln for ln in lines if ln.strip()]
+        expected = max(Counter(kept).values()) / len(kept) if len(kept) > 1 else 0.0
+        assert text_stats("\n".join(lines)).max_line_repeat_ratio == expected
+
 
 def _on_openblas() -> bool:
     config = getattr(np.__config__, "CONFIG", {})
@@ -241,6 +249,29 @@ class TestClassifier:
         path2 = tmp_path / "rt2.clf"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_damaged_model_file_rejected(self, tmp_path):
+        """Every proper prefix of a model, the model with bytes after the
+        bias, a weight count unlike the vocabulary count and a meta that is
+        not UTF-8 JSON: ConfigError naming the file."""
+        clf = train_classifier(["a b c", "a b d"], ["e f c", "e f d"], ClassifierHyper(epochs=1), "s")
+        path = tmp_path / "m.clf"
+        clf.save(path)
+        whole = path.read_bytes()
+        meta = json.dumps(clf.training_meta, sort_keys=True).encode("utf-8")
+        damaged = [whole[:n] for n in range(len(whole))] + [
+            whole + b"\0\0\0\0",
+            whole.replace(meta, b"\xff" * len(meta)),
+            whole.replace(meta, b"{" * len(meta)),
+        ]
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(ConfigError) as err:
+                QualityClassifier.load(path)
+            assert str(err.value).startswith(f"{path}: ")
+        QualityClassifier(clf.model_id, clf.hyper, clf.vocabulary, clf.weights[1:], clf.bias).save(path)
+        with pytest.raises(ConfigError, match="weights for"):
+            QualityClassifier.load(path)
 
     def test_score_pure_function(self):
         rng = np.random.default_rng(10)
